@@ -22,7 +22,7 @@
 //! Every re-solve goes through one shared [`SolveScratch`], so after the
 //! first (pattern-building) solve each iteration only re-stamps values
 //! into the cached CSR pattern — zero symbolic refactorizations, which
-//! the integration tests assert via the `pdn_pattern_builds` counter.
+//! the integration tests assert via [`SolveScratch::pattern_builds`].
 
 use crate::em_study::{c4_array_lifetime, paper_em_lifetimes, tsv_array_lifetime, EmLifetimes};
 use crate::scenario::DesignScenario;

@@ -13,8 +13,8 @@
 //! ([`vstack_pdn::FaultSketch`], driven through
 //! `solve_faulted_sketched`) collapses each what-if to a dense rank-k
 //! update against one cached baseline, so the whole map costs one exact
-//! solve plus one lazy column solve per distinct fault element — the
-//! per-query marginal cost is microseconds. Every entry records whether
+//! solve, one factorization of the baseline matrix, and two triangular
+//! sweeps per fault column — the per-query marginal cost is microseconds. Every entry records whether
 //! it was sketch-answered, so the map doubles as an integration check of
 //! the sketch's coverage.
 //!

@@ -126,6 +126,10 @@ pub struct SolveScratch {
     /// [`SolveScratch::pattern`], which holds the last — possibly faulted —
     /// stamping) and is dropped on structural pattern changes.
     sketch: Option<crate::sketch::FaultSketch>,
+    /// Solves through this scratch that rebuilt the symbolic pattern.
+    pattern_builds: u64,
+    /// Solves through this scratch that re-stamped the cached pattern.
+    pattern_reuses: u64,
 }
 
 impl SolveScratch {
@@ -155,8 +159,25 @@ impl SolveScratch {
         self.sketch = Some(sketch);
     }
 
-    /// The reusable Krylov workspace, for solves the sketch runs itself
-    /// (baseline and column solves against its own cached matrix).
+    /// The cached fault sketch, if a sketched fault query has built one.
+    pub fn fault_sketch(&self) -> Option<&crate::sketch::FaultSketch> {
+        self.sketch.as_ref()
+    }
+
+    /// Solves through this scratch that built a symbolic pattern from
+    /// scratch (mirrored to the global `pdn_pattern_builds` counter).
+    pub fn pattern_builds(&self) -> u64 {
+        self.pattern_builds
+    }
+
+    /// Solves through this scratch that re-stamped values onto the cached
+    /// pattern (mirrored to the global `pdn_pattern_reuses` counter).
+    pub fn pattern_reuses(&self) -> u64 {
+        self.pattern_reuses
+    }
+
+    /// The reusable Krylov workspace, for the sketch's baseline solve
+    /// against its own cached matrix.
     pub(crate) fn workspace_mut(&mut self) -> &mut SolveWorkspace {
         &mut self.workspace
     }
@@ -435,8 +456,10 @@ impl NetworkBuilder {
         let m = vstack_obs::metrics::global();
         m.pdn_stamp_us.add(stamp_timer.elapsed().as_micros() as u64);
         if pattern_reused {
+            scratch.pattern_reuses += 1;
             m.pdn_pattern_reuses.inc();
         } else {
+            scratch.pattern_builds += 1;
             m.pdn_pattern_builds.inc();
             // The cached hierarchy and stencil describe a different
             // operator structure; drop them so the next large solve

@@ -6,11 +6,19 @@
 //! a common baseline by a handful of rank-one conductance removals — a pad
 //! rail (`g·e_aeᵀ_a`) or a TSV bundle edge (`g·(e_lo−e_hi)(e_lo−e_hi)ᵀ`).
 //! [`FaultSketch`] caches one solved baseline `A₀x₀ = b₀` plus the solve
-//! vectors `A₀⁻¹u_j` for the candidate fault columns, and answers any
+//! vectors `wⱼ = A₀⁻¹uⱼ` for the candidate fault columns, and answers any
 //! [`FaultSet`] within its rank budget through the SMW identity in a
 //! [`vstack_sparse::SmwSketch`]: a dense k×k Cholesky and a few axpy
 //! passes instead of a fresh Krylov solve — milliseconds down to tens of
 //! microseconds at paper scale.
+//!
+//! The baseline is solved on the exact escalation ladder. Columns come
+//! from one direct factorization: the first query that needs a column
+//! factors `A₀` once ([`vstack_sparse::EnvelopeCholesky`]), and every
+//! column after that costs two triangular sweeps plus one SpMV residual
+//! check. At most [`SKETCH_BUDGET`] columns — the most one query can use —
+//! stay materialized; older ones are evicted least-recently-used and
+//! re-solved on demand.
 //!
 //! The sketch is **value-fingerprinted**: drivers hash every parameter
 //! that shapes the baseline matrix and right-hand side
@@ -20,13 +28,14 @@
 //! scratch lazily rebuilds it. Answers carry an SMW-internal residual
 //! guard — near-singular capacitance matrices (structural disconnection)
 //! or over-tolerance residuals reject the update and the caller falls
-//! back to the exact ladder solve, so accuracy is never traded away.
+//! back to the exact ladder solve, so accuracy is never traded away. A
+//! failed factorization or column residual falls back the same way.
 
 use std::collections::BTreeMap;
 
 use vstack_sparse::{
-    solve_robust_cached_ws, AmgHierarchy, CsrMatrix, RobustOptions, SmwAnswer, SmwRejection,
-    SmwSketch, SmwUpdate, SolveMethod, SolveReport,
+    solve_robust_cached_ws, CsrMatrix, EnvelopeCholesky, RobustOptions, SmwAnswer, SmwRejection,
+    SmwSketch, SmwUpdate, SolveError, SolveMethod, SolveReport,
 };
 
 use crate::error::PdnError;
@@ -36,9 +45,10 @@ use crate::network::{NetworkBuilder, SolveScratch};
 /// Power-pad list as `(ordinal, matrix node)` pairs.
 pub(crate) type PadList = Vec<(usize, usize)>;
 
-/// Maximum SMW rank per query. Beyond this the dense k×k factor and the
-/// 2k axpy passes stop beating the iterative solve, so the planner
-/// rebases the sketch onto the query's fault set instead.
+/// Maximum SMW rank per query, and so the most columns one query can
+/// need. Beyond this the dense k×k factor and the 2k axpy passes stop
+/// beating the iterative solve, so the planner rebases the sketch onto the
+/// query's fault set instead. It also caps the materialized columns.
 pub const SKETCH_BUDGET: usize = 128;
 
 /// Maximum edge columns a single TSV bundle may contribute. Bundles wider
@@ -46,19 +56,19 @@ pub const SKETCH_BUDGET: usize = 128;
 /// and force a rebase when faulted.
 pub const TSV_EDGE_CAP: usize = 128;
 
-/// Tolerance of the baseline and column solves. Tighter than the exact
-/// path's `1e-9` because the SMW residual guard only measures the *update*
-/// error — the ingredients must not dominate the error budget.
+/// Tolerance of the baseline solve, and the relative residual every column
+/// must meet. Tighter than the exact path's `1e-9` because the SMW
+/// residual guard only measures the *update* error — the ingredients must
+/// not dominate the error budget.
 const BUILD_TOLERANCE: f64 = 1e-11;
 
 /// Relative-residual acceptance threshold for SMW answers, matching the
 /// exact ladder's solve tolerance.
 const SMW_TOLERANCE: f64 = 1e-9;
 
-/// Soft cap on resident solve-vector memory (bytes); bounds the number of
-/// simultaneously-ready columns via an LRU eviction in
-/// [`FaultSketch::ensure_columns`].
-const W_CACHE_BYTES: usize = 512 << 20;
+/// Largest envelope factor (bytes) a sketch may build. A bigger one fails
+/// the column step, and its queries take the exact ladder instead.
+const MAX_FACTOR_BYTES: usize = 512 << 20;
 
 /// FNV-1a-64 over the values that shape a sketch's baseline system.
 ///
@@ -184,16 +194,18 @@ pub struct FaultSketch {
     /// TSV bundle columns by `(interface, core)`. Only bundles alive at
     /// the base fault set appear; dead bundles contribute nothing.
     tsv_cols: BTreeMap<(usize, usize), TsvBundleColumns>,
-    /// The baseline matrix, for lazily solving fault columns.
+    /// The baseline matrix: factored for the columns and used to check
+    /// each column's residual.
     a0: CsrMatrix,
-    /// AMG hierarchy cache shared across column solves of this sketch.
-    amg: Option<AmgHierarchy>,
+    /// Envelope Cholesky factor of `a0`, built when the first column is
+    /// needed. A failure is kept too, so it is not retried per query.
+    factor: Option<Result<EnvelopeCholesky, SolveError>>,
+    /// Factorizations this sketch ran (at most one).
+    factorizations: usize,
     /// LRU clock for column eviction.
     clock: u64,
     /// Last-touched stamp per SMW column id.
     col_stamp: Vec<u64>,
-    /// Ready-column cap derived from [`W_CACHE_BYTES`].
-    max_ready: usize,
 }
 
 impl std::fmt::Debug for FaultSketch {
@@ -204,7 +216,7 @@ impl std::fmt::Debug for FaultSketch {
             .field("base_faults", &self.base_faults)
             .field("columns", &self.smw.num_columns())
             .field("ready", &self.smw.ready_count())
-            .field("max_ready", &self.max_ready)
+            .field("factorizations", &self.factorizations)
             .finish_non_exhaustive()
     }
 }
@@ -234,8 +246,15 @@ impl FaultSketch {
                 example_node,
             });
         }
-        let n = nb.len();
-        let opts = Self::solve_options(n, scratch);
+        let opts = RobustOptions {
+            tolerance: BUILD_TOLERANCE,
+            max_iterations: 50_000,
+            start_with_ic: false,
+            start_with_amg: nb.len() >= NetworkBuilder::AMG_MIN_UNKNOWNS,
+            start_with_mixed: false,
+            cancel: scratch.cancel_token().clone(),
+            ..RobustOptions::default()
+        };
         let mut amg = None;
         let solved = solve_robust_cached_ws(
             &a0,
@@ -246,7 +265,6 @@ impl FaultSketch {
             &mut amg,
         )
         .map_err(PdnError::Solve)?;
-        let max_ready = (W_CACHE_BYTES / (8 * n.max(1))).clamp(16, 512);
         Ok(FaultSketch {
             fingerprint,
             base_faults,
@@ -262,23 +280,11 @@ impl FaultSketch {
             gnd_cols: BTreeMap::new(),
             tsv_cols: BTreeMap::new(),
             a0,
-            amg,
+            factor: None,
+            factorizations: 0,
             clock: 0,
             col_stamp: Vec::new(),
-            max_ready,
         })
-    }
-
-    fn solve_options(n: usize, scratch: &SolveScratch) -> RobustOptions {
-        RobustOptions {
-            tolerance: BUILD_TOLERANCE,
-            max_iterations: 50_000,
-            start_with_ic: false,
-            start_with_amg: n >= NetworkBuilder::AMG_MIN_UNKNOWNS,
-            start_with_mixed: false,
-            cancel: scratch.cancel_token().clone(),
-            ..RobustOptions::default()
-        }
     }
 
     /// Value fingerprint this sketch was built under.
@@ -304,6 +310,18 @@ impl FaultSketch {
     /// A copy of the baseline solve report.
     pub fn baseline_report(&self) -> SolveReport {
         self.baseline_report.clone()
+    }
+
+    /// Fault columns whose solve-vectors are materialized; never more
+    /// than [`SKETCH_BUDGET`].
+    pub fn ready_columns(&self) -> usize {
+        self.smw.ready_count()
+    }
+
+    /// Factorizations of the baseline matrix this sketch has run: zero
+    /// until a query needs a column, one from then on.
+    pub fn factorizations(&self) -> usize {
+        self.factorizations
     }
 
     /// `(ordinal, node)` pad lists filtered down to the pads alive under
@@ -502,14 +520,13 @@ impl FaultSketch {
     }
 
     /// Lazily solves the solve-vectors of every column named by `updates`,
-    /// evicting least-recently-used ready columns beyond the memory cap
-    /// first. Errors propagate from the column solves (cancellation,
-    /// breakdown) and send the caller to the exact path.
-    pub(crate) fn ensure_columns(
-        &mut self,
-        updates: &[SmwUpdate],
-        scratch: &mut SolveScratch,
-    ) -> Result<(), PdnError> {
+    /// evicting least-recently-used ready columns first so at most
+    /// [`SKETCH_BUDGET`] stay materialized. The first missing column
+    /// factors `A₀`; each column is then two triangular sweeps, accepted
+    /// only if its relative residual meets [`BUILD_TOLERANCE`]. A failed
+    /// factor or residual is an error that sends the caller to the exact
+    /// path.
+    pub(crate) fn ensure_columns(&mut self, updates: &[SmwUpdate]) -> Result<(), PdnError> {
         self.clock += 1;
         let clock = self.clock;
         let missing: Vec<usize> = updates
@@ -518,21 +535,44 @@ impl FaultSketch {
             .filter(|&c| !self.smw.column_ready(c))
             .collect();
         if !missing.is_empty() {
-            self.evict_for(updates, missing.len());
-        }
-        let opts = Self::solve_options(self.smw.n(), scratch);
-        let FaultSketch {
-            ref mut smw,
-            ref a0,
-            ref mut amg,
-            ..
-        } = *self;
-        let ws = scratch.workspace_mut();
-        for col in missing {
-            smw.ensure_column(col, |rhs| {
-                solve_robust_cached_ws(a0, rhs, None, &opts, ws, amg).map(|s| s.x)
-            })
-            .map_err(PdnError::Solve)?;
+            self.evict_for(updates);
+            let FaultSketch {
+                ref mut smw,
+                ref a0,
+                ref mut factor,
+                ref mut factorizations,
+                ..
+            } = *self;
+            let factor = factor
+                .get_or_insert_with(|| {
+                    *factorizations += 1;
+                    EnvelopeCholesky::factor_within(a0, MAX_FACTOR_BYTES)
+                })
+                .as_ref()
+                .map_err(|e| PdnError::Solve(e.clone()))?;
+            let n = a0.rows();
+            let (mut work, mut au) = (vec![0.0; n], vec![0.0; n]);
+            for col in missing {
+                smw.ensure_column(col, |u| {
+                    let mut w = vec![0.0; n];
+                    factor.solve_into(u, &mut w, &mut work);
+                    a0.mul_vec_into(&w, &mut au);
+                    let (mut r2, mut u2) = (0.0, 0.0);
+                    for (&ui, &ai) in u.iter().zip(&au) {
+                        r2 += (ui - ai) * (ui - ai);
+                        u2 += ui * ui;
+                    }
+                    let residual = (r2 / u2).sqrt();
+                    if residual.is_nan() || residual > BUILD_TOLERANCE {
+                        return Err(SolveError::NotConverged {
+                            iterations: 0,
+                            residual,
+                        });
+                    }
+                    Ok(w)
+                })
+                .map_err(PdnError::Solve)?;
+            }
         }
         for u in updates {
             self.col_stamp[u.column] = clock;
@@ -541,20 +581,18 @@ impl FaultSketch {
     }
 
     /// Evicts LRU ready columns (never ones named by the current query)
-    /// until `incoming` more fit under `max_ready`.
-    fn evict_for(&mut self, updates: &[SmwUpdate], incoming: usize) {
-        let budget = self.max_ready.saturating_sub(incoming).max(1);
-        if self.smw.ready_count() <= budget {
-            return;
-        }
+    /// until the query's columns fit within [`SKETCH_BUDGET`] ready ones.
+    /// The planner never issues more than that many updates, so the query
+    /// itself always fits.
+    fn evict_for(&mut self, updates: &[SmwUpdate]) {
         let needed: std::collections::BTreeSet<usize> = updates.iter().map(|u| u.column).collect();
-        let mut ready: Vec<(u64, usize)> = (0..self.smw.num_columns())
+        let mut idle: Vec<(u64, usize)> = (0..self.smw.num_columns())
             .filter(|&c| self.smw.column_ready(c) && !needed.contains(&c))
             .map(|c| (self.col_stamp[c], c))
             .collect();
-        ready.sort_unstable();
-        let excess = self.smw.ready_count().saturating_sub(budget);
-        for &(_, col) in ready.iter().take(excess) {
+        let excess = (idle.len() + needed.len()).saturating_sub(SKETCH_BUDGET);
+        idle.sort_unstable();
+        for &(_, col) in idle.iter().take(excess) {
             self.smw.clear_column(col);
         }
     }
@@ -628,7 +666,7 @@ pub(crate) fn answer_with_sketch(
                 return Ok(Some(extract(sk, v, report)));
             }
             SketchPlan::Updates(updates) => {
-                if sk.ensure_columns(&updates, scratch).is_err() {
+                if sk.ensure_columns(&updates).is_err() {
                     break;
                 }
                 let timer = std::time::Instant::now();

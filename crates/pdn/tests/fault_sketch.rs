@@ -5,15 +5,22 @@
 //! topologies, across random fault sets — including the paths where the
 //! sketch *refuses* (structural disconnection, over-budget queries) and
 //! falls back. The thread-count sweep pins the bit-identity contract: the
-//! SMW query is serial dense algebra, and the baseline/column solves reuse
-//! the pool's fixed-chunk reductions, so answers cannot depend on
-//! parallelism.
+//! SMW query is serial dense algebra, the baseline solve reuses the pool's
+//! fixed-chunk reductions, and the column factor and sweeps are serial, so
+//! answers cannot depend on parallelism.
+//!
+//! The quick 8-layer map tests pin the column path: one envelope
+//! factorization per sketch, at most `SKETCH_BUDGET` materialized columns,
+//! and no factorization at all for a one-shot query, all read from the
+//! sketch's own counters.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use vstack_pdn::sketch::SKETCH_BUDGET;
 use vstack_pdn::{
-    FaultSet, PdnError, PdnParams, RegularPdn, SolveScratch, StackLoads, TsvTopology, VstackPdn,
+    FaultSet, FaultedSolution, PdnError, PdnParams, RegularPdn, SolveScratch, StackLoads,
+    TsvTopology, VstackPdn,
 };
 use vstack_sc::compact::ScConverter;
 use vstack_sparse::pool::{with_pool, ThreadPool};
@@ -317,5 +324,158 @@ fn sketched_answers_are_bit_identical_across_thread_counts() {
     for (b, f) in &runs[1..] {
         assert_eq!(b, &runs[0].0, "baseline not bit-identical across pools");
         assert_eq!(f, &runs[0].1, "SMW answer not bit-identical across pools");
+    }
+}
+
+const MAP_LAYERS: usize = 8;
+
+/// One quick 8-layer topology under test.
+enum MapCase {
+    Regular(RegularPdn),
+    Stacked(VstackPdn),
+}
+
+impl MapCase {
+    fn both() -> [MapCase; 2] {
+        let p = quick_params();
+        [
+            MapCase::Regular(RegularPdn::new(&p, MAP_LAYERS, TsvTopology::Few, 0.25)),
+            MapCase::Stacked(vs_pdn(&p, MAP_LAYERS)),
+        ]
+    }
+
+    fn label(&self) -> &'static str {
+        match self {
+            MapCase::Regular(_) => "regular",
+            MapCase::Stacked(_) => "voltage-stacked",
+        }
+    }
+
+    fn sketched(
+        &self,
+        faults: &FaultSet,
+        scratch: &mut SolveScratch,
+    ) -> Result<FaultedSolution, PdnError> {
+        let loads = StackLoads::uniform_peak(&quick_params(), MAP_LAYERS);
+        match self {
+            MapCase::Regular(pdn) => pdn.solve_faulted_sketched(&loads, faults, scratch),
+            MapCase::Stacked(pdn) => pdn.solve_faulted_sketched(&loads, faults, scratch),
+        }
+    }
+
+    /// The exact ladder solve of `faults` at the sketch's 1e-11 build
+    /// tolerance: a one-shot query on a fresh scratch, which solves the
+    /// faulted network itself and uses no SMW column.
+    fn exact(&self, faults: &FaultSet) -> FaultedSolution {
+        let exact = self
+            .sketched(faults, &mut SolveScratch::new())
+            .expect("exact");
+        assert_ne!(exact.report.operator, "smw");
+        exact
+    }
+
+    /// `(vdd, gnd)` power-pad counts and TSVs per bundle.
+    fn elements(&self) -> (usize, usize, usize) {
+        match self {
+            MapCase::Regular(pdn) => (
+                pdn.c4().vdd_count(),
+                pdn.c4().gnd_count(),
+                TsvTopology::Few.vdd_tsvs_per_core(),
+            ),
+            MapCase::Stacked(pdn) => (
+                pdn.c4().vdd_count(),
+                pdn.c4().gnd_count(),
+                TsvTopology::Few.tsvs_per_core(),
+            ),
+        }
+    }
+}
+
+/// Opens one fault element in a fault set.
+type Element = Box<dyn Fn(&mut FaultSet)>;
+
+/// Every single-element fault set of a quick 8-layer map, then pairs of
+/// them stepping through the list.
+fn map_queries(case: &MapCase) -> Vec<FaultSet> {
+    let cores = quick_params().floorplan().core_count();
+    let (vdd, gnd, per_bundle) = case.elements();
+    let mut elements: Vec<Element> = Vec::new();
+    for ord in 0..vdd {
+        elements.push(Box::new(move |f| f.fail_vdd_pad(ord)));
+    }
+    for ord in 0..gnd {
+        elements.push(Box::new(move |f| f.fail_gnd_pad(ord)));
+    }
+    for interface in 0..MAP_LAYERS - 1 {
+        for core in 0..cores {
+            elements.push(Box::new(move |f| f.fail_tsvs(interface, core, per_bundle)));
+        }
+    }
+    let n = elements.len();
+    let singles = (0..n).map(|a| vec![a]);
+    let pairs = (0..64).map(|i| vec![(i * 97) % n, (i * 31 + 7) % n]);
+    singles
+        .chain(pairs)
+        .map(|picks| {
+            let mut f = FaultSet::new();
+            for a in picks {
+                elements[a](&mut f);
+            }
+            f
+        })
+        .collect()
+}
+
+#[test]
+fn quick_eight_layer_maps_factor_once_and_cap_ready_columns() {
+    for case in MapCase::both() {
+        let mut scratch = SolveScratch::new();
+        case.sketched(&FaultSet::new(), &mut scratch)
+            .expect("healthy");
+        let queries = map_queries(&case);
+        for (i, faults) in queries.iter().enumerate() {
+            let sketched = case.sketched(faults, &mut scratch).expect("sketched");
+            assert_eq!(
+                sketched.report.operator,
+                "smw",
+                "{}: query {i}",
+                case.label()
+            );
+            let sk = scratch.fault_sketch().expect("sketch kept in the scratch");
+            assert!(
+                sk.ready_columns() <= SKETCH_BUDGET,
+                "{}: {} ready columns after query {i}",
+                case.label(),
+                sk.ready_columns()
+            );
+            if i % 61 == 0 {
+                let exact = case.exact(faults);
+                let rel = rel_inf_diff(&sketched.voltages, &exact.voltages);
+                assert!(rel <= 1e-9, "{}: query {i} off by {rel}", case.label());
+            }
+        }
+        let sk = scratch.fault_sketch().unwrap();
+        assert!(
+            sk.base_faults().is_empty(),
+            "{}: the sketch rebased",
+            case.label()
+        );
+        assert_eq!(sk.factorizations(), 1, "{}", case.label());
+    }
+}
+
+#[test]
+fn one_shot_faulted_query_never_factors() {
+    // A serving engine answers each faulted request on a fresh scratch:
+    // the sketch is built at the requested fault set and replays its
+    // baseline, so no column — and no factorization — is ever needed.
+    for case in MapCase::both() {
+        let faults = map_queries(&case).pop().expect("a pair query");
+        let mut scratch = SolveScratch::new();
+        let answer = case.sketched(&faults, &mut scratch).expect("one-shot");
+        assert_ne!(answer.report.operator, "smw", "{}", case.label());
+        let sk = scratch.fault_sketch().expect("sketch built");
+        assert_eq!(sk.factorizations(), 0, "{}", case.label());
+        assert_eq!(sk.ready_columns(), 0, "{}", case.label());
     }
 }

@@ -101,6 +101,14 @@ pub enum SolveError {
     /// stop waiting. Never escalated past: every further rung would waste
     /// the same already-expired budget.
     Cancelled,
+    /// A direct factorization would need more memory than its caller
+    /// allows; detected from the symbolic structure, before allocating.
+    FactorTooLarge {
+        /// Bytes the factor would occupy.
+        bytes: usize,
+        /// The caller's limit.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for SolveError {
@@ -165,6 +173,9 @@ impl fmt::Display for SolveError {
             ),
             SolveError::Cancelled => {
                 write!(f, "solve cancelled (deadline exceeded or shutdown)")
+            }
+            SolveError::FactorTooLarge { bytes, limit } => {
+                write!(f, "factor needs {bytes} bytes, over the {limit}-byte limit")
             }
         }
     }

@@ -21,6 +21,10 @@
 //! * [`smw`] — a Sherman–Morrison–Woodbury rank-k update sketch that
 //!   answers low-rank *downdates* of a cached baseline solve (PDN fault
 //!   what-ifs) with dense k×k work instead of a fresh Krylov solve.
+//! * [`envelope`] — a reverse Cuthill–McKee-ordered envelope Cholesky
+//!   factorization for many right-hand sides against one SPD matrix (the
+//!   sketch's Woodbury columns): factor once, then two triangular sweeps
+//!   per solve.
 //! * [`dense`] — a small dense matrix with LU and Cholesky factorizations,
 //!   used for tiny systems (converter test benches), the AMG coarsest
 //!   level, and as a reference implementation in tests.
@@ -69,6 +73,7 @@ mod triplet;
 pub mod amg;
 pub mod cancel;
 pub mod dense;
+pub mod envelope;
 pub mod ichol;
 pub mod pool;
 pub mod robust;
@@ -80,6 +85,7 @@ pub mod vecops;
 pub use amg::{AmgHierarchy, AmgHierarchyF32, AmgOptions};
 pub use cancel::CancelToken;
 pub use csr::CsrMatrix;
+pub use envelope::EnvelopeCholesky;
 pub use error::SolveError;
 pub use robust::{
     solve_robust, solve_robust_cached_ws, solve_robust_operator_ws, solve_robust_ws, RobustOptions,
