@@ -7,7 +7,7 @@
 //! Regular-PDN reference lines (Dense/Sparse/Few TSVs) are flat in
 //! imbalance: their worst case is all layers fully active.
 
-use vstack_pdn::{FaultSet, PdnError, SolveScratch, TsvTopology};
+use vstack_pdn::{FaultSet, PdnError, PdnSolution, SolveScratch, TsvTopology};
 use vstack_sparse::{pool, SolveError};
 
 use crate::experiments::Fidelity;
@@ -111,6 +111,44 @@ pub fn imbalance_sweep(fidelity: Fidelity) -> Vec<f64> {
 pub const REGULAR_REFERENCE_TOPOLOGIES: [TsvTopology; 3] =
     [TsvTopology::Dense, TsvTopology::Sparse, TsvTopology::Few];
 
+/// Solves `scenario`'s V-S PDN under the interleaved imbalance pattern
+/// at each of `imbalances`, in order, mapping each solution through
+/// `point`. Figs 6 and 8 run one such sweep per converter count, each as
+/// one [`pool::par_map`] task.
+///
+/// With open-loop converters the V-S matrix does not depend on the
+/// imbalance (only the load currents do), so the sweep shares one
+/// [`SolveScratch`]: the series stamps its sparsity pattern once and,
+/// above the PDN's AMG threshold, builds one AMG hierarchy. The results
+/// are bit-identical to solving every point with a fresh scratch.
+///
+/// # Errors
+///
+/// Propagates the first failing solve as a [`SolveError`].
+pub(crate) fn vs_imbalance_sweep<T>(
+    scenario: &DesignScenario,
+    imbalances: &[f64],
+    point: impl Fn(f64, PdnSolution) -> T,
+) -> Result<Vec<T>, SolveError> {
+    let pdn = scenario.voltage_stacked_pdn();
+    let mut scratch = SolveScratch::new();
+    imbalances
+        .iter()
+        .map(|&x| {
+            let sol = pdn
+                .solve_faulted_scratch(
+                    &scenario.interleaved_loads(x),
+                    &FaultSet::new(),
+                    None,
+                    &mut scratch,
+                )
+                .map_err(PdnError::into_solve_error)?
+                .solution;
+            Ok(point(x, sol))
+        })
+        .collect()
+}
+
 /// One independent unit of Fig 6 work: a whole V-S imbalance sweep, or
 /// one regular-PDN reference point.
 enum Fig6Task {
@@ -127,11 +165,10 @@ enum Fig6Result {
 /// Runs the Fig 6 study on an `n_layers` stack (the paper uses 8).
 ///
 /// The four V-S sweeps and three regular references are independent, so
-/// they fan out across the active [`vstack_sparse::pool`]. Within each V-S
-/// sweep every imbalance point re-solves the same topology, so the series
-/// shares one [`SolveScratch`] (cached sparsity pattern + Krylov
-/// workspace) across its points. Both levels of reuse are bit-identical
-/// to the serial, scratch-free evaluation.
+/// they fan out across the active [`vstack_sparse::pool`]. Each V-S sweep
+/// shares one [`SolveScratch`] across its points
+/// (`vs_imbalance_sweep`). Both levels of reuse are bit-identical to
+/// the serial, scratch-free evaluation.
 ///
 /// # Errors
 ///
@@ -161,28 +198,20 @@ pub fn ir_drop_study(fidelity: Fidelity, n_layers: usize) -> Result<Fig6Data, So
     let results = pool::par_map(tasks, |task| -> Result<Fig6Result, SolveError> {
         match task {
             Fig6Task::VsSweep(k) => {
-                let scenario = base().converters_per_core(k);
-                let pdn = scenario.voltage_stacked_pdn();
-                let mut scratch = SolveScratch::new();
+                let swept = vs_imbalance_sweep(
+                    &base().converters_per_core(k),
+                    &imbalance_sweep(fidelity),
+                    |x, sol| (x, (!sol.has_overload()).then_some(sol.max_ir_drop_frac)),
+                )?;
                 let mut points = Vec::new();
                 let mut skipped = Vec::new();
-                for x in imbalance_sweep(fidelity) {
-                    let sol = pdn
-                        .solve_faulted_scratch(
-                            &scenario.interleaved_loads(x),
-                            &FaultSet::new(),
-                            None,
-                            &mut scratch,
-                        )
-                        .map_err(PdnError::into_solve_error)?
-                        .solution;
-                    if sol.has_overload() {
-                        skipped.push(x);
-                    } else {
-                        points.push(Fig6Point {
+                for (x, drop) in swept {
+                    match drop {
+                        Some(max_ir_drop_frac) => points.push(Fig6Point {
                             imbalance: x,
-                            max_ir_drop_frac: sol.max_ir_drop_frac,
-                        });
+                            max_ir_drop_frac,
+                        }),
+                        None => skipped.push(x),
                     }
                 }
                 Ok(Fig6Result::VsSweep(Fig6Series {

@@ -5,6 +5,13 @@
 //! total power drawn from the off-chip source, including every converter's
 //! switching overhead — all taken from the full network solve.
 //!
+//! The V-S series run through Fig 6's sweep
+//! ([`crate::experiments::fig6`]'s `vs_imbalance_sweep`): one
+//! [`pool::par_map`] task per converter count, and one `SolveScratch` per
+//! series, so each series stamps one sparsity pattern and builds one AMG
+//! hierarchy (the matrix does not depend on the imbalance), bit-identical
+//! to solving each point on its own.
+//!
 //! Reference series "Reg. PDN, SC converters provide all power": in a
 //! conventional PDN with on-chip SC regulation (paper ref \[19\]) the
 //! converters carry **all** the load current, not just the inter-layer
@@ -16,9 +23,9 @@
 use vstack_power::mcpat::ActivityVector;
 use vstack_power::workload::ImbalancePattern;
 use vstack_sc::compact::ScConverter;
-use vstack_sparse::SolveError;
+use vstack_sparse::{pool, SolveError};
 
-use crate::experiments::fig6::CONVERTERS_PER_CORE;
+use crate::experiments::fig6::{vs_imbalance_sweep, CONVERTERS_PER_CORE};
 use crate::experiments::Fidelity;
 use crate::scenario::DesignScenario;
 
@@ -80,7 +87,8 @@ pub fn imbalance_sweep(fidelity: Fidelity) -> Vec<f64> {
 ///
 /// # Errors
 ///
-/// Propagates [`SolveError`] from the PDN solves.
+/// Propagates [`SolveError`] from the PDN solves (first failing series in
+/// converter order).
 pub fn efficiency_study(fidelity: Fidelity, n_layers: usize) -> Result<Fig8Data, SolveError> {
     let base = || {
         let mut p = DesignScenario::paper_baseline().pdn_params().clone();
@@ -91,28 +99,8 @@ pub fn efficiency_study(fidelity: Fidelity, n_layers: usize) -> Result<Fig8Data,
             .power_c4_fraction(0.25)
     };
 
-    let mut vs_series = Vec::new();
-    for &k in &CONVERTERS_PER_CORE {
-        let scenario = base().converters_per_core(k);
-        let pdn = scenario.voltage_stacked_pdn();
-        let mut points = Vec::new();
-        for x in imbalance_sweep(fidelity) {
-            let sol = pdn.solve(&scenario.interleaved_loads(x))?;
-            if !sol.has_overload() {
-                points.push(Fig8Point {
-                    imbalance: x,
-                    efficiency: sol.efficiency(),
-                });
-            }
-        }
-        vs_series.push(Fig8Series {
-            label: format!("V-S PDN, {k} converters / core"),
-            converters_per_core: k,
-            points,
-        });
-    }
-
     let scenario = base();
+    let vs_series = vs_efficiency_series(&scenario, &imbalance_sweep(fidelity))?;
     let points = imbalance_sweep(fidelity)
         .into_iter()
         .map(|x| Fig8Point {
@@ -135,6 +123,34 @@ pub fn efficiency_study(fidelity: Fidelity, n_layers: usize) -> Result<Fig8Data,
             points,
         },
     })
+}
+
+/// The V-S series of Fig 8 for `base` with each converter count of
+/// [`CONVERTERS_PER_CORE`]: one [`pool::par_map`] task and one shared
+/// scratch per series, keeping the points no converter overloads.
+fn vs_efficiency_series(
+    base: &DesignScenario,
+    imbalances: &[f64],
+) -> Result<Vec<Fig8Series>, SolveError> {
+    pool::par_map(CONVERTERS_PER_CORE.to_vec(), |k| {
+        let points = vs_imbalance_sweep(
+            &base.clone().converters_per_core(k),
+            imbalances,
+            |x, sol| {
+                (!sol.has_overload()).then(|| Fig8Point {
+                    imbalance: x,
+                    efficiency: sol.efficiency(),
+                })
+            },
+        )?;
+        Ok(Fig8Series {
+            label: format!("V-S PDN, {k} converters / core"),
+            converters_per_core: k,
+            points: points.into_iter().flatten().collect(),
+        })
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Analytic efficiency of a regular PDN whose on-chip SC converters carry
@@ -200,6 +216,61 @@ mod tests {
                 if let Some(vs) = d.vs(k).unwrap().at(x) {
                     assert!(vs > reg, "k={k}, x={x}: {vs} vs {reg}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_sweep_is_bit_identical_to_fresh_per_point_solves() {
+        use vstack_pdn::FaultSet;
+        use vstack_sparse::SolveMethod;
+
+        // Paper fidelity with 4 layers is above the PDN's AMG threshold,
+        // so each series builds one AMG hierarchy and reuses it for every
+        // point; the reference solves each point serially with a fresh
+        // scratch, building a hierarchy per point.
+        let mut params = DesignScenario::paper_baseline().pdn_params().clone();
+        params.grid_refinement = Fidelity::Paper.grid_refinement();
+        let base = DesignScenario::paper_baseline()
+            .params(params)
+            .layers(4)
+            .power_c4_fraction(0.25);
+        let imbalances = [0.3, 1.0];
+        let serial: Vec<Vec<Option<u64>>> = CONVERTERS_PER_CORE
+            .iter()
+            .map(|&k| {
+                let scenario = base.clone().converters_per_core(k);
+                let pdn = scenario.voltage_stacked_pdn();
+                imbalances
+                    .iter()
+                    .map(|&x| {
+                        // What `pdn.solve` runs, plus the report.
+                        let loads = scenario.interleaved_loads(x);
+                        let fresh = pdn.solve_faulted(&loads, &FaultSet::new(), None).unwrap();
+                        assert_eq!(fresh.report.method, SolveMethod::CgAmgMixed);
+                        let sol = fresh.solution;
+                        (!sol.has_overload()).then(|| sol.efficiency().to_bits())
+                    })
+                    .collect()
+            })
+            .collect();
+        assert!(serial.iter().flatten().any(Option::is_none), "an overload");
+        for width in [1, 2] {
+            let pool = std::sync::Arc::new(pool::ThreadPool::new(width));
+            let series =
+                pool::with_pool(&pool, || vs_efficiency_series(&base, &imbalances)).unwrap();
+            for (s, want) in series.iter().zip(&serial) {
+                let got: Vec<(f64, u64)> = s
+                    .points
+                    .iter()
+                    .map(|p| (p.imbalance, p.efficiency.to_bits()))
+                    .collect();
+                let want: Vec<(f64, u64)> = imbalances
+                    .iter()
+                    .zip(want)
+                    .filter_map(|(&x, bits)| bits.map(|b| (x, b)))
+                    .collect();
+                assert_eq!(got, want, "{} at width {width}", s.label);
             }
         }
     }

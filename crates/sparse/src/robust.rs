@@ -394,6 +394,14 @@ fn ensure_hierarchy(
     }
 }
 
+/// Adds a hierarchy build to a solve that the CG entry point has already
+/// published with its own (zero) setup time, publishing the build time
+/// to the global `solver_setup_us` counter as it joins the report.
+fn join_setup(solved: &mut Solved, build_us: u64) {
+    solved.setup_us += build_us;
+    vstack_obs::metrics::global().solver_setup_us.add(build_us);
+}
+
 /// The full ladder: [`solve_robust_cached_ws`] plus two opt-in hot-path
 /// ingredients.
 ///
@@ -503,7 +511,7 @@ pub fn solve_robust_operator_ws(
                     ws,
                 ) {
                     Ok(mut solved) => {
-                        solved.setup_us += build_us;
+                        join_setup(&mut solved, build_us);
                         let operator = if stencil.is_some() { "stencil" } else { "csr" };
                         return Ok(accept(
                             SolveMethod::CgAmgMixed,
@@ -541,7 +549,7 @@ pub fn solve_robust_operator_ws(
                     ws,
                 ) {
                     Ok(mut solved) => {
-                        solved.setup_us += build_us;
+                        join_setup(&mut solved, build_us);
                         return Ok(accept(
                             SolveMethod::CgAmg,
                             "csr",

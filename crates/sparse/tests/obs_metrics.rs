@@ -8,7 +8,10 @@
 //! start another single-test file instead.
 
 use vstack_obs::metrics::global;
-use vstack_sparse::{solve_robust, CsrMatrix, RobustOptions, SolveMethod, TripletMatrix};
+use vstack_sparse::{
+    solve_robust, solve_robust_cached_ws, CsrMatrix, RobustOptions, SolveMethod, SolveWorkspace,
+    TripletMatrix,
+};
 
 /// Kershaw's 4×4 SPD matrix: zero-fill incomplete Cholesky breaks down
 /// with a negative pivot, forcing at least one ladder escalation.
@@ -96,6 +99,42 @@ fn ladder_counters_move_in_lock_step_with_solve_reports() {
         m.ladder_escalations.get(),
         before + sol.report.fallbacks.len() as u64
     );
+
+    // AMG-led solves through the cached ladder entry: the hierarchy (and,
+    // on the mixed rung, its f32 mirror) is built inside the ladder, and
+    // the setup counter must advance by exactly the setup time the report
+    // carries, on the first solve that builds and on the re-solve that
+    // reuses the cached hierarchy alike.
+    let a = laplacian_1d(2000);
+    let b = vec![1.0; a.rows()];
+    for opts in [
+        RobustOptions {
+            start_with_amg: true,
+            ..RobustOptions::default()
+        },
+        RobustOptions {
+            start_with_mixed: true,
+            ..RobustOptions::default()
+        },
+    ] {
+        let mut cache = None;
+        let mut ws = SolveWorkspace::new();
+        for round in 0..2 {
+            let before = m.solver_setup_us.get();
+            let sol = solve_robust_cached_ws(&a, &b, None, &opts, &mut ws, &mut cache)
+                .expect("amg-led solve");
+            assert!(sol.report.fallbacks.is_empty(), "{}", sol.report.trail());
+            if round == 0 {
+                assert!(sol.report.setup_us > 0, "the first solve builds");
+            }
+            assert_eq!(
+                m.solver_setup_us.get(),
+                before + sol.report.setup_us,
+                "round {round} of {}",
+                sol.report.method
+            );
+        }
+    }
 
     // The snapshot serialization sees the same values the accessors do.
     let snapshot = vstack_obs::metrics::snapshot_json();
