@@ -18,6 +18,7 @@ fn groups_of(c: &ConductorCurrents) -> Vec<(f64, f64)> {
 /// Expected EM-damage-free lifetime (hours) of the full C4 pad array
 /// (supply and return pads together).
 pub fn c4_array_lifetime(solution: &PdnSolution, model: &BlackModel) -> f64 {
+    let _span = vstack_obs::span!("em_lifetime");
     let mut groups = groups_of(&solution.vdd_c4);
     groups.extend(groups_of(&solution.gnd_c4));
     expected_em_free_lifetime(&groups, model)
@@ -26,6 +27,7 @@ pub fn c4_array_lifetime(solution: &PdnSolution, model: &BlackModel) -> f64 {
 /// Expected EM-damage-free lifetime (hours) of the power-TSV array
 /// (including V-S through-via segments).
 pub fn tsv_array_lifetime(solution: &PdnSolution, model: &BlackModel) -> f64 {
+    let _span = vstack_obs::span!("em_lifetime");
     expected_em_free_lifetime(&groups_of(&solution.tsv), model)
 }
 

@@ -8,6 +8,13 @@
 use crate::black::BlackModel;
 use crate::lognormal::Lognormal;
 
+/// Most decades the upper bisection bracket may widen by.
+const MAX_BRACKET_WIDENINGS: usize = 32;
+
+/// Cap on bisection steps. The interval reaches its floating-point fixed
+/// point after about 52 steps, where the loop stops.
+const MAX_BISECTIONS: usize = 200;
+
 /// The array failure probability at time `t` for conductor groups given as
 /// `(current_a, count)` pairs.
 ///
@@ -18,18 +25,25 @@ use crate::lognormal::Lognormal;
 ///
 /// Panics if any count is not finite and positive.
 pub fn array_failure_probability(groups: &[(f64, f64)], model: &BlackModel, t: f64) -> f64 {
-    1.0 - log_array_survival(groups, model, t).exp()
+    1.0 - log_array_survival(&failure_distributions(groups, model), t).exp()
 }
 
-fn log_array_survival(groups: &[(f64, f64)], model: &BlackModel, t: f64) -> f64 {
+/// Each current-carrying group's failure-time distribution and count, in
+/// input order. Zero-current groups never fail and are left out.
+fn failure_distributions(groups: &[(f64, f64)], model: &BlackModel) -> Vec<(Lognormal, f64)> {
+    groups
+        .iter()
+        .filter_map(|&(current, count)| {
+            assert!(count.is_finite() && count > 0.0, "count must be positive");
+            let median = model.median_ttf_hours(current);
+            (!median.is_infinite()).then(|| (Lognormal::new(median, model.sigma), count))
+        })
+        .collect()
+}
+
+fn log_array_survival(groups: &[(Lognormal, f64)], t: f64) -> f64 {
     let mut log_s = 0.0;
-    for &(current, count) in groups {
-        assert!(count.is_finite() && count > 0.0, "count must be positive");
-        let median = model.median_ttf_hours(current);
-        if median.is_infinite() {
-            continue;
-        }
-        let d = Lognormal::new(median, model.sigma);
+    for &(d, count) in groups {
         log_s += count * d.log_survival(t);
         if log_s == f64::NEG_INFINITY {
             break;
@@ -47,33 +61,42 @@ fn log_array_survival(groups: &[(f64, f64)], model: &BlackModel, t: f64) -> f64 
 ///
 /// Panics if `groups` contains a non-positive count.
 pub fn expected_em_free_lifetime(groups: &[(f64, f64)], model: &BlackModel) -> f64 {
-    // Shortest per-conductor median bounds the search window.
-    let mut min_median = f64::INFINITY;
-    for &(current, _) in groups {
-        let m = model.median_ttf_hours(current);
-        if m < min_median {
-            min_median = m;
-        }
-    }
-    if min_median.is_infinite() {
+    let dists = failure_distributions(groups, model);
+    if dists.is_empty() {
         return f64::INFINITY;
     }
+    // Shortest per-conductor median bounds the search window.
+    let min_median = dists
+        .iter()
+        .map(|(d, _)| d.median)
+        .fold(f64::INFINITY, f64::min);
 
     // P(t) is monotonically increasing; bisection on log t.
     // The array lifetime is below the shortest median (many samples of the
     // minimum) but not astronomically so: 10⁻⁶× is a safe lower bracket.
+    // 10× is a safe upper one unless the shortest-median group holds a
+    // small fraction of a conductor, so it widens a decade at a time.
     let mut lo = (min_median * 1e-6).ln();
     let mut hi = (min_median * 10.0).ln();
-    let p_at = |ln_t: f64| 1.0 - log_array_survival(groups, model, ln_t.exp()).exp();
+    let p_at = |ln_t: f64| 1.0 - log_array_survival(&dists, ln_t.exp()).exp();
+    for _ in 0..MAX_BRACKET_WIDENINGS {
+        if p_at(hi) > 0.5 {
+            break;
+        }
+        hi += std::f64::consts::LN_10;
+    }
     debug_assert!(p_at(lo) < 0.5, "lower bracket too high");
     debug_assert!(p_at(hi) > 0.5, "upper bracket too low");
-    for _ in 0..200 {
+    for _ in 0..MAX_BISECTIONS {
         let mid = 0.5 * (lo + hi);
-        if p_at(mid) < 0.5 {
-            lo = mid;
-        } else {
-            hi = mid;
+        let end = if p_at(mid) < 0.5 { &mut lo } else { &mut hi };
+        // Each step is a pure function of (lo, hi): one that moves neither
+        // end would repeat until the cap, so stopping here returns the
+        // same bits.
+        if mid.to_bits() == end.to_bits() {
+            break;
         }
+        *end = mid;
     }
     (0.5 * (lo + hi)).exp()
 }
@@ -149,8 +172,8 @@ mod tests {
         let m = model();
         let groups = [(0.05, 50.0)];
         let t50 = expected_em_free_lifetime(&groups, &m);
-        let p_before = 1.0 - log_array_survival(&groups, &m, t50 * 0.5).exp();
-        let p_after = 1.0 - log_array_survival(&groups, &m, t50 * 2.0).exp();
+        let p_before = array_failure_probability(&groups, &m, t50 * 0.5);
+        let p_after = array_failure_probability(&groups, &m, t50 * 2.0);
         assert!(p_before < 0.5);
         assert!(p_after > 0.5);
     }

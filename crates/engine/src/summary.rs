@@ -9,7 +9,7 @@
 
 use crate::json::Json;
 use vstack::coupled::CoupledSolution;
-use vstack::em_study::paper_em_lifetimes;
+use vstack::em_study::{paper_em_lifetimes, EmLifetimes};
 use vstack::pdn::FaultedSolution;
 
 /// Scalar results of one solved scenario.
@@ -59,9 +59,14 @@ pub struct SolveSummary {
 }
 
 impl SolveSummary {
-    /// Extracts the summary from a completed solve.
+    /// Extracts the summary from a completed solve, with the fixed-80 °C
+    /// EM lifetimes.
     pub fn from_faulted(solved: &FaultedSolution) -> Self {
-        let em = paper_em_lifetimes(&solved.solution);
+        Self::with_lifetimes(solved, paper_em_lifetimes(&solved.solution))
+    }
+
+    /// An uncoupled summary of `solved` that reports `em` as its lifetimes.
+    fn with_lifetimes(solved: &FaultedSolution, em: EmLifetimes) -> Self {
         SolveSummary {
             max_ir_drop_frac: solved.solution.max_ir_drop_frac,
             mean_ir_drop_frac: solved.solution.mean_ir_drop_frac,
@@ -85,13 +90,12 @@ impl SolveSummary {
     /// are the temperature-scaled coupled values (not the fixed-80 °C
     /// baseline [`SolveSummary::from_faulted`] reports).
     pub fn from_coupled(out: &CoupledSolution) -> Self {
-        let mut s = Self::from_faulted(&out.solved);
-        s.em_c4_hours = out.report.em.c4_hours;
-        s.em_tsv_hours = out.report.em.tsv_hours;
-        s.coupling_iterations = out.report.iterations;
-        s.coupling_converged = out.report.converged;
-        s.peak_temperature_c = out.report.peak_temperature_c;
-        s
+        SolveSummary {
+            coupling_iterations: out.report.iterations,
+            coupling_converged: out.report.converged,
+            peak_temperature_c: out.report.peak_temperature_c,
+            ..Self::with_lifetimes(&out.solved, out.report.em)
+        }
     }
 
     /// Serializes for the wire and the disk cache.
@@ -244,6 +248,34 @@ mod tests {
         let s = sample();
         let back = SolveSummary::from_json(&Json::parse(&s.to_json().emit()).unwrap()).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn coupled_summary_is_the_uncoupled_one_with_coupled_lifetimes() {
+        use vstack::coupled::{solve_coupled, CoupledConfig, CoupledLoad};
+        use vstack::pdn::SolveScratch;
+        use vstack::scenario::DesignScenario;
+
+        let scenario = DesignScenario::paper_baseline().coarse_grid().layers(2);
+        let config = CoupledConfig::paper_air_cooled();
+        let out = solve_coupled(
+            &scenario,
+            CoupledLoad::RegularPeak,
+            &config,
+            None,
+            &mut SolveScratch::new(),
+        )
+        .unwrap();
+        let coupled = SolveSummary::from_coupled(&out);
+        let want = SolveSummary {
+            em_c4_hours: out.report.em.c4_hours,
+            em_tsv_hours: out.report.em.tsv_hours,
+            coupling_iterations: out.report.iterations,
+            coupling_converged: out.report.converged,
+            peak_temperature_c: out.report.peak_temperature_c,
+            ..SolveSummary::from_faulted(&out.solved)
+        };
+        assert_eq!(coupled, want);
     }
 
     #[test]
