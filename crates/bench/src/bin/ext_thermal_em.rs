@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let layer_counts: &[usize] = if quick { &[2, 8] } else { &[2, 4, 8] };
 
-    heading("Extension — EM lifetime under thermal-IR coupling (damped fixed point)");
+    heading("Extension — EM lifetime under thermal-IR coupling (undamped fixed point)");
     let points = thermal_em_comparison(&config, layer_counts)?;
     println!(
         "{:<16} {:>6} {:>6} {:>9} {:>9} {:>13} {:>13} {:>10} {:>10}",

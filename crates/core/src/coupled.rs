@@ -5,19 +5,22 @@
 //! temperature raises the copper resistivity of each layer's on-chip grid
 //! ([`vstack_pdn::PdnParams::layer_r_scale`]) and rescales Black's
 //! equation through [`BlackModel::at_temperature`], and the PDN is
-//! re-solved under the drifted resistances. The loop is iterated to a
-//! **damped fixed point**: after each thermal solve the per-layer
-//! temperature estimate moves a fraction [`CoupledConfig::damping`] of
-//! the way toward the fresh solution, and the loop stops when the raw
-//! update falls below [`CoupledConfig::tolerance_c`].
+//! re-solved under the drifted resistances. The loop is iterated to an
+//! **undamped fixed point** (plain Picard): each thermal solve's layer
+//! means become the new temperature estimate, and the loop stops when
+//! that update falls below [`CoupledConfig::tolerance_c`].
 //!
 //! Load cores are ideal current sources (paper §3.2), so the dominant
-//! heat term is constant and the feedback runs through the resistive
-//! wire losses — physically a contraction, which is why a modest damping
-//! factor converges in a handful of iterations on paper-scale grids.
+//! heat term is constant and the feedback runs only through the resistive
+//! wire losses. The map is order-preserving (a hotter grid loses more in
+//! its wires, so it gets hotter still) and a strong contraction, so
+//! damping could only slow it down: paper-scale grids converge in two
+//! iterations, and every corner of the served thermal domain in at most
+//! six (asserted in `crates/core/tests/coupled_properties.rs`).
 //! If the iteration cap is hit anyway, the driver degrades gracefully:
 //! it warns once, counts the event in `coupling_nonconverged`, and
-//! returns the uncoupled solution with the convergence report attached.
+//! returns the uncoupled solution and fixed-junction EM lifetimes with
+//! the convergence report attached.
 //!
 //! Every re-solve goes through one shared [`SolveScratch`], so after the
 //! first (pattern-building) solve each iteration only re-stamps values
@@ -54,13 +57,10 @@ pub struct CoupledConfig {
     pub hotspot_layer: Option<usize>,
     /// Extra hotspot power in watts (total for the layer).
     pub hotspot_w: f64,
-    /// Fraction of each raw temperature update applied per iteration
-    /// (`T ← T + damping · (T_new − T)`). 1.0 is undamped Picard.
-    pub damping: f64,
     /// Iteration cap before the driver gives up and falls back to the
     /// uncoupled result.
     pub max_iterations: usize,
-    /// Convergence threshold on the raw per-iteration max layer-mean
+    /// Convergence threshold on the per-iteration max layer-mean
     /// temperature change, °C.
     pub tolerance_c: f64,
     /// Temperature coefficient applied to the on-chip grid resistance,
@@ -73,15 +73,14 @@ pub struct CoupledConfig {
 }
 
 impl CoupledConfig {
-    /// Paper platform defaults: air-cooled stack, half-step damping,
-    /// 25-iteration cap, 0.05 °C tolerance, copper resistivity slope,
-    /// 80 °C reference (the uncoupled EM junction temperature).
+    /// Paper platform defaults: air-cooled stack, 25-iteration cap,
+    /// 0.05 °C tolerance, copper resistivity slope, 80 °C reference (the
+    /// uncoupled EM junction temperature).
     pub fn paper_air_cooled() -> Self {
         CoupledConfig {
             thermal: ThermalParams::paper_air_cooled(),
             hotspot_layer: None,
             hotspot_w: 0.0,
-            damping: 0.5,
             max_iterations: 25,
             tolerance_c: 0.05,
             alpha_per_k: COPPER_ALPHA_PER_K,
@@ -109,11 +108,6 @@ impl CoupledConfig {
     }
 
     fn validate(&self) {
-        assert!(
-            self.damping > 0.0 && self.damping <= 1.0,
-            "damping must be in (0, 1], got {}",
-            self.damping
-        );
         assert!(self.max_iterations > 0, "need at least one iteration");
         assert!(
             self.tolerance_c.is_finite() && self.tolerance_c > 0.0,
@@ -133,18 +127,20 @@ pub struct CoupledReport {
     /// Fixed-point iterations performed (thermal solve + IR re-solve
     /// pairs).
     pub iterations: usize,
-    /// Whether the raw temperature update fell below the tolerance
-    /// within the iteration cap.
+    /// Whether the temperature update fell below the tolerance within
+    /// the iteration cap.
     pub converged: bool,
-    /// Raw max layer-mean temperature change of the last iteration, °C —
-    /// the residual the convergence criterion judges.
+    /// Max layer-mean temperature change of the last iteration, °C — the
+    /// residual the convergence criterion judges.
     pub residual_c: f64,
-    /// Converged (damped) mean temperature of each layer, °C (index 0 =
-    /// bottom).
+    /// Mean temperature of each layer from the final thermal solve, °C
+    /// (index 0 = bottom): the fixed point when the loop converged, the
+    /// last unconverged estimate when it fell back.
     pub layer_temps_c: Vec<f64>,
     /// Hotspot cell temperature of the final thermal solve, °C.
     pub peak_temperature_c: f64,
-    /// EM lifetimes at the coupled per-layer temperatures.
+    /// EM lifetimes at the coupled per-layer temperatures; equal to
+    /// `em_uncoupled` when the loop fell back.
     pub em: EmLifetimes,
     /// EM lifetimes of the uncoupled baseline (fixed 80 °C junction).
     pub em_uncoupled: EmLifetimes,
@@ -210,7 +206,7 @@ fn power_map(
     power
 }
 
-/// Runs the damped thermal–EM–IR fixed point for one scenario.
+/// Runs the undamped thermal–EM–IR fixed point for one scenario.
 ///
 /// `guess` seeds the first (uncoupled) IR solve — the engine passes its
 /// nearest cached neighbour; each subsequent iteration warm-starts from
@@ -221,8 +217,8 @@ fn power_map(
 ///
 /// Propagates [`PdnError`] from the electrical solves and wraps thermal
 /// CG failures as [`PdnError::Solve`]. Non-convergence of the *coupling
-/// loop* is not an error: the driver falls back to the uncoupled result
-/// (`report.converged == false`).
+/// loop* is not an error: the run falls back to the uncoupled solve and
+/// its fixed-junction EM lifetimes (`report.converged == false`).
 ///
 /// # Panics
 ///
@@ -271,15 +267,16 @@ pub fn solve_coupled(
         let power = power_map(scenario, &loads, &last, config);
         let tsol = thermal.solve(&power).map_err(PdnError::Solve)?;
         peak_c = tsol.max_temperature_c();
-        residual_c = (0..n_layers)
-            .map(|l| (tsol.layer_mean_c(l) - temps[l]).abs())
+        let fresh: Vec<f64> = (0..n_layers).map(|l| tsol.layer_mean_c(l)).collect();
+        residual_c = fresh
+            .iter()
+            .zip(&temps)
+            .map(|(new, old)| (new - old).abs())
             .fold(0.0, f64::max);
         metrics
             .coupling_delta_t_mk
             .observe((residual_c * 1000.0).round() as u64);
-        for (l, t) in temps.iter_mut().enumerate() {
-            *t += config.damping * (tsol.layer_mean_c(l) - *t);
-        }
+        temps = fresh;
 
         if residual_c < config.tolerance_c {
             converged = true;
@@ -298,7 +295,22 @@ pub fn solve_coupled(
         last = solve_once(&drifted, load, Some(&last.voltages), scratch)?;
     }
 
-    if !converged {
+    let em = if converged {
+        // Temperature-scaled EM: C4 bumps sit under the bottom die; the
+        // TSV array is stressed worst at the hottest layer it crosses.
+        let c4_k = temps[0] + 273.15;
+        let tsv_k = temps.iter().copied().fold(f64::MIN, f64::max) + 273.15;
+        EmLifetimes {
+            c4_hours: c4_array_lifetime(
+                &last.solution,
+                &BlackModel::paper_c4().at_temperature(c4_k),
+            ),
+            tsv_hours: tsv_array_lifetime(
+                &last.solution,
+                &BlackModel::paper_tsv().at_temperature(tsv_k),
+            ),
+        }
+    } else {
         metrics.coupling_nonconverged.inc();
         vstack_obs::warn_once!(
             "coupled",
@@ -309,18 +321,7 @@ pub fn solve_coupled(
             config.tolerance_c
         );
         last = base;
-    }
-
-    // Temperature-scaled EM: C4 bumps sit under the bottom die; the TSV
-    // array is stressed worst at the hottest layer it crosses.
-    let c4_k = temps[0] + 273.15;
-    let tsv_k = temps.iter().copied().fold(f64::MIN, f64::max) + 273.15;
-    let em = EmLifetimes {
-        c4_hours: c4_array_lifetime(&last.solution, &BlackModel::paper_c4().at_temperature(c4_k)),
-        tsv_hours: tsv_array_lifetime(
-            &last.solution,
-            &BlackModel::paper_tsv().at_temperature(tsv_k),
-        ),
+        em_uncoupled
     };
     Ok(CoupledSolution {
         solved: last,
@@ -440,10 +441,12 @@ mod tests {
         };
         let out = solve_coupled(&s, CoupledLoad::RegularPeak, &strict, None, &mut scratch).unwrap();
         assert!(!out.report.converged);
-        // Fallback result is the uncoupled solve, bit-identical.
+        // Fallback result is the uncoupled solve, bit-identical, and so
+        // are the lifetimes it reports.
         let mut scratch2 = SolveScratch::new();
         let base = s.solve_regular_peak_warm(None, &mut scratch2).unwrap();
         assert_eq!(out.solved.solution, base.solution);
+        assert_eq!(out.report.em, out.report.em_uncoupled);
     }
 
     #[test]

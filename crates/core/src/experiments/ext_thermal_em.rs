@@ -25,7 +25,7 @@ use crate::scenario::DesignScenario;
 pub struct ThermalEmConfig {
     /// Grid fidelity of the electrical solves.
     pub fidelity: Fidelity,
-    /// The coupled-driver knobs (thermal stack, damping, tolerance).
+    /// The coupled-loop knobs (thermal stack, hotspot, tolerance, cap).
     pub coupled: CoupledConfig,
     /// Imbalance of the V-S interleaved workload (0 = balanced, matching
     /// the regular PDN's full-activity comparison basis).

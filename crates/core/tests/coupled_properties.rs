@@ -1,7 +1,9 @@
-//! Property-based tests of the thermal–EM–IR coupled driver: the fixed
-//! point must not depend on the damping path taken to it, coupling must
-//! respond monotonically to the thermal boundary, and the whole
-//! iteration must reuse one symbolic factorization.
+//! Property-based tests of the thermal–EM–IR coupled loop: the
+//! undamped loop must land on the fixed point within its tolerance in a
+//! few iterations, at every corner of the thermal domain the request
+//! validator admits; coupling must respond monotonically to the thermal
+//! boundary; and the whole iteration must reuse one symbolic
+//! factorization.
 //!
 //! The scratch-reuse test counts pattern builds on its own `SolveScratch`,
 //! not on the process-global metrics registry, so sibling tests solving
@@ -22,30 +24,72 @@ fn quick_scenario(n_layers: usize) -> DesignScenario {
         .power_c4_fraction(0.25)
 }
 
+/// The regular peak load, or the V-S load at a mid-range imbalance.
+fn load(stacked: bool) -> CoupledLoad {
+    if stacked {
+        CoupledLoad::VoltageStacked(0.3)
+    } else {
+        CoupledLoad::RegularPeak
+    }
+}
+
+/// Runs `config` and, as the oracle, the same run iterated to
+/// `tolerance_c = 1e-9`. Checks that both converged and returns the
+/// run's iteration count and its max layer-temperature distance from the
+/// oracle, °C.
+fn distance_to_fixed_point(
+    s: &DesignScenario,
+    load: CoupledLoad,
+    config: &CoupledConfig,
+    case: &str,
+) -> (usize, f64) {
+    let tight = CoupledConfig {
+        tolerance_c: 1e-9,
+        ..*config
+    };
+    let mut scratch = SolveScratch::new();
+    let run = solve_coupled(s, load, config, None, &mut scratch).expect("coupled solve");
+    let oracle = solve_coupled(s, load, &tight, None, &mut scratch).expect("oracle solve");
+    assert!(
+        run.report.converged && oracle.report.converged,
+        "{case}: fell back (run residual {} °C after {} iterations, oracle {} °C after {})",
+        run.report.residual_c,
+        run.report.iterations,
+        oracle.report.residual_c,
+        oracle.report.iterations
+    );
+    let distance = run
+        .report
+        .layer_temps_c
+        .iter()
+        .zip(&oracle.report.layer_temps_c)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max);
+    (run.report.iterations, distance)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The fixed point is a property of the physics, not of the damping
-    /// factor: any stable damping converges to the same layer
-    /// temperatures (within a few multiples of the tolerance).
+    /// The undamped loop stops within a tenth of its tolerance of the
+    /// fixed point, in at most three iterations: the map is a strong
+    /// contraction, so one re-solve already lands on it.
     #[test]
-    fn fixed_point_is_damping_invariant(damping in 0.3..0.9f64, layers in 2usize..5) {
+    fn undamped_run_lands_on_the_fixed_point(
+        layers in 2usize..5,
+        stacked in 0usize..2,
+        ambient_c in 25.0..75.0f64,
+    ) {
         let s = quick_scenario(layers);
-        let reference = CoupledConfig::paper_air_cooled();
-        let mut varied = reference;
-        varied.damping = damping;
-        let mut scratch = SolveScratch::new();
-        let a = solve_coupled(&s, CoupledLoad::RegularPeak, &reference, None, &mut scratch)
-            .expect("reference solve");
-        let b = solve_coupled(&s, CoupledLoad::RegularPeak, &varied, None, &mut scratch)
-            .expect("varied solve");
-        prop_assert!(a.report.converged && b.report.converged);
-        for (ta, tb) in a.report.layer_temps_c.iter().zip(&b.report.layer_temps_c) {
-            prop_assert!(
-                (ta - tb).abs() < 4.0 * reference.tolerance_c,
-                "layer temps diverged across damping: {ta} vs {tb}"
-            );
-        }
+        let config = CoupledConfig::paper_air_cooled().ambient_c(ambient_c);
+        let case = format!("{layers} layers, {ambient_c} °C, stacked {stacked}");
+        let (iterations, distance) =
+            distance_to_fixed_point(&s, load(stacked == 1), &config, &case);
+        prop_assert!(iterations <= 3, "{case}: took {iterations} iterations");
+        prop_assert!(
+            distance < config.tolerance_c / 10.0,
+            "{case}: stopped {distance} °C from the fixed point"
+        );
     }
 
     /// Hotter ambient can only shorten the coupled C4 lifetime, and the
@@ -85,4 +129,38 @@ fn coupling_iterations_reuse_one_symbolic_factorization() {
         out.report.iterations
     );
     assert!(scratch.pattern_reuses() >= 1);
+}
+
+/// Every corner of the thermal domain that `ScenarioRequest::validate`
+/// admits (ambient −55/150 °C, sink 0.2/100 K/W, hotspot 0/1000 W) on
+/// both loads and a shallow and a deep stack converges without fallback,
+/// well inside the 25-iteration cap, and lands on the fixed point.
+#[test]
+fn validated_thermal_corners_converge_to_the_fixed_point() {
+    for layers in [2, 8] {
+        let s = quick_scenario(layers);
+        for ambient_c in [-55.0, 150.0] {
+            for sink_k_per_w in [0.2, 100.0] {
+                for hotspot_w in [0.0, 1000.0] {
+                    for stacked in [false, true] {
+                        let config = CoupledConfig::paper_air_cooled()
+                            .ambient_c(ambient_c)
+                            .sink_resistance(sink_k_per_w)
+                            .hotspot(0, hotspot_w);
+                        let corner = format!(
+                            "{layers} layers, {ambient_c} °C, {sink_k_per_w} K/W, \
+                             {hotspot_w} W, stacked {stacked}"
+                        );
+                        let (iterations, distance) =
+                            distance_to_fixed_point(&s, load(stacked), &config, &corner);
+                        assert!(iterations <= 6, "{corner}: took {iterations} iterations");
+                        assert!(
+                            distance < config.tolerance_c / 10.0,
+                            "{corner}: stopped {distance} °C from the fixed point"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

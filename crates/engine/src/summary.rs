@@ -88,7 +88,8 @@ impl SolveSummary {
     /// Extracts the summary from a thermally coupled solve: the electrical
     /// metrics come from the fixed-point solution, while the EM lifetimes
     /// are the temperature-scaled coupled values (not the fixed-80 °C
-    /// baseline [`SolveSummary::from_faulted`] reports).
+    /// baseline [`SolveSummary::from_faulted`] reports). A run that fell
+    /// back reports the uncoupled solve and its fixed-80 °C lifetimes.
     pub fn from_coupled(out: &CoupledSolution) -> Self {
         SolveSummary {
             coupling_iterations: out.report.iterations,
@@ -192,6 +193,22 @@ impl SolveSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vstack::coupled::{solve_coupled, CoupledConfig, CoupledLoad};
+    use vstack::pdn::SolveScratch;
+    use vstack::scenario::DesignScenario;
+
+    /// A coupled solve of the quick 2-layer regular stack under `config`.
+    fn coupled_run(config: &CoupledConfig) -> CoupledSolution {
+        let scenario = DesignScenario::paper_baseline().coarse_grid().layers(2);
+        solve_coupled(
+            &scenario,
+            CoupledLoad::RegularPeak,
+            config,
+            None,
+            &mut SolveScratch::new(),
+        )
+        .unwrap()
+    }
 
     fn sample() -> SolveSummary {
         SolveSummary {
@@ -252,26 +269,31 @@ mod tests {
 
     #[test]
     fn coupled_summary_is_the_uncoupled_one_with_coupled_lifetimes() {
-        use vstack::coupled::{solve_coupled, CoupledConfig, CoupledLoad};
-        use vstack::pdn::SolveScratch;
-        use vstack::scenario::DesignScenario;
-
-        let scenario = DesignScenario::paper_baseline().coarse_grid().layers(2);
-        let config = CoupledConfig::paper_air_cooled();
-        let out = solve_coupled(
-            &scenario,
-            CoupledLoad::RegularPeak,
-            &config,
-            None,
-            &mut SolveScratch::new(),
-        )
-        .unwrap();
+        let out = coupled_run(&CoupledConfig::paper_air_cooled());
         let coupled = SolveSummary::from_coupled(&out);
         let want = SolveSummary {
             em_c4_hours: out.report.em.c4_hours,
             em_tsv_hours: out.report.em.tsv_hours,
             coupling_iterations: out.report.iterations,
             coupling_converged: out.report.converged,
+            peak_temperature_c: out.report.peak_temperature_c,
+            ..SolveSummary::from_faulted(&out.solved)
+        };
+        assert_eq!(coupled, want);
+    }
+
+    #[test]
+    fn nonconverged_coupled_summary_is_the_uncoupled_one() {
+        let out = coupled_run(&CoupledConfig {
+            tolerance_c: 1e-12,
+            max_iterations: 2,
+            ..CoupledConfig::paper_air_cooled()
+        });
+        assert!(!out.report.converged);
+        let coupled = SolveSummary::from_coupled(&out);
+        let want = SolveSummary {
+            coupling_iterations: 2,
+            coupling_converged: false,
             peak_temperature_c: out.report.peak_temperature_c,
             ..SolveSummary::from_faulted(&out.solved)
         };
