@@ -12,7 +12,7 @@
 //! Fig 8 largely disappears — at the price of a higher output impedance
 //! (more IR noise) at light load.
 
-use vstack_pdn::TsvTopology;
+use vstack_pdn::{PdnError, SolveScratch, StackLoads, TsvTopology};
 use vstack_sc::compact::ScConverter;
 use vstack_sparse::SolveError;
 
@@ -84,13 +84,24 @@ pub fn control_policy_study(
         let closed_scenario = base()
             .converters_per_core(k)
             .converter(ScConverter::paper_28nm_closed_loop());
-        let open_pdn = open_scenario.voltage_stacked_pdn();
         let closed_pdn = closed_scenario.voltage_stacked_pdn();
+        let loads: Vec<StackLoads> = sweep
+            .iter()
+            .map(|&x| open_scenario.interleaved_loads(x))
+            .collect();
+        // The open-loop matrix does not move with the loads, so one sweep
+        // superposes its interior points; the closed-loop Picard solves
+        // each point, because its converter conductances do.
+        let mut open_series = Vec::with_capacity(sweep.len());
+        open_scenario
+            .voltage_stacked_pdn()
+            .solve_load_sweep(&loads, &mut SolveScratch::new(), &mut |_, sol| {
+                open_series.push(sol.solution);
+            })
+            .map_err(PdnError::into_solve_error)?;
         let mut points = Vec::new();
-        for &x in &sweep {
-            let loads = open_scenario.interleaved_loads(x);
-            let open = open_pdn.solve(&loads)?;
-            let (closed, iterations) = closed_pdn.solve_closed_loop(&loads)?;
+        for ((&x, point), open) in sweep.iter().zip(&loads).zip(open_series) {
+            let (closed, iterations) = closed_pdn.solve_closed_loop(point)?;
             if open.has_overload() || closed.has_overload() {
                 continue;
             }

@@ -2,6 +2,7 @@
 //! resilient solve path shared by the regular and voltage-stacked
 //! topologies.
 
+use vstack_sparse::vecops::norm2;
 use vstack_sparse::{
     solve_robust_operator_ws, AmgHierarchy, AmgHierarchyF32, CancelToken, CsrMatrix, RobustOptions,
     SolveError, SolveReport, SolveWorkspace, StencilDescriptor, StencilOperator, TripletMatrix,
@@ -511,6 +512,22 @@ impl NetworkBuilder {
     /// whose Jacobi iteration counts blow up with size.
     pub const AMG_MIN_UNKNOWNS: usize = 4096;
 
+    /// Relative residual `‖b − A·v‖₂ / ‖b‖₂` every accepted PDN answer
+    /// meets: the escalation ladder's tolerance, and the guard on
+    /// superposed sweep points ([`crate::VstackPdn::solve_load_sweep`]).
+    pub(crate) const TOLERANCE: f64 = 1e-9;
+
+    /// `‖b − A·v‖₂ / ‖b‖₂` of `v` against this stamping, summed straight
+    /// from the triplets, so it checks `v` against exactly the system
+    /// these stamps describe without building a CSR matrix.
+    pub(crate) fn relative_residual(&self, v: &[f64]) -> f64 {
+        let mut r = self.rhs.clone();
+        for &(i, j, a) in self.matrix.entries() {
+            r[i] -= a * v[j];
+        }
+        norm2(&r) / norm2(&self.rhs)
+    }
+
     /// The shared solve tail: connectivity check, then the escalation
     /// ladder over an already-assembled CSR matrix. Large systems lead
     /// with the mixed-precision rung (f64 outer CG — through `stencil`
@@ -535,7 +552,7 @@ impl NetworkBuilder {
         }
         let use_amg = a.rows() >= Self::AMG_MIN_UNKNOWNS;
         let opts = RobustOptions {
-            tolerance: 1e-9,
+            tolerance: Self::TOLERANCE,
             max_iterations: 50_000,
             start_with_ic: false,
             start_with_amg: use_amg,

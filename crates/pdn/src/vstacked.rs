@@ -13,7 +13,7 @@
 
 use vstack_power::floorplan::Floorplan;
 use vstack_sc::compact::ScConverter;
-use vstack_sparse::{SolveError, StencilDescriptor};
+use vstack_sparse::{SolveError, SolveMethod, SolveReport, StencilDescriptor};
 
 use crate::c4::{C4Array, PadNet};
 use crate::error::PdnError;
@@ -275,6 +275,110 @@ impl VstackPdn {
         scratch: &mut SolveScratch,
     ) -> Result<FaultedSolution, PdnError> {
         self.solve_faulted_scratch(loads, &FaultSet::new(), guess, scratch)
+    }
+
+    /// Fault-free solves of a load sweep sharing `scratch`, handing each
+    /// point's index and solution to `each` in order. (`each` is a trait
+    /// object so the sweep is compiled once, here, not in every caller.)
+    ///
+    /// Open-loop converters stamp a matrix `A` that does not depend on the
+    /// loads, and the right-hand side is affine in the per-core currents.
+    /// So when a point's loads are `(1 − t)·first + t·last` (Figs 6 and 8:
+    /// [`vstack_power::workload::ImbalancePattern`] is affine in the
+    /// imbalance), its voltages are exactly `(1 − t)·v_first + t·v_last`.
+    /// The first and last points are solved on the escalation ladder as
+    /// [`VstackPdn::solve_faulted_scratch`] would solve them; every
+    /// interior point reads `t` off its loads, forms that combination and
+    /// keeps it only if its relative residual against the point's own
+    /// stamped system meets the ladder's tolerance, solving the point on
+    /// the ladder otherwise. A superposed point's report says
+    /// [`SolveMethod::Superposition`], zero iterations and the measured
+    /// residual. Closed-loop converters (the matrix moves with the loads)
+    /// and sweeps of fewer than three points solve every point in order.
+    ///
+    /// Only the two endpoint voltage vectors outlive a point: each
+    /// interior system is stamped while its point is answered.
+    ///
+    /// # Errors
+    ///
+    /// The first failing solve, as for [`VstackPdn::solve_faulted`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of `loads` does not match this PDN's layer/core
+    /// counts.
+    pub fn solve_load_sweep(
+        &self,
+        loads: &[StackLoads],
+        scratch: &mut SolveScratch,
+        each: &mut dyn FnMut(usize, FaultedSolution),
+    ) -> Result<(), PdnError> {
+        let no_faults = FaultSet::new();
+        let open_loop = matches!(self.converter.control, vstack_sc::ControlPolicy::OpenLoop);
+        let (first, last) = match loads {
+            [first, _, .., last] if open_loop => (first, last),
+            _ => {
+                for (i, point) in loads.iter().enumerate() {
+                    each(
+                        i,
+                        self.solve_faulted_scratch(point, &no_faults, None, scratch)?,
+                    );
+                }
+                return Ok(());
+            }
+        };
+        let first_sol = self.solve_faulted_scratch(first, &no_faults, None, scratch)?;
+        let v_first = first_sol.voltages.clone();
+        each(0, first_sol);
+        let last_sol = self.solve_faulted_scratch(last, &no_faults, None, scratch)?;
+        let sites = self.converter_sites();
+        let conv_g = vec![1.0 / self.converter.r_series(self.converter.f_nom); sites.len()];
+        let conv_f = vec![self.converter.f_nom; sites.len()];
+        let last_index = loads.len() - 1;
+        for (i, point) in loads.iter().enumerate().take(last_index).skip(1) {
+            let started = std::time::Instant::now();
+            let t = segment_position(first, last, point);
+            let v: Vec<f64> = v_first
+                .iter()
+                .zip(&last_sol.voltages)
+                .map(|(a, b)| (1.0 - t) * a + t * b)
+                .collect();
+            let asm = self.assemble_with_conductances(point, &sites, &conv_g, &no_faults);
+            let residual = asm.nb.relative_residual(&v);
+            let sol = if residual <= NetworkBuilder::TOLERANCE {
+                let report = SolveReport {
+                    method: SolveMethod::Superposition,
+                    fallbacks: Vec::new(),
+                    iterations: 0,
+                    relative_residual: residual,
+                    diagonal_shift: 0.0,
+                    operator: "superposition",
+                    precision: "f64",
+                    setup_us: 0,
+                    solve_us: started.elapsed().as_micros() as u64,
+                };
+                self.extract(
+                    point,
+                    v,
+                    &asm.vdd_pads,
+                    &asm.gnd_pads,
+                    asm.g_via_stack,
+                    asm.g_gnd_pad,
+                    asm.v_supply,
+                    &sites,
+                    &conv_g,
+                    &conv_f,
+                    &no_faults,
+                    report,
+                )
+            } else {
+                drop(asm); // the ladder stamps its own copy
+                self.solve_faulted_scratch(point, &no_faults, None, scratch)?
+            };
+            each(i, sol);
+        }
+        each(last_index, last_sol);
+        Ok(())
     }
 
     /// [`VstackPdn::solve_faulted_scratch`] accelerated by the rank-k
@@ -1034,6 +1138,26 @@ impl VstackPdn {
     }
 }
 
+/// The `t` that puts `point` closest to `(1 − t)·first + t·last`, by least
+/// squares over the per-core currents; `0` when `first == last`. Whether
+/// `point` actually lies on that line is left to the caller's residual
+/// check.
+fn segment_position(first: &StackLoads, last: &StackLoads, point: &StackLoads) -> f64 {
+    let (mut along, mut span) = (0.0, 0.0);
+    for layer in 0..first.n_layers() {
+        for core in 0..first.cores_per_layer() {
+            let step = last.core_current(layer, core) - first.core_current(layer, core);
+            along += (point.core_current(layer, core) - first.core_current(layer, core)) * step;
+            span += step * step;
+        }
+    }
+    if span > 0.0 {
+        along / span
+    } else {
+        0.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1383,6 +1507,144 @@ mod tests {
                     .unwrap();
                 assert_eq!(fresh.voltages, reused.voltages, "step {step}");
                 assert_eq!(fresh.report.trail(), reused.report.trail());
+            }
+        }
+    }
+
+    /// Every point of a fault-free sweep, as `(index, solution)` pairs in
+    /// the order `solve_load_sweep` handed them over.
+    fn sweep(
+        pdn: &VstackPdn,
+        loads: &[StackLoads],
+        scratch: &mut SolveScratch,
+    ) -> Vec<(usize, FaultedSolution)> {
+        let mut points = Vec::new();
+        pdn.solve_load_sweep(loads, scratch, &mut |i, sol| points.push((i, sol)))
+            .unwrap();
+        assert_eq!(
+            points.iter().map(|p| p.0).collect::<Vec<_>>(),
+            (0..loads.len()).collect::<Vec<_>>()
+        );
+        points
+    }
+
+    /// The point solved alone on a fresh scratch.
+    fn fresh(pdn: &VstackPdn, loads: &StackLoads) -> FaultedSolution {
+        pdn.solve_faulted_scratch(loads, &FaultSet::new(), None, &mut SolveScratch::new())
+            .unwrap()
+    }
+
+    /// Direct envelope-Cholesky solve of the point's stamped open-loop
+    /// system: no Krylov code involved.
+    fn direct(pdn: &VstackPdn, loads: &StackLoads) -> Vec<f64> {
+        let sites = pdn.converter_sites();
+        let g = vec![1.0 / pdn.converter.r_series(pdn.converter.f_nom); sites.len()];
+        let asm = pdn.assemble_with_conductances(loads, &sites, &g, &FaultSet::new());
+        let a = asm.nb.to_matrix();
+        let chol = vstack_sparse::EnvelopeCholesky::factor(&a).unwrap();
+        let (mut x, mut work) = (vec![0.0; a.rows()], vec![0.0; a.rows()]);
+        chol.solve_into(asm.nb.rhs(), &mut x, &mut work);
+        x
+    }
+
+    #[test]
+    fn load_sweep_superposes_interior_points_within_direct_tolerance() {
+        let p = quick_params();
+        let sweeps: [&[f64]; 4] = [
+            &[0.0, 0.5, 1.0],
+            &[0.1, 0.35, 0.4, 0.9],
+            &[1.0, 0.75, 0.5, 0.25, 0.0],
+            &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+        ];
+        for layers in 2..=4 {
+            for k in [2, 8] {
+                let pdn = vs_pdn(&p, layers, k);
+                for xs in sweeps {
+                    let loads: Vec<StackLoads> = xs
+                        .iter()
+                        .map(|&x| StackLoads::interleaved(&p, layers, &ImbalancePattern::new(x)))
+                        .collect();
+                    let mut scratch = SolveScratch::new();
+                    let points = sweep(&pdn, &loads, &mut scratch);
+                    let case = format!("{layers} layers, {k}/core, {xs:?}");
+                    assert_eq!(
+                        scratch.pattern_builds() + scratch.pattern_reuses(),
+                        2,
+                        "{case}: only the endpoints reach the ladder"
+                    );
+                    for (i, sol) in &points {
+                        let want = direct(&pdn, &loads[*i]);
+                        let scale = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                        let err = sol
+                            .voltages
+                            .iter()
+                            .zip(&want)
+                            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+                        assert!(err <= 1e-8 * scale, "{case} point {i}: {err} of {scale}");
+                        if *i == 0 || *i == xs.len() - 1 {
+                            let alone = fresh(&pdn, &loads[*i]);
+                            assert_eq!(sol.voltages, alone.voltages, "{case} point {i}");
+                            assert_eq!(sol.report, alone.report, "{case} point {i}");
+                        } else {
+                            assert_eq!(sol.report.method, SolveMethod::Superposition);
+                            assert_eq!(sol.report.iterations, 0, "{case} point {i}");
+                            assert!(
+                                sol.report.relative_residual <= 1e-9,
+                                "{case} point {i}: {}",
+                                sol.report.relative_residual
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn load_sweep_solves_off_segment_points_on_the_ladder() {
+        let p = quick_params();
+        let pdn = vs_pdn(&p, 4, 4);
+        let interleaved = |x| StackLoads::interleaved(&p, 4, &ImbalancePattern::new(x));
+        // Every layer half active is not on the line between the
+        // interleaved 0% and 100% patterns, whose high layers stay at peak.
+        let loads = [
+            interleaved(0.0),
+            interleaved(0.25),
+            StackLoads::from_activities(&p, &[0.5; 4]),
+            interleaved(1.0),
+        ];
+        let mut scratch = SolveScratch::new();
+        let points = sweep(&pdn, &loads, &mut scratch);
+        assert_eq!(scratch.pattern_builds() + scratch.pattern_reuses(), 3);
+        assert_eq!(points[1].1.report.method, SolveMethod::Superposition);
+        let alone = fresh(&pdn, &loads[2]);
+        assert_eq!(points[2].1.voltages, alone.voltages);
+        assert_eq!(points[2].1.report, alone.report);
+        assert_ne!(alone.report.method, SolveMethod::Superposition);
+    }
+
+    #[test]
+    fn closed_loop_and_short_sweeps_solve_every_point_on_the_ladder() {
+        let p = quick_params();
+        let closed = VstackPdn::new(
+            &p,
+            4,
+            TsvTopology::Few,
+            0.25,
+            ScConverter::paper_28nm_closed_loop(),
+            4,
+        );
+        let open = vs_pdn(&p, 4, 4);
+        for (pdn, xs) in [(&closed, &[0.1, 0.5, 1.0][..]), (&open, &[0.2, 0.8][..])] {
+            let loads: Vec<StackLoads> = xs
+                .iter()
+                .map(|&x| StackLoads::interleaved(&p, 4, &ImbalancePattern::new(x)))
+                .collect();
+            for (i, sol) in sweep(pdn, &loads, &mut SolveScratch::new()) {
+                let alone = fresh(pdn, &loads[i]);
+                assert_eq!(sol.voltages, alone.voltages, "{xs:?} point {i}");
+                assert_eq!(sol.report, alone.report, "{xs:?} point {i}");
+                assert_ne!(sol.report.method, SolveMethod::Superposition);
             }
         }
     }

@@ -68,6 +68,10 @@ pub enum SolveMethod {
     /// Sherman–Morrison–Woodbury rank-k update against a cached baseline
     /// factorization (see [`crate::smw`]) — no Krylov iteration at all.
     SmwSketch,
+    /// Affine combination of two solutions of one matrix, for a
+    /// right-hand side on the line through theirs, accepted on its
+    /// measured residual — no Krylov iteration at all.
+    Superposition,
 }
 
 impl core::fmt::Display for SolveMethod {
@@ -80,6 +84,7 @@ impl core::fmt::Display for SolveMethod {
             SolveMethod::BiCgStab => "bicgstab",
             SolveMethod::CgShifted => "cg+shift",
             SolveMethod::SmwSketch => "smw-sketch",
+            SolveMethod::Superposition => "superposition",
         };
         f.write_str(name)
     }
