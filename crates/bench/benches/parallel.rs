@@ -2,32 +2,29 @@
 //! end-to-end Fig 6 sweep, written to `BENCH_solver.json` at the repo
 //! root so regressions are diffable across commits.
 //!
+//! Every solve goes through `solve_robust`, the one solve entry point,
+//! from the lead each entry names. AMG-led entries time a state whose
+//! hierarchy an untimed solve already cached, as `SolveScratch` reuse
+//! does.
+//!
 //! Groups:
 //!
 //! * `spmv` — row-partitioned CSR matrix–vector product on a PDN-sized
 //!   grid Laplacian (above the `PAR_SPMV_MIN_NNZ` threshold, so the
 //!   threaded pool genuinely engages).
-//! * `cg_solve` — a full workspace-reusing CG solve through the production
+//! * `cg_solve` — a full workspace-reusing solve through the production
 //!   hot path for its size: at or above `NetworkBuilder::AMG_MIN_UNKNOWNS`
-//!   that is the matrix-free stencil operator with the mixed-precision f32
-//!   AMG V-cycle, below it plain Jacobi CG.
-//! * `cg_amg` — the same system solved through a pattern-cached f64
-//!   [`AmgHierarchy`] over the CSR — the pre-stencil baseline the 2×
-//!   speedup target is measured against.
-//! * `cg_stencil` — stencil operator outer CG, f64 AMG V-cycle: isolates
-//!   the matrix-free apply's contribution.
-//! * `cg_mixed` — stencil operator outer CG, f32 AMG V-cycle: the full
-//!   mixed-precision hot path (same code `cg_solve` takes at this size).
-//! * `ic0_apply` — the level-scheduled IC(0) forward/backward
-//!   substitution.
-//! * `cg_scaling/{jacobi,ic0,amg,mixed}/g{N}` — single-thread CG medians
-//!   and iteration counts across grid sizes, one entry per
-//!   preconditioner (`mixed` is the stencil-operator + f32-V-cycle hot
-//!   path). Jacobi and IC(0) pay any setup inside the timed solve (as
-//!   the escalation ladder does); AMG and mixed are timed against a
-//!   pattern-cached hierarchy (as `SolveScratch` reuse does), with the
-//!   one-time f64 build cost reported as its own
-//!   `cg_scaling/amg_setup/g{N}` entry.
+//!   that is the mixed-precision lead (matrix-free stencil operator, f32
+//!   AMG V-cycle), below it the Jacobi lead.
+//! * `cg_amg` — the same system from the f64 AMG lead over the CSR — the
+//!   pre-stencil baseline the 2× speedup target is measured against.
+//! * `cg_mixed` — the mixed-precision lead with the stencil operator: the
+//!   full hot path (same code `cg_solve` takes at this size).
+//! * `cg_scaling/{jacobi,amg,mixed}/g{N}` — single-thread medians and
+//!   iteration counts across grid sizes, one entry per lead. Jacobi pays
+//!   its (cheap) setup inside the timed solve, as the ladder does; AMG
+//!   and mixed reuse a cached hierarchy, with the one-time f64 build
+//!   cost reported as its own `cg_scaling/amg_setup/g{N}` entry.
 //! * `fault_sketch/{build,query,exact}/g96` — the rank-k SMW fault
 //!   sketch at the g96 acceptance point: one-time sketch construction
 //!   (baseline + candidate-column solves), the warm rank-2 what-if query,
@@ -60,15 +57,10 @@ use criterion::{BenchReport, Criterion};
 use vstack::experiments::fig6::ir_drop_study;
 use vstack::experiments::Fidelity;
 use vstack::pdn::network::NetworkBuilder;
-use vstack::sparse::ichol::IncompleteCholesky;
 use vstack::sparse::pool::{with_pool, ThreadPool};
-use vstack::sparse::solver::{
-    cg_with_amg_f32_ws, cg_with_amg_op_ws, cg_with_amg_ws, cg_with_guess_ws, CgOptions,
-    Preconditioner, SolveWorkspace,
-};
 use vstack::sparse::{
-    AmgHierarchy, AmgHierarchyF32, AmgOptions, CsrMatrix, SmwSketch, SmwUpdate, StencilDescriptor,
-    StencilOperator, TripletMatrix,
+    solve_robust, AmgHierarchy, AmgOptions, CsrMatrix, Lead, RobustOptions, RobustSolved,
+    SmwSketch, SmwUpdate, SolveWorkspace, StencilDescriptor, StencilOperator, TripletMatrix,
 };
 
 /// 2-D grid Laplacian with Dirichlet stamps on `rails`, sized like one
@@ -103,7 +95,6 @@ fn grid_laplacian(n: usize) -> (CsrMatrix, Vec<f64>) {
 struct Sizes {
     spmv_n: usize,
     cg_n: usize,
-    ic0_n: usize,
     scaling_grids: &'static [usize],
     fig6_layers: usize,
     kernel_samples: usize,
@@ -116,7 +107,6 @@ fn sizes(quick: bool) -> Sizes {
         Sizes {
             spmv_n: 192, // 36 864 nodes: keeps nnz above PAR_SPMV_MIN_NNZ
             cg_n: 96,    // 9 216 unknowns: engages the stencil + mixed hot path
-            ic0_n: 96,   // 9 216 unknowns: above the IC(0) PAR_MIN_DIM gate
             scaling_grids: &[12, 48, 96],
             fig6_layers: 2,
             kernel_samples: 10,
@@ -127,7 +117,6 @@ fn sizes(quick: bool) -> Sizes {
         Sizes {
             spmv_n: 256,
             cg_n: 192, // 36 864 unknowns: the g192 2x-speedup acceptance point
-            ic0_n: 160,
             scaling_grids: &[24, 48, 96, 192],
             fig6_layers: 4,
             kernel_samples: 30,
@@ -169,68 +158,106 @@ fn pool_widths() -> Vec<(usize, Arc<ThreadPool>)> {
     widths
 }
 
-/// One untimed solve to harvest the iteration count an entry will report.
-fn probe_iterations(
+/// One ladder solve from `lead` at the benches' default tolerance; the
+/// ladder uses `stencil` only on the mixed lead.
+fn solve(
     a: &CsrMatrix,
+    stencil: Option<&StencilOperator>,
     b: &[f64],
-    opts: &CgOptions,
-    amg: Option<&AmgHierarchy>,
-) -> usize {
-    let mut ws = SolveWorkspace::new();
-    let solved = match amg {
-        Some(h) => cg_with_amg_ws(a, b, None, opts, h, &mut ws).expect("amg probe solve"),
-        None => cg_with_guess_ws(a, b, None, opts, &mut ws).expect("probe solve"),
+    lead: Lead,
+    state: &mut SolveWorkspace,
+) -> RobustSolved {
+    let opts = RobustOptions {
+        lead,
+        ..RobustOptions::default()
     };
-    solved.iterations
+    solve_robust(a, stencil, b, None, &opts, state).expect("bench solve")
 }
 
-/// Iteration count of the stencil-operator + f64 AMG path.
-fn probe_iterations_stencil(
-    op: &StencilOperator,
+/// A solve state warmed by one untimed solve — so an AMG lead's
+/// hierarchy is cached, as `SolveScratch` reuse leaves it — plus the
+/// iteration count every later solve from it reports.
+fn warm_state(
+    a: &CsrMatrix,
+    stencil: Option<&StencilOperator>,
     b: &[f64],
-    opts: &CgOptions,
-    amg: &AmgHierarchy,
-) -> usize {
-    let mut ws = SolveWorkspace::new();
-    cg_with_amg_op_ws(op, b, None, opts, amg, &mut ws)
-        .expect("stencil probe solve")
-        .iterations
+    lead: Lead,
+) -> (SolveWorkspace, usize) {
+    let mut state = SolveWorkspace::new();
+    let report = solve(a, stencil, b, lead, &mut state).report;
+    assert!(
+        !report.was_rescued(),
+        "bench solve left its lead: {}",
+        report.trail()
+    );
+    (state, report.iterations)
 }
 
-/// Iteration count of the mixed-precision (f32 V-cycle) path.
-fn probe_iterations_mixed(
-    op: &StencilOperator,
+/// The lead, operator and precision tags of a timed entry.
+fn tags(lead: Lead) -> (&'static str, &'static str, &'static str) {
+    match lead {
+        Lead::Jacobi => ("jacobi", "csr", "f64"),
+        Lead::Amg => ("amg", "csr", "f64"),
+        Lead::MixedAmg => ("amgf32", "stencil", "mixed"),
+    }
+}
+
+/// Times `group/id`: ladder solves from `lead` on a warmed state,
+/// recording the entry's tags and iteration count.
+#[allow(clippy::too_many_arguments)]
+fn bench_solve(
+    c: &mut Criterion,
+    meta: &mut Meta,
+    (group, id): (&str, &str),
+    samples: usize,
+    a: &CsrMatrix,
+    stencil: Option<&StencilOperator>,
     b: &[f64],
-    opts: &CgOptions,
-    amg: &AmgHierarchyF32,
-) -> usize {
-    let mut ws = SolveWorkspace::new();
-    cg_with_amg_f32_ws(op, b, None, opts, amg, &mut ws)
-        .expect("mixed probe solve")
-        .iterations
+    lead: Lead,
+) {
+    let (state, iterations) = warm_state(a, stencil, b, lead);
+    let (preconditioner, operator, precision) = tags(lead);
+    meta.insert(
+        format!("{group}/{id}"),
+        Extra {
+            preconditioner,
+            operator,
+            precision,
+            iterations,
+        },
+    );
+    let mut g = c.benchmark_group(group);
+    g.sample_size(samples);
+    g.bench_function(id, |bch| {
+        let mut state = state.clone();
+        bch.iter(|| black_box(solve(a, stencil, b, lead, &mut state)))
+    });
+    g.finish();
+}
+
+/// The production lead for a system of `n` unknowns (see
+/// `NetworkBuilder::solve_reported`).
+fn production_lead(n: usize) -> Lead {
+    if n >= NetworkBuilder::AMG_MIN_UNKNOWNS {
+        Lead::MixedAmg
+    } else {
+        Lead::Jacobi
+    }
 }
 
 fn bench_kernels(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
     let (a_spmv, b_spmv) = grid_laplacian(s.spmv_n);
     let (a_cg, b_cg) = grid_laplacian(s.cg_n);
-    let (a_ic, b_ic) = grid_laplacian(s.ic0_n);
-    let ic = IncompleteCholesky::factor(&a_ic).expect("grid laplacian admits IC(0)");
-    let amg = AmgHierarchy::build(&a_cg, &AmgOptions::default()).expect("grid laplacian coarsens");
     let stencil = StencilOperator::from_csr(&a_cg, StencilDescriptor::single_plane(s.cg_n))
         .expect("grid laplacian extracts");
-    let amg_f32 = AmgHierarchyF32::from_hierarchy(&amg);
-
-    // cg_solve mirrors the production default for its size: at
-    // AMG_MIN_UNKNOWNS unknowns the pdn layer switches its first ladder
-    // rung to the stencil operator with the mixed-precision f32 V-cycle.
-    let cg_uses_amg = a_cg.rows() >= NetworkBuilder::AMG_MIN_UNKNOWNS;
-    let cg_opts = CgOptions::default();
+    let stencil = Some(&stencil);
 
     for (threads, pool) in pool_widths() {
+        let id = format!("threads{threads}");
         with_pool(&pool, || {
             let mut g = c.benchmark_group("spmv");
             g.sample_size(s.kernel_samples);
-            g.bench_function(format!("threads{threads}"), |bch| {
+            g.bench_function(&id, |bch| {
                 let mut y = vec![0.0; b_spmv.len()];
                 bch.iter(|| {
                     a_spmv.mul_vec_into(&b_spmv, &mut y);
@@ -238,120 +265,14 @@ fn bench_kernels(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
                 })
             });
             g.finish();
-        });
-        with_pool(&pool, || {
-            let iterations = if cg_uses_amg {
-                probe_iterations_mixed(&stencil, &b_cg, &cg_opts, &amg_f32)
-            } else {
-                probe_iterations(&a_cg, &b_cg, &cg_opts, None)
-            };
-            meta.insert(
-                format!("cg_solve/threads{threads}"),
-                Extra {
-                    preconditioner: if cg_uses_amg { "amgf32" } else { "jacobi" },
-                    operator: if cg_uses_amg { "stencil" } else { "csr" },
-                    precision: if cg_uses_amg { "mixed" } else { "f64" },
-                    iterations,
-                },
-            );
-            let mut g = c.benchmark_group("cg_solve");
-            g.sample_size(s.kernel_samples);
-            g.bench_function(format!("threads{threads}"), |bch| {
-                let mut ws = SolveWorkspace::new();
-                bch.iter(|| {
-                    let solved = if cg_uses_amg {
-                        cg_with_amg_f32_ws(&stencil, &b_cg, None, &cg_opts, &amg_f32, &mut ws)
-                    } else {
-                        cg_with_guess_ws(&a_cg, &b_cg, None, &cg_opts, &mut ws)
-                    };
-                    black_box(solved.expect("cg"))
-                })
-            });
-            g.finish();
-        });
-        with_pool(&pool, || {
-            let iterations = probe_iterations(&a_cg, &b_cg, &cg_opts, Some(&amg));
-            meta.insert(
-                format!("cg_amg/threads{threads}"),
-                Extra {
-                    preconditioner: "amg",
-                    operator: "csr",
-                    precision: "f64",
-                    iterations,
-                },
-            );
-            let mut g = c.benchmark_group("cg_amg");
-            g.sample_size(s.kernel_samples);
-            g.bench_function(format!("threads{threads}"), |bch| {
-                let mut ws = SolveWorkspace::new();
-                bch.iter(|| {
-                    black_box(
-                        cg_with_amg_ws(&a_cg, &b_cg, None, &cg_opts, &amg, &mut ws)
-                            .expect("cg+amg"),
-                    )
-                })
-            });
-            g.finish();
-        });
-        with_pool(&pool, || {
-            let iterations = probe_iterations_stencil(&stencil, &b_cg, &cg_opts, &amg);
-            meta.insert(
-                format!("cg_stencil/threads{threads}"),
-                Extra {
-                    preconditioner: "amg",
-                    operator: "stencil",
-                    precision: "f64",
-                    iterations,
-                },
-            );
-            let mut g = c.benchmark_group("cg_stencil");
-            g.sample_size(s.kernel_samples);
-            g.bench_function(format!("threads{threads}"), |bch| {
-                let mut ws = SolveWorkspace::new();
-                bch.iter(|| {
-                    black_box(
-                        cg_with_amg_op_ws(&stencil, &b_cg, None, &cg_opts, &amg, &mut ws)
-                            .expect("cg+stencil"),
-                    )
-                })
-            });
-            g.finish();
-        });
-        with_pool(&pool, || {
-            let iterations = probe_iterations_mixed(&stencil, &b_cg, &cg_opts, &amg_f32);
-            meta.insert(
-                format!("cg_mixed/threads{threads}"),
-                Extra {
-                    preconditioner: "amgf32",
-                    operator: "stencil",
-                    precision: "mixed",
-                    iterations,
-                },
-            );
-            let mut g = c.benchmark_group("cg_mixed");
-            g.sample_size(s.kernel_samples);
-            g.bench_function(format!("threads{threads}"), |bch| {
-                let mut ws = SolveWorkspace::new();
-                bch.iter(|| {
-                    black_box(
-                        cg_with_amg_f32_ws(&stencil, &b_cg, None, &cg_opts, &amg_f32, &mut ws)
-                            .expect("cg+mixed"),
-                    )
-                })
-            });
-            g.finish();
-        });
-        with_pool(&pool, || {
-            let mut g = c.benchmark_group("ic0_apply");
-            g.sample_size(s.kernel_samples);
-            g.bench_function(format!("threads{threads}"), |bch| {
-                let mut z = vec![0.0; b_ic.len()];
-                bch.iter(|| {
-                    ic.apply(&b_ic, &mut z);
-                    black_box(z[0])
-                })
-            });
-            g.finish();
+            for (group, lead) in [
+                ("cg_solve", production_lead(a_cg.rows())),
+                ("cg_amg", Lead::Amg),
+                ("cg_mixed", Lead::MixedAmg),
+            ] {
+                let name = (group, id.as_str());
+                bench_solve(c, meta, name, s.kernel_samples, &a_cg, stencil, &b_cg, lead);
+            }
         });
     }
 }
@@ -362,12 +283,11 @@ fn bench_kernels(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
 /// the `disabled` median against `cg_solve/threads1`.
 fn bench_obs_overhead(c: &mut Criterion, s: &Sizes) {
     let (a, b) = grid_laplacian(s.cg_n);
-    let cg_uses_amg = a.rows() >= NetworkBuilder::AMG_MIN_UNKNOWNS;
-    let amg = AmgHierarchy::build(&a, &AmgOptions::default()).expect("grid laplacian coarsens");
+    let lead = production_lead(a.rows());
     let stencil = StencilOperator::from_csr(&a, StencilDescriptor::single_plane(s.cg_n))
         .expect("grid laplacian extracts");
-    let amg_f32 = AmgHierarchyF32::from_hierarchy(&amg);
-    let opts = CgOptions::default();
+    let stencil = Some(&stencil);
+    let (state, _) = warm_state(&a, stencil, &b, lead);
     let pool = Arc::new(ThreadPool::new(1));
     with_pool(&pool, || {
         let mut g = c.benchmark_group("obs_overhead");
@@ -375,15 +295,8 @@ fn bench_obs_overhead(c: &mut Criterion, s: &Sizes) {
         for (mode, on) in [("disabled", false), ("enabled", true)] {
             vstack_obs::trace::set_enabled(on);
             g.bench_function(mode, |bch| {
-                let mut ws = SolveWorkspace::new();
-                bch.iter(|| {
-                    let solved = if cg_uses_amg {
-                        cg_with_amg_f32_ws(&stencil, &b, None, &opts, &amg_f32, &mut ws)
-                    } else {
-                        cg_with_guess_ws(&a, &b, None, &opts, &mut ws)
-                    };
-                    black_box(solved.expect("cg"))
-                })
+                let mut state = state.clone();
+                bch.iter(|| black_box(solve(&a, stencil, &b, lead, &mut state)))
             });
             vstack_obs::trace::set_enabled(false);
             let _ = vstack_obs::trace::drain();
@@ -396,14 +309,16 @@ fn bench_obs_overhead(c: &mut Criterion, s: &Sizes) {
 }
 
 /// Single-thread iteration-count and median scaling across grid sizes,
-/// one entry per preconditioner per grid.
+/// one entry per lead per grid.
 fn bench_scaling(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
     let pool = Arc::new(ThreadPool::new(1));
     for &grid in s.scaling_grids {
         let (a, b) = grid_laplacian(grid);
+        // The stencil + f32-V-cycle hot path at every size, so the
+        // crossover against the pure-f64 rungs is in the record.
+        let stencil = StencilOperator::from_csr(&a, StencilDescriptor::single_plane(grid))
+            .expect("grid laplacian extracts");
         with_pool(&pool, || {
-            let amg =
-                AmgHierarchy::build(&a, &AmgOptions::default()).expect("grid laplacian coarsens");
             let mut g = c.benchmark_group("cg_scaling");
             g.sample_size(s.scaling_samples);
             g.bench_function(format!("amg_setup/g{grid}"), |bch| {
@@ -412,68 +327,25 @@ fn bench_scaling(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
                 })
             });
             g.finish();
-            for pre in ["jacobi", "ic0", "amg"] {
-                let opts = CgOptions {
-                    preconditioner: match pre {
-                        "jacobi" => Preconditioner::Jacobi,
-                        "ic0" => Preconditioner::IncompleteCholesky,
-                        _ => Preconditioner::Amg,
-                    },
-                    ..CgOptions::default()
+            for lead in [Lead::Jacobi, Lead::Amg, Lead::MixedAmg] {
+                let name = match lead {
+                    Lead::Jacobi => "jacobi",
+                    Lead::Amg => "amg",
+                    Lead::MixedAmg => "mixed",
                 };
-                let cached_amg = (pre == "amg").then_some(&amg);
-                let iterations = probe_iterations(&a, &b, &opts, cached_amg);
-                meta.insert(
-                    format!("cg_scaling/{pre}/g{grid}"),
-                    Extra {
-                        preconditioner: pre,
-                        operator: "csr",
-                        precision: "f64",
-                        iterations,
-                    },
+                let id = format!("{name}/g{grid}");
+                let entry = ("cg_scaling", id.as_str());
+                bench_solve(
+                    c,
+                    meta,
+                    entry,
+                    s.scaling_samples,
+                    &a,
+                    Some(&stencil),
+                    &b,
+                    lead,
                 );
-                let mut g = c.benchmark_group("cg_scaling");
-                g.sample_size(s.scaling_samples);
-                g.bench_function(format!("{pre}/g{grid}"), |bch| {
-                    let mut ws = SolveWorkspace::new();
-                    bch.iter(|| {
-                        let solved = match cached_amg {
-                            Some(h) => cg_with_amg_ws(&a, &b, None, &opts, h, &mut ws),
-                            None => cg_with_guess_ws(&a, &b, None, &opts, &mut ws),
-                        };
-                        black_box(solved.expect("scaling solve"))
-                    })
-                });
-                g.finish();
             }
-            // The stencil + f32-V-cycle hot path at every size, so the
-            // crossover against the pure-f64 rungs is in the record.
-            let stencil = StencilOperator::from_csr(&a, StencilDescriptor::single_plane(grid))
-                .expect("grid laplacian extracts");
-            let amg_f32 = AmgHierarchyF32::from_hierarchy(&amg);
-            let opts = CgOptions::default();
-            let iterations = probe_iterations_mixed(&stencil, &b, &opts, &amg_f32);
-            meta.insert(
-                format!("cg_scaling/mixed/g{grid}"),
-                Extra {
-                    preconditioner: "amgf32",
-                    operator: "stencil",
-                    precision: "mixed",
-                    iterations,
-                },
-            );
-            let mut g = c.benchmark_group("cg_scaling");
-            g.sample_size(s.scaling_samples);
-            g.bench_function(format!("mixed/g{grid}"), |bch| {
-                let mut ws = SolveWorkspace::new();
-                bch.iter(|| {
-                    black_box(
-                        cg_with_amg_f32_ws(&stencil, &b, None, &opts, &amg_f32, &mut ws)
-                            .expect("mixed scaling solve"),
-                    )
-                })
-            });
-            g.finish();
         });
     }
 }
@@ -497,28 +369,30 @@ fn bench_fault_sketch(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
     // rank-1 stamp g·e eᵀ whose removal the sketch answers via SMW.
     let rails = [0, grid - 1, grid * (grid - 1), grid * grid - 1];
     let rail_g = 100.0;
-    let opts = CgOptions {
+    let opts = RobustOptions {
         tolerance: 1e-11,
-        preconditioner: Preconditioner::Amg,
-        ..CgOptions::default()
+        lead: Lead::Amg,
+        ..RobustOptions::default()
+    };
+    let exact_solve = |a: &CsrMatrix, rhs: &[f64], state: &mut SolveWorkspace| {
+        solve_robust(a, None, rhs, None, &opts, state)
     };
     let pool = Arc::new(ThreadPool::new(1));
     with_pool(&pool, || {
-        let amg = AmgHierarchy::build(&a, &AmgOptions::default()).expect("grid laplacian coarsens");
-        let solve =
-            |rhs: &[f64], ws: &mut SolveWorkspace| cg_with_amg_ws(&a, rhs, None, &opts, &amg, ws);
-        let build_sketch = |ws: &mut SolveWorkspace| -> SmwSketch {
-            let x0 = solve(&b, ws).expect("baseline solve").x;
+        let mut warm = SolveWorkspace::new();
+        let baseline = exact_solve(&a, &b, &mut warm).expect("baseline solve");
+        let iterations = baseline.report.iterations;
+        let build_sketch = |state: &mut SolveWorkspace| -> SmwSketch {
+            let x0 = exact_solve(&a, &b, state).expect("baseline solve").x;
             let mut sk = SmwSketch::new(x0, b.clone(), 1e-9);
             for &rail in &rails {
                 let col = sk.add_column(vec![(rail, 1.0)]);
-                sk.ensure_column(col, |u| solve(u, ws).map(|s| s.x))
+                sk.ensure_column(col, |u| exact_solve(&a, u, state).map(|s| s.x))
                     .expect("column solve");
             }
             sk
         };
 
-        let iterations = probe_iterations(&a, &b, &opts, Some(&amg));
         meta.insert(
             "fault_sketch/build/g96".to_string(),
             Extra {
@@ -531,13 +405,12 @@ fn bench_fault_sketch(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
         let mut g = c.benchmark_group("fault_sketch");
         g.sample_size(s.scaling_samples);
         g.bench_function("build/g96", |bch| {
-            let mut ws = SolveWorkspace::new();
-            bch.iter(|| black_box(build_sketch(&mut ws).ready_count()))
+            let mut state = warm.clone();
+            bch.iter(|| black_box(build_sketch(&mut state).ready_count()))
         });
         g.finish();
 
-        let mut ws = SolveWorkspace::new();
-        let sk = build_sketch(&mut ws);
+        let sk = build_sketch(&mut warm.clone());
         let updates: Vec<SmwUpdate> = (0..2)
             .map(|c| SmwUpdate {
                 column: c,
@@ -563,11 +436,11 @@ fn bench_fault_sketch(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
         g.finish();
 
         // The exact re-solve of the identical downdated system: the same
-        // grid stamped with only the two surviving rails.
+        // grid stamped with only the two surviving rails, from a state
+        // holding its own cached hierarchy.
         let (a_f, _) = grid_laplacian_with_rails(grid, &rails[2..]);
-        let amg_f =
-            AmgHierarchy::build(&a_f, &AmgOptions::default()).expect("faulted grid coarsens");
-        let exact = cg_with_amg_ws(&a_f, &b, None, &opts, &amg_f, &mut ws).expect("exact faulted");
+        let mut warm_f = SolveWorkspace::new();
+        let exact = exact_solve(&a_f, &b, &mut warm_f).expect("exact faulted");
         let rel: f64 = answer
             .x
             .iter()
@@ -586,18 +459,14 @@ fn bench_fault_sketch(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
                 preconditioner: "amg",
                 operator: "csr",
                 precision: "f64",
-                iterations: exact.iterations,
+                iterations: exact.report.iterations,
             },
         );
         let mut g = c.benchmark_group("fault_sketch");
         g.sample_size(s.kernel_samples);
         g.bench_function("exact/g96", |bch| {
-            let mut ws = SolveWorkspace::new();
-            bch.iter(|| {
-                black_box(
-                    cg_with_amg_ws(&a_f, &b, None, &opts, &amg_f, &mut ws).expect("exact faulted"),
-                )
-            })
+            let mut state = warm_f.clone();
+            bch.iter(|| black_box(exact_solve(&a_f, &b, &mut state).expect("exact faulted")))
         });
         g.finish();
     });
@@ -637,7 +506,7 @@ fn bench_fig6(c: &mut Criterion, s: &Sizes) {
 fn render_json(reports: &[BenchReport], meta: &Meta, quick: bool) -> String {
     let host = host_parallelism();
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"vstack-bench-solver/4\",\n");
+    out.push_str("  \"schema\": \"vstack-bench-solver/5\",\n");
     out.push_str(&format!("  \"host_parallelism\": {host},\n"));
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str("  \"entries\": [\n");

@@ -35,8 +35,9 @@ pub struct SolveSummary {
     /// Microseconds spent building the accepted method's preconditioner
     /// (0 on cache reuse or for setup-free methods).
     pub solver_setup_us: u64,
-    /// The escalation-ladder trail, e.g. `"cg+amg"` or
-    /// `"cg+ic0 → cg+jacobi"`.
+    /// The escalation-ladder trail ([`vstack_sparse::SolveReport::trail`]),
+    /// rungs joined with `->`, e.g. `"cg+amgf32 (13 iters, res 6.2e-10)"`
+    /// or `"cg+jacobi->bicgstab (…)"`.
     pub solver_trail: String,
     /// Operator and precision of the accepted rung, `"<operator>+<precision>"`
     /// — e.g. `"stencil+mixed"` for the matrix-free mixed-precision hot
@@ -221,7 +222,7 @@ mod tests {
             overloaded_converters: 0,
             solver_iterations: 113,
             solver_setup_us: 842,
-            solver_trail: "cg+ic0".to_string(),
+            solver_trail: "cg+amgf32".to_string(),
             solver_path: "csr+f64".to_string(),
             coupling_iterations: 0,
             coupling_converged: true,

@@ -4,8 +4,8 @@
 
 use vstack_sparse::vecops::norm2;
 use vstack_sparse::{
-    solve_robust_operator_ws, AmgHierarchy, AmgHierarchyF32, CancelToken, CsrMatrix, RobustOptions,
-    SolveError, SolveReport, SolveWorkspace, StencilDescriptor, StencilOperator, TripletMatrix,
+    solve_robust, CancelToken, CsrMatrix, Lead, RobustOptions, SolveError, SolveReport,
+    SolveWorkspace, StencilDescriptor, StencilOperator, TripletMatrix,
 };
 
 use crate::error::PdnError;
@@ -95,20 +95,15 @@ pub struct SolveScratch {
     /// Cached CSR matrix from the previous solve; its structure is reused
     /// when the new stamping fits the stored sparsity pattern.
     pattern: Option<CsrMatrix>,
-    /// Reusable Krylov working vectors for the escalation ladder.
-    workspace: SolveWorkspace,
-    /// Cached AMG hierarchy for systems at or above
-    /// [`NetworkBuilder::AMG_MIN_UNKNOWNS`]; built on the first large
-    /// solve and reused (frozen) until the sparsity pattern changes, so
+    /// The escalation ladder's state: reusable Krylov working vectors,
+    /// plus the AMG hierarchy (and its f32 mirror) that systems at or
+    /// above [`NetworkBuilder::AMG_MIN_UNKNOWNS`] build on their first
+    /// solve and reuse (frozen) until the sparsity pattern changes, so
     /// fault/sweep/warm-start re-solves pay multigrid setup once. A
     /// frozen hierarchy is still a valid SPD preconditioner after
     /// value-only re-stamps — CG converges against the *current* matrix;
     /// only the rung's iteration count drifts with the values.
-    amg: Option<AmgHierarchy>,
-    /// f32 mirror of the cached hierarchy, powering the mixed-precision
-    /// rung. Lives and dies with [`SolveScratch::amg`]: cleared on every
-    /// pattern change, converted lazily on the first mixed solve.
-    amg_f32: Option<AmgHierarchyF32>,
+    workspace: SolveWorkspace,
     /// Matrix-free stencil operator extracted from the assembled CSR when
     /// the builder carries a [`StencilDescriptor`]. Rebuilt on pattern
     /// changes; on value-only re-stamps only its values are refreshed
@@ -175,12 +170,6 @@ impl SolveScratch {
     /// pattern (mirrored to the global `pdn_pattern_reuses` counter).
     pub fn pattern_reuses(&self) -> u64 {
         self.pattern_reuses
-    }
-
-    /// The reusable Krylov workspace, for the sketch's baseline solve
-    /// against its own cached matrix.
-    pub(crate) fn workspace_mut(&mut self) -> &mut SolveWorkspace {
-        &mut self.workspace
     }
 
     /// The installed cancellation token (cloned into sketch-run solves).
@@ -385,23 +374,18 @@ impl NetworkBuilder {
     ///    escalation ladder; the returned [`SolveReport`] records which
     ///    method finally succeeded and every fallback taken on the way.
     ///
-    /// The PDN ladder configuration depends on system size, and skips
-    /// IC(0) in both regimes (`start_with_ic: false`):
+    /// The ladder's first rung depends on system size:
     ///
-    /// * below [`NetworkBuilder::AMG_MIN_UNKNOWNS`] the first rung is
-    ///   CG+Jacobi — PDN grid Laplacians are diagonally dominant enough
-    ///   that Jacobi converges reliably, and skipping preconditioner
-    ///   setup keeps the healthy path as fast as the historical plain-CG
-    ///   solve;
-    /// * at or above it the ladder leads with CG+AMG
-    ///   (`start_with_amg: true`), whose near-size-independent iteration
-    ///   counts dominate on large many-layer grids, falling back to
-    ///   CG+Jacobi → BiCGSTAB → Tikhonov as before when multigrid
-    ///   coarsening degenerates.
-    ///
-    /// This matches the full ladder documented in `vstack_sparse::robust`
-    /// (rungs 0–4); the PDN path simply disables rung 1 (IC(0)) and gates
-    /// rung 0 (AMG) on size.
+    /// * below [`NetworkBuilder::AMG_MIN_UNKNOWNS`] it is CG+Jacobi
+    ///   ([`Lead::Jacobi`]) — PDN grid Laplacians are diagonally dominant
+    ///   enough that Jacobi converges reliably, and skipping
+    ///   preconditioner setup keeps small solves cheap;
+    /// * at or above it the ladder leads with the mixed-precision rung
+    ///   ([`Lead::MixedAmg`]: f64 CG through the matrix-free stencil
+    ///   operator, preconditioned by an f32 AMG V-cycle), whose
+    ///   near-size-independent iteration counts dominate on large
+    ///   many-layer grids, falling back to f64 CG+AMG → CG+Jacobi →
+    ///   BiCGSTAB → Tikhonov-shifted CG on numerical trouble.
     ///
     /// # Errors
     ///
@@ -462,11 +446,10 @@ impl NetworkBuilder {
         } else {
             scratch.pattern_builds += 1;
             m.pdn_pattern_builds.inc();
-            // The cached hierarchy and stencil describe a different
+            // The cached hierarchies and stencil describe a different
             // operator structure; drop them so the next large solve
             // rebuilds.
-            scratch.amg = None;
-            scratch.amg_f32 = None;
+            scratch.workspace.clear_hierarchies();
             scratch.stencil = None;
             // A structural change also invalidates the fault sketch (its
             // columns are tied to the old node numbering). Value-only
@@ -495,8 +478,6 @@ impl NetworkBuilder {
             scratch.stencil.as_ref(),
             guess,
             &mut scratch.workspace,
-            &mut scratch.amg,
-            &mut scratch.amg_f32,
             &scratch.cancel,
         );
         scratch.pattern = Some(a);
@@ -533,15 +514,12 @@ impl NetworkBuilder {
     /// with the mixed-precision rung (f64 outer CG — through `stencil`
     /// when available — preconditioned by the f32 V-cycle), falling back
     /// to the pure-f64 CSR rungs on any numerical trouble.
-    #[allow(clippy::too_many_arguments)]
     fn solve_csr(
         &self,
         a: &CsrMatrix,
         stencil: Option<&StencilOperator>,
         guess: Option<&[f64]>,
         workspace: &mut SolveWorkspace,
-        amg_cache: &mut Option<AmgHierarchy>,
-        amg_f32_cache: &mut Option<AmgHierarchyF32>,
         cancel: &CancelToken,
     ) -> Result<(Vec<f64>, SolveReport), PdnError> {
         if let Some((floating_nodes, example_node)) = self.floating_nodes(a) {
@@ -553,32 +531,23 @@ impl NetworkBuilder {
         let use_amg = a.rows() >= Self::AMG_MIN_UNKNOWNS;
         let opts = RobustOptions {
             tolerance: Self::TOLERANCE,
-            max_iterations: 50_000,
-            start_with_ic: false,
-            start_with_amg: use_amg,
-            start_with_mixed: use_amg,
+            lead: if use_amg {
+                Lead::MixedAmg
+            } else {
+                Lead::Jacobi
+            },
             cancel: cancel.clone(),
-            ..RobustOptions::default()
         };
         let m = vstack_obs::metrics::global();
         m.pdn_solves.inc();
         if use_amg {
-            if amg_cache.is_some() {
+            if workspace.has_hierarchy() {
                 m.amg_cache_hits.inc();
             } else {
                 m.amg_cache_misses.inc();
             }
         }
-        let solved = solve_robust_operator_ws(
-            a,
-            stencil,
-            &self.rhs,
-            guess,
-            &opts,
-            workspace,
-            amg_cache,
-            amg_f32_cache,
-        )?;
+        let solved = solve_robust(a, stencil, &self.rhs, guess, &opts, workspace)?;
         Ok((solved.x, solved.report))
     }
 

@@ -290,7 +290,7 @@ impl RegularPdn {
             asm.gnd_pads.clone(),
             (self.c4.vdd_count(), self.c4.gnd_count()),
             (self.n_layers.saturating_sub(1), self.core_nodes.len()),
-            scratch,
+            scratch.cancel_token(),
         )?;
         for &(ord, node) in &asm.vdd_pads {
             sk.register_vdd_pad(ord, node, asm.g_pad, -asm.g_pad * self.params.vdd);
@@ -582,7 +582,7 @@ impl RegularPdn {
     ///
     /// # Errors
     ///
-    /// Propagates [`SolveError`] from the DC or per-step CG solves.
+    /// Propagates [`SolveError`] from the DC or per-step ladder solves.
     ///
     /// # Panics
     ///
@@ -594,7 +594,7 @@ impl RegularPdn {
         after: &StackLoads,
         config: &crate::transient::PdnTransientConfig,
     ) -> Result<crate::transient::StepResponse, SolveError> {
-        use vstack_sparse::solver::{cg_with_guess_ws, CgOptions, SolveWorkspace};
+        use vstack_sparse::{solve_robust, RobustOptions, SolveWorkspace};
 
         let steps = config.steps();
         assert!(
@@ -620,10 +620,9 @@ impl RegularPdn {
         let a_t = asm.nb.to_matrix();
         let rhs_base = asm.nb.rhs().to_vec();
 
-        let opts = CgOptions {
+        let opts = RobustOptions {
             tolerance: 1e-9,
-            max_iterations: 50_000,
-            ..CgOptions::default()
+            ..RobustOptions::default()
         };
         let mut v = v0.clone();
         let mut times_s = Vec::with_capacity(steps);
@@ -639,7 +638,7 @@ impl RegularPdn {
                 rhs[a] += i_companion;
                 rhs[b] -= i_companion;
             }
-            v = cg_with_guess_ws(&a_t, &rhs, Some(&v), &opts, &mut ws)?.x;
+            v = solve_robust(&a_t, None, &rhs, Some(&v), &opts, &mut ws)?.x;
             times_s.push(step as f64 * config.dt_s);
             max_drop_series.push(self.max_drop_of(&v));
         }

@@ -34,8 +34,8 @@
 use std::collections::BTreeMap;
 
 use vstack_sparse::{
-    solve_robust_cached_ws, CsrMatrix, EnvelopeCholesky, RobustOptions, SmwAnswer, SmwRejection,
-    SmwSketch, SmwUpdate, SolveError, SolveMethod, SolveReport,
+    solve_robust, CancelToken, CsrMatrix, EnvelopeCholesky, Lead, RobustOptions, SmwAnswer,
+    SmwRejection, SmwSketch, SmwUpdate, SolveError, SolveMethod, SolveReport, SolveWorkspace,
 };
 
 use crate::error::PdnError;
@@ -237,7 +237,7 @@ impl FaultSketch {
         gnd_pads: PadList,
         pad_counts: (usize, usize),
         dims: (usize, usize),
-        scratch: &mut SolveScratch,
+        cancel: &CancelToken,
     ) -> Result<FaultSketch, PdnError> {
         let a0 = nb.to_matrix();
         if let Some((floating_nodes, example_node)) = nb.floating_nodes(&a0) {
@@ -246,25 +246,16 @@ impl FaultSketch {
                 example_node,
             });
         }
+        let large = nb.len() >= NetworkBuilder::AMG_MIN_UNKNOWNS;
         let opts = RobustOptions {
             tolerance: BUILD_TOLERANCE,
-            max_iterations: 50_000,
-            start_with_ic: false,
-            start_with_amg: nb.len() >= NetworkBuilder::AMG_MIN_UNKNOWNS,
-            start_with_mixed: false,
-            cancel: scratch.cancel_token().clone(),
-            ..RobustOptions::default()
+            lead: if large { Lead::Amg } else { Lead::Jacobi },
+            cancel: cancel.clone(),
         };
-        let mut amg = None;
-        let solved = solve_robust_cached_ws(
-            &a0,
-            nb.rhs(),
-            None,
-            &opts,
-            scratch.workspace_mut(),
-            &mut amg,
-        )
-        .map_err(PdnError::Solve)?;
+        // A fresh state: the baseline builds its own hierarchy from `a0`
+        // rather than reuse one frozen from another (faulted) stamping.
+        let solved = solve_robust(&a0, None, nb.rhs(), None, &opts, &mut SolveWorkspace::new())
+            .map_err(PdnError::Solve)?;
         Ok(FaultSketch {
             fingerprint,
             base_faults,

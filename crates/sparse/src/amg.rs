@@ -1,6 +1,6 @@
 //! Aggregation-based algebraic multigrid (AMG) preconditioner.
 //!
-//! Jacobi- and IC(0)-preconditioned CG iteration counts on PDN grid
+//! Jacobi-preconditioned CG iteration counts on PDN grid
 //! Laplacians grow with grid resolution (roughly `O(n^0.5)` iterations),
 //! which makes the total solve cost super-linear exactly where the paper's
 //! experiments need it flat: many-layer, fine-grid sweeps. A multigrid
@@ -904,7 +904,7 @@ fn csr_to_dense(a: &CsrMatrix) -> DenseMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{cg_with_guess, CgOptions, Preconditioner};
+    use crate::{solve_robust, Lead, RobustOptions};
 
     /// 2-D grid Laplacian with a grounding leak on every node (SPD).
     fn grid_laplacian(side: usize, g: f64) -> CsrMatrix {
@@ -956,17 +956,21 @@ mod tests {
     fn amg_cg_converges_faster_than_jacobi_cg() {
         let a = grid_laplacian(48, 20.0);
         let b = rhs(a.rows());
-        let opts = |p| CgOptions {
-            preconditioner: p,
-            ..CgOptions::default()
+        let solve = |lead| {
+            let opts = RobustOptions {
+                lead,
+                ..RobustOptions::default()
+            };
+            let sol = solve_robust(&a, None, &b, None, &opts, &mut SolveWorkspace::new()).unwrap();
+            assert!(!sol.report.was_rescued(), "{}", sol.report.trail());
+            sol
         };
-        let amg = cg_with_guess(&a, &b, None, &opts(Preconditioner::Amg)).unwrap();
-        let jac = cg_with_guess(&a, &b, None, &opts(Preconditioner::Jacobi)).unwrap();
+        let (amg, jac) = (solve(Lead::Amg), solve(Lead::Jacobi));
         assert!(
-            amg.iterations * 3 < jac.iterations,
+            amg.report.iterations * 3 < jac.report.iterations,
             "amg {} vs jacobi {}",
-            amg.iterations,
-            jac.iterations
+            amg.report.iterations,
+            jac.report.iterations
         );
         let diff = amg
             .x

@@ -10,14 +10,16 @@
 //!   works.
 //! * [`CsrMatrix`] — compressed-sparse-row storage with matrix–vector
 //!   products, transpose, and structural queries.
-//! * [`solver`] — iterative solvers: preconditioned conjugate gradient
-//!   ([`solver::cg`]) for the symmetric positive-definite systems produced by
-//!   resistive grids and thermal networks, and BiCGSTAB
-//!   ([`solver::bicgstab`]) for the mildly non-symmetric systems produced by
-//!   MNA matrices with voltage and controlled sources.
+//! * [`solve_robust`] — the one solve entry point: a deterministic
+//!   escalation ladder of preconditioned conjugate gradient (AMG, mixed-
+//!   precision AMG or Jacobi first) for the symmetric positive-definite
+//!   systems produced by resistive grids and thermal networks, with
+//!   BiCGSTAB and a Tikhonov-shifted CG behind it for systems that defeat
+//!   CG. A caller-owned [`SolveWorkspace`] carries the Krylov vectors and
+//!   the cached AMG hierarchies across solves.
 //! * [`amg`] — an aggregation-based algebraic multigrid preconditioner
 //!   whose CG iteration counts stay nearly flat as grids grow; the
-//!   escalation ladder uses it as its top rung on large PDN systems.
+//!   escalation ladder leads with it on large PDN systems.
 //! * [`smw`] — a Sherman–Morrison–Woodbury rank-k update sketch that
 //!   answers low-rank *downdates* of a cached baseline solve (PDN fault
 //!   what-ifs) with dense k×k work instead of a fresh Krylov solve.
@@ -29,17 +31,16 @@
 //!   used for tiny systems (converter test benches), the AMG coarsest
 //!   level, and as a reference implementation in tests.
 //! * [`pool`] — a std-only scoped thread pool behind the parallel kernels
-//!   (row-partitioned SpMV, fixed-chunk tree reductions, level-scheduled
-//!   IC(0) triangular solves). All parallel paths are bit-identical to the
-//!   serial ones at any thread count; set `VSTACK_THREADS` to override the
-//!   default (available parallelism).
+//!   (row-partitioned SpMV, fixed-chunk tree reductions). All parallel
+//!   paths are bit-identical to the serial ones at any thread count; set
+//!   `VSTACK_THREADS` to override the default (available parallelism).
 //!
 //! # Example
 //!
 //! Solve the 1-D Poisson system `tridiag(-1, 2, -1) x = b`:
 //!
 //! ```
-//! use vstack_sparse::{TripletMatrix, solver::{cg, CgOptions}};
+//! use vstack_sparse::{solve_robust, RobustOptions, SolveWorkspace, TripletMatrix};
 //!
 //! # fn main() -> Result<(), vstack_sparse::SolveError> {
 //! let n = 64;
@@ -53,8 +54,8 @@
 //! }
 //! let a = a.to_csr();
 //! let b = vec![1.0; n];
-//! let x = cg(&a, &b, &CgOptions::default())?;
-//! let r = a.residual_norm(&x, &b);
+//! let sol = solve_robust(&a, None, &b, None, &RobustOptions::default(), &mut SolveWorkspace::new())?;
+//! let r = a.residual_norm(&sol.x, &b);
 //! assert!(r < 1e-8);
 //! # Ok(())
 //! # }
@@ -74,11 +75,10 @@ pub mod amg;
 pub mod cancel;
 pub mod dense;
 pub mod envelope;
-pub mod ichol;
 pub mod pool;
 pub mod robust;
 pub mod smw;
-pub mod solver;
+mod solver;
 pub mod stencil;
 pub mod vecops;
 
@@ -87,10 +87,7 @@ pub use cancel::CancelToken;
 pub use csr::CsrMatrix;
 pub use envelope::EnvelopeCholesky;
 pub use error::SolveError;
-pub use robust::{
-    solve_robust, solve_robust_cached_ws, solve_robust_operator_ws, solve_robust_ws, RobustOptions,
-    RobustSolved, SolveMethod, SolveReport,
-};
+pub use robust::{solve_robust, Lead, RobustOptions, RobustSolved, SolveMethod, SolveReport};
 pub use smw::{SmwAnswer, SmwRejection, SmwSketch, SmwUpdate};
 pub use solver::SolveWorkspace;
 pub use stencil::{LinearOperator, StencilDescriptor, StencilOperator};

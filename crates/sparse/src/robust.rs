@@ -1,50 +1,62 @@
-//! Resilient solve pipeline: a deterministic escalation ladder over the
-//! iterative solvers, with a [`SolveReport`] recording every fallback.
+//! The one solve entry point, [`solve_robust`]: a deterministic escalation
+//! ladder over the Krylov cores, with a [`SolveReport`] recording every
+//! fallback.
 //!
 //! Degraded power grids (failed C4 pads, open TSVs — see `vstack-pdn`'s
 //! fault injection) produce systems that are much harder than the pristine
-//! SPD grid Laplacians the default solver configuration is tuned for:
-//! IC(0) can hit a non-positive pivot, CG can break down or stagnate on a
-//! near-singular operator. [`solve_robust`] climbs a fixed ladder instead
-//! of giving up:
+//! SPD grid Laplacians the lead rungs are tuned for: multigrid coarsening
+//! can degenerate, CG can break down or stagnate on a near-singular
+//! operator. [`solve_robust`] climbs a fixed ladder instead of giving up,
+//! starting at the rung [`RobustOptions::lead`] names:
 //!
-//! -1. **CG + f32 AMG** (opt-in via [`RobustOptions::start_with_mixed`])
-//!    — the mixed-precision hot path: an f64 outer CG (optionally driven
-//!    through a matrix-free [`StencilOperator`]) preconditioned by a
-//!    single-precision V-cycle ([`crate::amg::AmgHierarchyF32`]); any
-//!    breakdown or stagnation of the refinement drops to the pure-f64
-//!    rungs below with a [`FallbackStep`] on record;
-//! 0. **CG + AMG** (opt-in via [`RobustOptions::start_with_amg`]) — an
-//!    aggregation-based multigrid V-cycle whose iteration counts stay
-//!    nearly flat as grids grow; degenerate coarsening
-//!    ([`SolveError::CoarseningFailed`]) or any other numerical failure
-//!    drops cleanly to the next rung;
-//! 1. **CG + IC(0)** (on by default via [`RobustOptions::start_with_ic`])
-//!    — strongest single-level preconditioner on healthy grids;
-//! 2. **CG + Jacobi** — if the incomplete factorization fails (or IC-
-//!    preconditioned CG errors), fall back to diagonal scaling;
-//! 3. **BiCGSTAB + Jacobi** — if CG breaks down or stagnates; BiCGSTAB
+//! 1. **CG + f32 AMG** ([`Lead::MixedAmg`]) — the mixed-precision hot
+//!    path: an f64 outer CG (driven through a matrix-free
+//!    [`StencilOperator`] when one is given) preconditioned by a
+//!    single-precision V-cycle ([`crate::amg::AmgHierarchyF32`]);
+//! 2. **CG + AMG** ([`Lead::Amg`]) — an f64 aggregation-based multigrid
+//!    V-cycle over the CSR, whose iteration counts stay nearly flat as
+//!    grids grow; degenerate coarsening ([`SolveError::CoarseningFailed`])
+//!    or any other numerical failure drops to the next rung;
+//! 3. **CG + Jacobi** ([`Lead::Jacobi`]) — diagonal scaling, no setup;
+//! 4. **BiCGSTAB + Jacobi** — if CG breaks down or stagnates; BiCGSTAB
 //!    tolerates indefiniteness that kills CG (uses no preconditioner when
 //!    the diagonal itself is singular);
-//! 4. **CG + Jacobi on `A + λI`** — a last-resort Tikhonov (diagonal)
-//!    shift with `λ = shift_scale · max|diag(A)|`; the reported residual
-//!    is measured against the *original* system, never the shifted one.
+//! 5. **CG + Jacobi on `A + λI`** — a last-resort Tikhonov (diagonal)
+//!    shift with `λ = 10⁻⁸ · max|diag(A)|`; the answer is accepted only if
+//!    its residual against the *original* system is within 100× the
+//!    tolerance, and that is the residual reported.
 //!
-//! Every abandoned rung is recorded in [`SolveReport::fallbacks`] with the
-//! error that caused the transition, so experiments can log exactly which
-//! solves needed rescue. The ladder is fully deterministic: the same
-//! system and options always take the same path.
+//! Both AMG rungs share the f64 hierarchy cached in the caller's
+//! [`SolveWorkspace`]. Every abandoned rung is recorded in
+//! [`SolveReport::fallbacks`] with the error that caused the transition,
+//! so experiments can log exactly which solves needed rescue. The ladder
+//! is fully deterministic: the same system, options and state always take
+//! the same path.
 
 use std::time::Instant;
 
 use crate::amg::{AmgHierarchy, AmgHierarchyF32, AmgOptions};
 use crate::cancel::CancelToken;
-use crate::solver::{
-    bicgstab_with_guess_ws, cg_with_amg_f32_ws, cg_with_amg_ws, cg_with_guess_ws, validate_finite,
-    BiCgStabOptions, CgOptions, Preconditioner, SolveWorkspace, Solved,
-};
+use crate::solver::{bicgstab, cg, Precond, SolveWorkspace, Solved, MAX_ITERATIONS};
 use crate::stencil::{LinearOperator, StencilOperator};
+use crate::vecops::norm2;
 use crate::{CsrMatrix, SolveError, TripletMatrix};
+
+/// The Krylov rungs above the shifted one, in ladder order; a solve
+/// starts at the one its [`Lead`] names.
+const RUNGS: [SolveMethod; 4] = [
+    SolveMethod::CgAmgMixed,
+    SolveMethod::CgAmg,
+    SolveMethod::CgJacobi,
+    SolveMethod::BiCgStab,
+];
+
+/// Relative Tikhonov shift of the last rung: `λ = SHIFT_SCALE · max|diag(A)|`.
+const SHIFT_SCALE: f64 = 1e-8;
+
+/// The shifted rung's answer is accepted when its residual against the
+/// original system is within `SHIFT_ACCEPTANCE × tolerance`.
+const SHIFT_ACCEPTANCE: f64 = 100.0;
 
 /// Solver method identifiers for [`SolveReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +68,6 @@ pub enum SolveMethod {
     /// Conjugate gradient preconditioned by an aggregation-based algebraic
     /// multigrid V-cycle (see [`crate::amg`]).
     CgAmg,
-    /// Conjugate gradient with zero-fill incomplete-Cholesky preconditioning.
-    CgIncompleteCholesky,
     /// Conjugate gradient with Jacobi (diagonal) preconditioning.
     CgJacobi,
     /// BiCGSTAB with Jacobi preconditioning (or none if the diagonal is
@@ -79,7 +89,6 @@ impl core::fmt::Display for SolveMethod {
         let name = match self {
             SolveMethod::CgAmgMixed => "cg+amgf32",
             SolveMethod::CgAmg => "cg+amg",
-            SolveMethod::CgIncompleteCholesky => "cg+ic0",
             SolveMethod::CgJacobi => "cg+jacobi",
             SolveMethod::BiCgStab => "bicgstab",
             SolveMethod::CgShifted => "cg+shift",
@@ -128,7 +137,7 @@ pub struct SolveReport {
     /// solution always meets the f64 tolerance either way.
     pub precision: &'static str,
     /// Wall-clock microseconds the accepted rung spent on preconditioner
-    /// setup (AMG hierarchy build, IC(0) factorization, …); 0 when a
+    /// setup (AMG hierarchy build, Jacobi inverse diagonal); 0 when a
     /// cached hierarchy was reused. Excluded from equality.
     pub setup_us: u64,
     /// Wall-clock microseconds the accepted rung spent iterating.
@@ -155,7 +164,7 @@ impl SolveReport {
     }
 
     /// Compact single-line rendering for experiment logs, e.g.
-    /// `cg+ic0->cg+jacobi->bicgstab (14 iters, res 3.2e-11)`.
+    /// `cg+amg->cg+jacobi->bicgstab (14 iters, res 3.2e-11)`.
     pub fn trail(&self) -> String {
         let mut s = String::new();
         for step in &self.fallbacks {
@@ -180,42 +189,31 @@ pub struct RobustSolved {
     pub report: SolveReport,
 }
 
+/// The ladder's first rung (see the [module docs](self)). Every rung below
+/// it runs on failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Lead {
+    /// CG + Jacobi: no setup, the right start for small systems.
+    #[default]
+    Jacobi,
+    /// CG + f64 AMG over the CSR. The hierarchy build pays for itself on
+    /// large systems, or when the [`SolveWorkspace`] caches it across
+    /// re-solves.
+    Amg,
+    /// CG + f32 AMG, through the stencil operator when one is given, then
+    /// CG + f64 AMG. When the refinement breaks down or stagnates the
+    /// ladder falls back to the pure-f64 rungs, so leading with it is
+    /// never a correctness risk.
+    MixedAmg,
+}
+
 /// Options controlling [`solve_robust`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RobustOptions {
     /// Relative residual tolerance `‖r‖/‖b‖` at which a rung succeeds.
     pub tolerance: f64,
-    /// Iteration budget per rung.
-    pub max_iterations: usize,
-    /// Stagnation window handed to the CG rungs (see
-    /// [`CgOptions::stagnation_window`]); `0` disables early stagnation
-    /// escalation.
-    pub stagnation_window: usize,
-    /// Relative Tikhonov shift for the last rung:
-    /// `λ = shift_scale · max|diag(A)|`. `0.0` disables the rung.
-    pub shift_scale: f64,
-    /// Acceptance slack for the shifted rung: its solution is accepted if
-    /// the residual against the original system is within
-    /// `shift_acceptance × tolerance`.
-    pub shift_acceptance: f64,
-    /// Whether the ladder starts at IC(0) (rung 1). Disable for systems
-    /// known to defeat incomplete factorization, saving the failed attempt.
-    pub start_with_ic: bool,
-    /// Whether the ladder tries CG + AMG before everything else (rung 0).
-    /// Off by default: AMG setup only pays for itself on large systems or
-    /// when the hierarchy is cached across re-solves, so callers (e.g.
-    /// `vstack-pdn` above its node-count threshold) opt in explicitly.
-    pub start_with_amg: bool,
-    /// Whether the ladder tries the mixed-precision rung (f64 outer CG +
-    /// f32 AMG V-cycle) before everything else. Off by default for the
-    /// same reason as [`RobustOptions::start_with_amg`]: the hierarchy
-    /// build and f32 conversion only pay for themselves on large systems
-    /// or with caching. When the refinement breaks down or stagnates the
-    /// ladder falls back to the pure-f64 rungs below, so enabling this is
-    /// never a correctness risk.
-    pub start_with_mixed: bool,
-    /// Build options for the AMG rung's hierarchy.
-    pub amg: AmgOptions,
+    /// The first rung to try.
+    pub lead: Lead,
     /// Cooperative cancellation handle, polled between ladder rungs. The
     /// default ([`CancelToken::never`]) can never fire. A fired token
     /// aborts the ladder with [`SolveError::Cancelled`] before the next
@@ -228,25 +226,9 @@ impl Default for RobustOptions {
     fn default() -> Self {
         RobustOptions {
             tolerance: 1e-10,
-            max_iterations: 20_000,
-            stagnation_window: 250,
-            shift_scale: 1e-8,
-            shift_acceptance: 100.0,
-            start_with_ic: true,
-            start_with_amg: false,
-            start_with_mixed: false,
-            amg: AmgOptions::default(),
+            lead: Lead::Jacobi,
             cancel: CancelToken::never(),
         }
-    }
-}
-
-fn cg_options(o: &RobustOptions, pre: Preconditioner) -> CgOptions {
-    CgOptions {
-        tolerance: o.tolerance,
-        max_iterations: o.max_iterations,
-        preconditioner: pre,
-        stagnation_window: o.stagnation_window,
     }
 }
 
@@ -272,11 +254,209 @@ fn check_cancelled(cancel: &CancelToken) -> Result<(), SolveError> {
     }
 }
 
-/// Records an abandoned rung: bumps the escalation counter exactly once
-/// per recorded fallback step, keeping the two in lock-step for tests.
-fn note_fallback(fallbacks: &mut Vec<FallbackStep>, from: SolveMethod, error: SolveError) {
-    vstack_obs::metrics::global().ladder_escalations.inc();
-    fallbacks.push(FallbackStep { from, error });
+/// Rejects shape mismatches and NaN/Inf in the matrix, right-hand side
+/// and warm-start guess, so malformed systems fail fast instead of
+/// iterating to a confusing breakdown.
+fn validate(
+    a: &CsrMatrix,
+    stencil: Option<&StencilOperator>,
+    b: &[f64],
+    guess: Option<&[f64]>,
+) -> Result<(), SolveError> {
+    let n = a.rows();
+    if a.cols() != n {
+        return Err(SolveError::NotSquare {
+            rows: n,
+            cols: a.cols(),
+        });
+    }
+    let stencil_dims = stencil.map(|s| [s.rows(), s.cols()]).into_iter().flatten();
+    let lengths = [b.len()].into_iter().chain(guess.map(<[f64]>::len));
+    if let Some(found) = lengths.chain(stencil_dims).find(|&len| len != n) {
+        return Err(SolveError::DimensionMismatch { expected: n, found });
+    }
+    if let Some((index, _, _)) = a.iter().find(|(_, _, v)| !v.is_finite()) {
+        return Err(SolveError::NonFinite {
+            what: "matrix",
+            index,
+        });
+    }
+    for (what, v) in [("rhs", Some(b)), ("guess", guess)] {
+        if let Some(index) = v.and_then(|v| v.iter().position(|x| !x.is_finite())) {
+            return Err(SolveError::NonFinite { what, index });
+        }
+    }
+    Ok(())
+}
+
+/// Builds the f64 hierarchy into the workspace slot if absent (or built
+/// for another dimension), returning the build time in microseconds (0
+/// on a cache hit). A failed build is remembered in `prior_err` so the
+/// second AMG rung reports the same error without paying for a second
+/// doomed build.
+fn ensure_hierarchy(
+    a: &CsrMatrix,
+    state: &mut SolveWorkspace,
+    prior_err: &mut Option<SolveError>,
+) -> Result<u64, SolveError> {
+    if state.amg.as_ref().is_some_and(|h| h.dim() != a.rows()) {
+        state.clear_hierarchies();
+    }
+    if state.amg.is_some() {
+        return Ok(0);
+    }
+    if let Some(e) = prior_err.clone() {
+        return Err(e);
+    }
+    let timer = Instant::now();
+    match AmgHierarchy::build_scratch(a, &AmgOptions::default(), &mut state.setup) {
+        Ok(h) => {
+            state.amg = Some(h);
+            Ok(timer.elapsed().as_micros() as u64)
+        }
+        Err(e) => {
+            *prior_err = Some(e.clone());
+            Err(e)
+        }
+    }
+}
+
+/// CG + Jacobi on `a`, charging the inverse-diagonal setup to the solve.
+fn jacobi_cg(
+    a: &CsrMatrix,
+    b: &[f64],
+    guess: Option<&[f64]>,
+    tolerance: f64,
+    state: &mut SolveWorkspace,
+) -> Result<Solved, SolveError> {
+    let timer = Instant::now();
+    let pre = {
+        let _span = vstack_obs::span!("cg_setup");
+        Precond::jacobi(a)?
+    };
+    let setup_us = timer.elapsed().as_micros() as u64;
+    let mut solved = cg(
+        a,
+        b,
+        guess,
+        &pre,
+        tolerance,
+        MAX_ITERATIONS,
+        &mut state.krylov,
+    )?;
+    solved.add_setup(setup_us);
+    Ok(solved)
+}
+
+/// Runs one of the [`RUNGS`].
+#[allow(clippy::too_many_arguments)]
+fn run_rung(
+    method: SolveMethod,
+    a: &CsrMatrix,
+    stencil: Option<&StencilOperator>,
+    b: &[f64],
+    guess: Option<&[f64]>,
+    tolerance: f64,
+    state: &mut SolveWorkspace,
+    amg_err: &mut Option<SolveError>,
+    fallbacks: &[FallbackStep],
+) -> Result<Solved, SolveError> {
+    let (pre, build_us) = match method {
+        SolveMethod::CgAmgMixed => {
+            // The f64 hierarchy is built (or reused), mirrored into f32
+            // once per cached hierarchy, and the outer CG runs through the
+            // stencil operator when one was provided.
+            let mut build_us = ensure_hierarchy(a, state, amg_err)?;
+            if state.amg_f32.is_none() {
+                let timer = Instant::now();
+                let h = state.amg.as_ref().expect("hierarchy just ensured");
+                state.amg_f32 = Some(AmgHierarchyF32::from_hierarchy(h));
+                build_us += timer.elapsed().as_micros() as u64;
+            }
+            let h = state.amg_f32.as_ref().expect("f32 mirror just ensured");
+            (Precond::AmgF32(h), build_us)
+        }
+        // Deliberately pure f64 and pure CSR: the fallback target when the
+        // mixed rung stagnates or breaks down.
+        SolveMethod::CgAmg => {
+            let build_us = ensure_hierarchy(a, state, amg_err)?;
+            let h = state.amg.as_ref().expect("hierarchy just ensured");
+            (Precond::Amg(h), build_us)
+        }
+        SolveMethod::CgJacobi => return jacobi_cg(a, b, guess, tolerance, state),
+        SolveMethod::BiCgStab => {
+            // Jacobi unless the diagonal itself is singular (the very
+            // error the CG rung may have just hit): then unpreconditioned.
+            let timer = Instant::now();
+            let pre = if fallbacks
+                .iter()
+                .any(|f| matches!(f.error, SolveError::SingularDiagonal { .. }))
+            {
+                Precond::None
+            } else {
+                Precond::jacobi(a)?
+            };
+            let setup_us = timer.elapsed().as_micros() as u64;
+            let mut solved = bicgstab(
+                a,
+                b,
+                guess,
+                &pre,
+                tolerance,
+                MAX_ITERATIONS,
+                &mut state.krylov,
+            )?;
+            solved.add_setup(setup_us);
+            return Ok(solved);
+        }
+        other => unreachable!("{other} is not a Krylov ladder rung"),
+    };
+    let op: &dyn LinearOperator = match stencil {
+        Some(s) if method == SolveMethod::CgAmgMixed => s,
+        _ => a,
+    };
+    let mut solved = cg(
+        op,
+        b,
+        guess,
+        &pre,
+        tolerance,
+        MAX_ITERATIONS,
+        &mut state.krylov,
+    )?;
+    solved.add_setup(build_us);
+    Ok(solved)
+}
+
+/// Wraps an accepted rung's solve in its report, counting a rescue.
+fn accept(
+    method: SolveMethod,
+    operator: &'static str,
+    solved: Solved,
+    fallbacks: Vec<FallbackStep>,
+) -> RobustSolved {
+    if !fallbacks.is_empty() {
+        vstack_obs::metrics::global().ladder_rescued.inc();
+    }
+    let precision = if method == SolveMethod::CgAmgMixed {
+        "mixed"
+    } else {
+        "f64"
+    };
+    RobustSolved {
+        x: solved.x,
+        report: SolveReport {
+            method,
+            fallbacks,
+            iterations: solved.iterations,
+            relative_residual: solved.relative_residual,
+            diagonal_shift: 0.0,
+            operator,
+            precision,
+            setup_us: solved.setup_us,
+            solve_us: solved.solve_us,
+        },
+    }
 }
 
 fn shifted_matrix(a: &CsrMatrix, lambda: f64) -> CsrMatrix {
@@ -293,10 +473,25 @@ fn shifted_matrix(a: &CsrMatrix, lambda: f64) -> CsrMatrix {
 /// Solves `A x = b` through the deterministic escalation ladder described
 /// in the [module docs](self), reporting every fallback taken.
 ///
+/// * `stencil` — a matrix-free [`StencilOperator`] extracted from `a`.
+///   The mixed-precision rung drives its outer CG SpMVs through it
+///   instead of the CSR (bit-identical by the stencil's extraction
+///   contract, just faster); every pure-f64 rung stays on the CSR so a
+///   stencil-side surprise can never take down the whole ladder. Ignored
+///   unless [`RobustOptions::lead`] is [`Lead::MixedAmg`].
+/// * `guess` — a warm start; `None` starts every rung from zero.
+/// * `state` — caller-owned Krylov vectors and AMG hierarchy slots (see
+///   [`SolveWorkspace`]). A hierarchy left there by an earlier AMG-led
+///   solve of the same dimension is reused, frozen, and the report's
+///   `setup_us` is 0. Results never depend on the state's Krylov vectors,
+///   only on its cached hierarchies.
+///
 /// # Errors
 ///
 /// * [`SolveError::NonFinite`] / shape errors immediately — these are
 ///   caller bugs no fallback can fix.
+/// * [`SolveError::Cancelled`] once `options.cancel` fires, at the next
+///   rung boundary.
 /// * Otherwise, the error of the **last** rung attempted, with all earlier
 ///   failures necessarily having occurred first (the ladder never skips
 ///   downward).
@@ -304,12 +499,12 @@ fn shifted_matrix(a: &CsrMatrix, lambda: f64) -> CsrMatrix {
 /// # Example
 ///
 /// ```
-/// use vstack_sparse::robust::{solve_robust, RobustOptions};
-/// use vstack_sparse::CsrMatrix;
+/// use vstack_sparse::{solve_robust, CsrMatrix, RobustOptions, SolveWorkspace};
 ///
 /// # fn main() -> Result<(), vstack_sparse::SolveError> {
 /// let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 4.0), (1, 1, 9.0)]);
-/// let sol = solve_robust(&a, &[8.0, 27.0], None, &RobustOptions::default())?;
+/// let mut state = SolveWorkspace::new();
+/// let sol = solve_robust(&a, None, &[8.0, 27.0], None, &RobustOptions::default(), &mut state)?;
 /// assert!((sol.x[0] - 2.0).abs() < 1e-9);
 /// assert!(!sol.report.was_rescued());
 /// # Ok(())
@@ -317,337 +512,56 @@ fn shifted_matrix(a: &CsrMatrix, lambda: f64) -> CsrMatrix {
 /// ```
 pub fn solve_robust(
     a: &CsrMatrix,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &RobustOptions,
-) -> Result<RobustSolved, SolveError> {
-    solve_robust_ws(a, b, guess, options, &mut SolveWorkspace::new())
-}
-
-/// Like [`solve_robust`], but every rung of the ladder borrows its work
-/// vectors from `ws` instead of allocating them — the entry point for
-/// loops that solve many related systems (fault sweeps, wearout rounds).
-/// Results are bit-identical to [`solve_robust`].
-///
-/// # Errors
-///
-/// Same as [`solve_robust`].
-pub fn solve_robust_ws(
-    a: &CsrMatrix,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &RobustOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<RobustSolved, SolveError> {
-    solve_robust_cached_ws(a, b, guess, options, ws, &mut None)
-}
-
-/// Like [`solve_robust_ws`], but the AMG rung's hierarchy lives in a
-/// caller-owned cache slot. When [`RobustOptions::start_with_amg`] is set
-/// and the slot is empty, the rung builds the hierarchy and *leaves it in
-/// the slot*; subsequent calls reuse it and report
-/// [`SolveReport::setup_us`] of 0. `vstack-pdn` holds the slot in its
-/// `SolveScratch`, clearing it whenever the sparsity pattern changes, so
-/// fault/sweep/warm-start re-solves pay AMG setup once per pattern.
-///
-/// The cached hierarchy is *frozen*: re-solves after value-only re-stamps
-/// keep using it (CG converges against the current matrix under any fixed
-/// SPD preconditioner; only iteration counts drift as values do).
-///
-/// # Errors
-///
-/// Same as [`solve_robust`].
-pub fn solve_robust_cached_ws(
-    a: &CsrMatrix,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &RobustOptions,
-    ws: &mut SolveWorkspace,
-    amg_cache: &mut Option<AmgHierarchy>,
-) -> Result<RobustSolved, SolveError> {
-    solve_robust_operator_ws(a, None, b, guess, options, ws, amg_cache, &mut None)
-}
-
-/// Builds the f64 hierarchy into the cache slot if absent, returning the
-/// build time in microseconds (0 on a cache hit). A failed build is
-/// remembered in `prior_err` so a later rung sharing the slot reports the
-/// same error without paying for a second doomed build.
-fn ensure_hierarchy(
-    a: &CsrMatrix,
-    options: &RobustOptions,
-    ws: &mut SolveWorkspace,
-    amg_cache: &mut Option<AmgHierarchy>,
-    prior_err: &mut Option<SolveError>,
-) -> Result<u64, SolveError> {
-    if amg_cache.is_some() {
-        return Ok(0);
-    }
-    if let Some(e) = prior_err.clone() {
-        return Err(e);
-    }
-    let timer = Instant::now();
-    match AmgHierarchy::build_ws(a, &options.amg, ws) {
-        Ok(h) => {
-            let us = timer.elapsed().as_micros() as u64;
-            *amg_cache = Some(h);
-            Ok(us)
-        }
-        Err(e) => {
-            *prior_err = Some(e.clone());
-            Err(e)
-        }
-    }
-}
-
-/// Adds a hierarchy build to a solve that the CG entry point has already
-/// published with its own (zero) setup time, publishing the build time
-/// to the global `solver_setup_us` counter as it joins the report.
-fn join_setup(solved: &mut Solved, build_us: u64) {
-    solved.setup_us += build_us;
-    vstack_obs::metrics::global().solver_setup_us.add(build_us);
-}
-
-/// The full ladder: [`solve_robust_cached_ws`] plus two opt-in hot-path
-/// ingredients.
-///
-/// * `stencil` — a matrix-free [`StencilOperator`] extracted from `a`.
-///   When present, the mixed-precision rung drives its outer CG SpMVs
-///   through it instead of the CSR (bit-identical by the stencil's
-///   extraction contract, just faster); every pure-f64 fallback rung
-///   deliberately stays on the CSR so a stencil-side surprise can never
-///   take down the whole ladder. The accepted rung's choice is recorded
-///   in [`SolveReport::operator`].
-/// * `amg_f32_cache` — a caller-owned slot for the f32 mirror of the
-///   cached f64 hierarchy, filled on first use by the mixed rung (see
-///   [`RobustOptions::start_with_mixed`]) and cleared by the caller
-///   whenever the f64 slot is. [`SolveReport::precision`] records whether
-///   the accepted rung used it.
-///
-/// `vstack-pdn` routes every scenario solve through here with both caches
-/// held in its `SolveScratch`.
-///
-/// # Errors
-///
-/// Same as [`solve_robust`].
-#[allow(clippy::too_many_arguments)]
-pub fn solve_robust_operator_ws(
-    a: &CsrMatrix,
     stencil: Option<&StencilOperator>,
     b: &[f64],
     guess: Option<&[f64]>,
     options: &RobustOptions,
-    ws: &mut SolveWorkspace,
-    amg_cache: &mut Option<AmgHierarchy>,
-    amg_f32_cache: &mut Option<AmgHierarchyF32>,
+    state: &mut SolveWorkspace,
 ) -> Result<RobustSolved, SolveError> {
-    if a.cols() != a.rows() {
-        return Err(SolveError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    if b.len() != a.rows() {
-        return Err(SolveError::DimensionMismatch {
-            expected: a.rows(),
-            found: b.len(),
-        });
-    }
-    validate_finite(a, b, guess)?;
-
+    validate(a, stencil, b, guess)?;
     let _span = vstack_obs::span!("solve_robust");
     vstack_obs::metrics::global().ladder_solves.inc();
-    check_cancelled(&options.cancel)?;
-    let mut fallbacks = Vec::new();
 
-    let accept = |method: SolveMethod,
-                  operator: &'static str,
-                  precision: &'static str,
-                  solved: Solved,
-                  fallbacks: &mut Vec<FallbackStep>| {
-        if !fallbacks.is_empty() {
-            vstack_obs::metrics::global().ladder_rescued.inc();
-        }
-        RobustSolved {
-            x: solved.x,
-            report: SolveReport {
-                method,
-                fallbacks: core::mem::take(fallbacks),
-                iterations: solved.iterations,
-                relative_residual: solved.relative_residual,
-                diagonal_shift: 0.0,
-                operator,
-                precision,
-                setup_us: solved.setup_us,
-                solve_us: solved.solve_us,
-            },
-        }
+    let first = match options.lead {
+        Lead::MixedAmg => 0,
+        Lead::Amg => 1,
+        Lead::Jacobi => 2,
     };
-
-    // A failed f64 hierarchy build is shared between the mixed and the
-    // pure-f64 AMG rungs; each still records its own fallback step.
-    let mut amg_build_err: Option<SolveError> = None;
-
-    // Rung −1: mixed-precision CG + f32 AMG (opt-in). The f64 hierarchy
-    // is built (or reused) from the shared cache slot, mirrored into f32
-    // once per pattern, and the outer CG runs through the stencil
-    // operator when one was provided.
-    if options.start_with_mixed {
-        match ensure_hierarchy(a, options, ws, amg_cache, &mut amg_build_err) {
-            Err(e) if is_structural(&e) => return Err(e),
-            Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgAmgMixed, e),
-            Ok(mut build_us) => {
-                if amg_f32_cache.is_none() {
-                    let timer = Instant::now();
-                    let h = amg_cache.as_ref().expect("hierarchy just ensured");
-                    *amg_f32_cache = Some(AmgHierarchyF32::from_hierarchy(h));
-                    build_us += timer.elapsed().as_micros() as u64;
-                }
-                let h32 = amg_f32_cache.as_ref().expect("f32 mirror just ensured");
-                let op: &dyn LinearOperator = match stencil {
-                    Some(s) => s,
-                    None => a,
-                };
-                match cg_with_amg_f32_ws(
-                    op,
-                    b,
-                    guess,
-                    &cg_options(options, Preconditioner::Amg),
-                    h32,
-                    ws,
-                ) {
-                    Ok(mut solved) => {
-                        join_setup(&mut solved, build_us);
-                        let operator = if stencil.is_some() { "stencil" } else { "csr" };
-                        return Ok(accept(
-                            SolveMethod::CgAmgMixed,
-                            operator,
-                            "mixed",
-                            solved,
-                            &mut fallbacks,
-                        ));
-                    }
-                    Err(e) if is_structural(&e) => return Err(e),
-                    Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgAmgMixed, e),
-                }
-            }
-        }
-    }
-
-    // Rung 0: CG + AMG (opt-in). Build into the caller's cache slot when
-    // empty; any numerical failure — degenerate coarsening included —
-    // drops to the single-level rungs below. Deliberately pure f64 and
-    // pure CSR: this is the fallback target when the mixed rung above
-    // stagnates or breaks down.
-    if options.start_with_amg {
+    let mut fallbacks = Vec::new();
+    let mut amg_err = None;
+    for &method in &RUNGS[first..] {
         check_cancelled(&options.cancel)?;
-        match ensure_hierarchy(a, options, ws, amg_cache, &mut amg_build_err) {
-            Err(e) if is_structural(&e) => return Err(e),
-            Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgAmg, e),
-            Ok(build_us) => {
-                let h = amg_cache.as_ref().expect("hierarchy just ensured");
-                match cg_with_amg_ws(
-                    a,
-                    b,
-                    guess,
-                    &cg_options(options, Preconditioner::Amg),
-                    h,
-                    ws,
-                ) {
-                    Ok(mut solved) => {
-                        join_setup(&mut solved, build_us);
-                        return Ok(accept(
-                            SolveMethod::CgAmg,
-                            "csr",
-                            "f64",
-                            solved,
-                            &mut fallbacks,
-                        ));
-                    }
-                    Err(e) if is_structural(&e) => return Err(e),
-                    Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgAmg, e),
-                }
-            }
-        }
-    }
-
-    // Rung 1: CG + IC(0).
-    check_cancelled(&options.cancel)?;
-    if options.start_with_ic {
-        match cg_with_guess_ws(
+        match run_rung(
+            method,
             a,
+            stencil,
             b,
             guess,
-            &cg_options(options, Preconditioner::IncompleteCholesky),
-            ws,
+            options.tolerance,
+            state,
+            &mut amg_err,
+            &fallbacks,
         ) {
             Ok(solved) => {
-                return Ok(accept(
-                    SolveMethod::CgIncompleteCholesky,
-                    "csr",
-                    "f64",
-                    solved,
-                    &mut fallbacks,
-                ))
+                let operator = match stencil {
+                    Some(_) if method == SolveMethod::CgAmgMixed => "stencil",
+                    _ => "csr",
+                };
+                return Ok(accept(method, operator, solved, fallbacks));
             }
             Err(e) if is_structural(&e) => return Err(e),
-            Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgIncompleteCholesky, e),
+            Err(e) => {
+                // One escalation tick per recorded step, in lock-step.
+                vstack_obs::metrics::global().ladder_escalations.inc();
+                fallbacks.push(FallbackStep {
+                    from: method,
+                    error: e,
+                });
+            }
         }
     }
 
-    // Rung 2: CG + Jacobi.
-    check_cancelled(&options.cancel)?;
-    match cg_with_guess_ws(
-        a,
-        b,
-        guess,
-        &cg_options(options, Preconditioner::Jacobi),
-        ws,
-    ) {
-        Ok(solved) => {
-            return Ok(accept(
-                SolveMethod::CgJacobi,
-                "csr",
-                "f64",
-                solved,
-                &mut fallbacks,
-            ))
-        }
-        Err(e) if is_structural(&e) => return Err(e),
-        Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgJacobi, e),
-    }
-
-    // Rung 3: BiCGSTAB. Use Jacobi unless the diagonal itself is singular
-    // (the very error rung 2 may have just hit), in which case run
-    // unpreconditioned.
-    check_cancelled(&options.cancel)?;
-    let bicg_pre = if fallbacks
-        .iter()
-        .any(|f| matches!(f.error, SolveError::SingularDiagonal { .. }))
-    {
-        Preconditioner::None
-    } else {
-        Preconditioner::Jacobi
-    };
-    let bicg_opts = BiCgStabOptions {
-        tolerance: options.tolerance,
-        max_iterations: options.max_iterations,
-        preconditioner: bicg_pre,
-    };
-    match bicgstab_with_guess_ws(a, b, guess, &bicg_opts, ws) {
-        Ok(solved) => {
-            return Ok(accept(
-                SolveMethod::BiCgStab,
-                "csr",
-                "f64",
-                solved,
-                &mut fallbacks,
-            ))
-        }
-        Err(e) if is_structural(&e) => return Err(e),
-        Err(e) => note_fallback(&mut fallbacks, SolveMethod::BiCgStab, e),
-    }
-
-    // Rung 4: Tikhonov-shifted CG. The shift regularizes a near-singular
+    // Last rung: Tikhonov-shifted CG. The shift regularizes a near-singular
     // operator; the answer is only accepted if it actually satisfies the
     // *original* system to within the acceptance slack.
     check_cancelled(&options.cancel)?;
@@ -655,44 +569,29 @@ pub fn solve_robust_operator_ws(
         .diagonal()
         .into_iter()
         .fold(0.0f64, |acc, d| acc.max(d.abs()));
-    let lambda = options.shift_scale * max_diag;
+    let lambda = SHIFT_SCALE * max_diag;
     if lambda > 0.0 {
-        let shifted = shifted_matrix(a, lambda);
-        match cg_with_guess_ws(
-            &shifted,
+        let solved = jacobi_cg(
+            &shifted_matrix(a, lambda),
             b,
             guess,
-            &cg_options(options, Preconditioner::Jacobi),
-            ws,
-        ) {
-            Ok(solved) => {
-                let b_norm = crate::vecops::norm2(b);
-                let true_res = a.residual_norm(&solved.x, b) / b_norm.max(f64::MIN_POSITIVE);
-                if true_res <= options.shift_acceptance * options.tolerance {
-                    vstack_obs::metrics::global().ladder_rescued.inc();
-                    return Ok(RobustSolved {
-                        x: solved.x,
-                        report: SolveReport {
-                            method: SolveMethod::CgShifted,
-                            fallbacks,
-                            iterations: solved.iterations,
-                            relative_residual: true_res,
-                            diagonal_shift: lambda,
-                            operator: "csr",
-                            precision: "f64",
-                            setup_us: solved.setup_us,
-                            solve_us: solved.solve_us,
-                        },
-                    });
-                }
-                return Err(SolveError::NotConverged {
-                    iterations: solved.iterations,
-                    residual: true_res,
-                });
-            }
-            Err(e) if is_structural(&e) => return Err(e),
-            Err(e) => return Err(e),
+            options.tolerance,
+            state,
+        )?;
+        let residual = a.residual_norm(&solved.x, b) / norm2(b).max(f64::MIN_POSITIVE);
+        if residual > SHIFT_ACCEPTANCE * options.tolerance {
+            return Err(SolveError::NotConverged {
+                iterations: solved.iterations,
+                residual,
+            });
         }
+        let solved = Solved {
+            relative_residual: residual,
+            ..solved
+        };
+        let mut sol = accept(SolveMethod::CgShifted, "csr", solved, fallbacks);
+        sol.report.diagonal_shift = lambda;
+        return Ok(sol);
     }
 
     // Ladder exhausted; surface the most recent failure.
@@ -705,7 +604,6 @@ pub fn solve_robust_operator_ws(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TripletMatrix;
 
     fn laplacian_1d(n: usize) -> CsrMatrix {
         let mut t = TripletMatrix::new(n, n);
@@ -719,72 +617,48 @@ mod tests {
         t.to_csr()
     }
 
-    /// Kershaw's classic 4×4 SPD matrix on which zero-fill incomplete
-    /// Cholesky breaks down with a negative pivot.
-    fn kershaw() -> CsrMatrix {
-        let vals = [
-            [3.0, -2.0, 0.0, 2.0],
-            [-2.0, 3.0, -2.0, 0.0],
-            [0.0, -2.0, 3.0, -2.0],
-            [2.0, 0.0, -2.0, 3.0],
-        ];
-        let mut t = TripletMatrix::new(4, 4);
-        for (r, row) in vals.iter().enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    t.push(r, c, v);
-                }
-            }
-        }
-        t.to_csr()
+    fn solve(
+        a: &CsrMatrix,
+        b: &[f64],
+        guess: Option<&[f64]>,
+        lead: Lead,
+    ) -> Result<RobustSolved, SolveError> {
+        let opts = RobustOptions {
+            lead,
+            ..RobustOptions::default()
+        };
+        solve_robust(a, None, b, guess, &opts, &mut SolveWorkspace::new())
+    }
+
+    /// Symmetric indefinite with a zero diagonal entry: Jacobi is
+    /// impossible, but the system is well-posed with `x = (b1 − b0, b0)`.
+    fn zero_diagonal() -> CsrMatrix {
+        CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)])
     }
 
     #[test]
     fn healthy_system_takes_first_rung() {
         let a = laplacian_1d(50);
         let b = vec![1.0; 50];
-        let sol = solve_robust(&a, &b, None, &RobustOptions::default()).expect("solves");
-        assert_eq!(sol.report.method, SolveMethod::CgIncompleteCholesky);
+        let sol = solve(&a, &b, None, Lead::Jacobi).expect("solves");
+        assert_eq!(sol.report.method, SolveMethod::CgJacobi);
         assert!(!sol.report.was_rescued());
         assert!(a.residual_norm(&sol.x, &b) < 1e-8);
-    }
-
-    #[test]
-    fn kershaw_defeats_ic0_but_is_rescued() {
-        let a = kershaw();
-        let x_true = [1.0, 2.0, -1.0, 0.5];
-        let b = a.mul_vec(&x_true);
-        let sol = solve_robust(&a, &b, None, &RobustOptions::default()).expect("rescued");
-        assert!(sol.report.was_rescued(), "trail: {}", sol.report.trail());
-        assert_eq!(
-            sol.report.fallbacks[0].from,
-            SolveMethod::CgIncompleteCholesky
-        );
-        for (u, v) in sol.x.iter().zip(&x_true) {
-            assert!((u - v).abs() < 1e-6);
-        }
     }
 
     #[test]
     fn warm_start_is_honored() {
         let a = laplacian_1d(200);
         let b = vec![1.0; 200];
-        let opts = RobustOptions::default();
-        let cold = solve_robust(&a, &b, None, &opts).expect("cold");
-        let warm = solve_robust(&a, &b, Some(&cold.x), &opts).expect("warm");
+        let cold = solve(&a, &b, None, Lead::Jacobi).expect("cold");
+        let warm = solve(&a, &b, Some(&cold.x), Lead::Jacobi).expect("warm");
         assert!(warm.report.iterations <= 1);
     }
 
     #[test]
     fn non_finite_inputs_fail_fast() {
         let a = laplacian_1d(4);
-        let err = solve_robust(
-            &a,
-            &[1.0, f64::NAN, 0.0, 0.0],
-            None,
-            &RobustOptions::default(),
-        )
-        .unwrap_err();
+        let err = solve(&a, &[1.0, f64::NAN, 0.0, 0.0], None, Lead::Amg).unwrap_err();
         assert!(matches!(
             err,
             SolveError::NonFinite {
@@ -792,30 +666,22 @@ mod tests {
                 index: 1
             }
         ));
-        let err = solve_robust(
-            &a,
-            &[1.0; 4],
-            Some(&[0.0, 0.0, f64::INFINITY, 0.0]),
-            &RobustOptions::default(),
-        )
-        .unwrap_err();
+        let guess = [0.0, 0.0, f64::INFINITY, 0.0];
+        let err = solve(&a, &[1.0; 4], Some(&guess), Lead::Jacobi).unwrap_err();
         assert!(matches!(err, SolveError::NonFinite { what: "guess", .. }));
     }
 
     #[test]
     fn zero_diagonal_escalates_to_unpreconditioned_bicgstab() {
-        // Symmetric indefinite with a zero diagonal entry: IC(0) and Jacobi
-        // are both impossible, but the system is well-posed.
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
-        let b = [2.0, 5.0];
-        let sol = solve_robust(&a, &b, None, &RobustOptions::default()).expect("rescued");
-        assert!(sol.report.was_rescued());
-        assert!(sol
-            .report
-            .fallbacks
-            .iter()
-            .any(|f| matches!(f.error, SolveError::SingularDiagonal { .. })));
-        // x = (b1 - b0, b0) for this matrix.
+        let sol = solve(&zero_diagonal(), &[2.0, 5.0], None, Lead::Jacobi).expect("rescued");
+        assert_eq!(sol.report.method, SolveMethod::BiCgStab);
+        assert!(matches!(
+            sol.report.fallbacks[..],
+            [FallbackStep {
+                from: SolveMethod::CgJacobi,
+                error: SolveError::SingularDiagonal { row: 0 },
+            }]
+        ));
         assert!((sol.x[0] - 3.0).abs() < 1e-8, "x = {:?}", sol.x);
         assert!((sol.x[1] - 2.0).abs() < 1e-8);
     }
@@ -825,7 +691,7 @@ mod tests {
         // Exactly singular: two identical rows, inconsistent rhs.
         let a =
             CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
-        let err = solve_robust(&a, &[1.0, 2.0], None, &RobustOptions::default()).unwrap_err();
+        let err = solve(&a, &[1.0, 2.0], None, Lead::Jacobi).unwrap_err();
         assert!(!is_structural(&err), "numerical failure expected: {err}");
     }
 
@@ -834,66 +700,59 @@ mod tests {
         let a = laplacian_1d(600);
         let b = vec![1.0; 600];
         let opts = RobustOptions {
-            start_with_amg: true,
+            lead: Lead::Amg,
             ..RobustOptions::default()
         };
-        let mut cache = None;
-        let cold =
-            solve_robust_cached_ws(&a, &b, None, &opts, &mut SolveWorkspace::new(), &mut cache)
-                .expect("amg rung solves");
+        let mut state = SolveWorkspace::new();
+        let cold = solve_robust(&a, None, &b, None, &opts, &mut state).expect("amg rung solves");
         assert_eq!(cold.report.method, SolveMethod::CgAmg);
         assert!(!cold.report.was_rescued(), "trail: {}", cold.report.trail());
         assert!(a.residual_norm(&cold.x, &b) < 1e-7);
-        assert!(cache.is_some(), "hierarchy must be left in the cache slot");
-        let warm =
-            solve_robust_cached_ws(&a, &b, None, &opts, &mut SolveWorkspace::new(), &mut cache)
-                .expect("cached re-solve");
+        assert!(state.has_hierarchy(), "hierarchy must be left in the state");
+        let warm = solve_robust(&a, None, &b, None, &opts, &mut state).expect("cached re-solve");
         assert_eq!(warm.report.setup_us, 0, "cached hierarchy skips setup");
         assert_eq!(cold, warm, "cached re-solve must be bit-identical");
     }
 
     #[test]
-    fn degenerate_coarsening_falls_through_to_ic0() {
+    fn degenerate_coarsening_falls_through_to_jacobi() {
         // Diagonal matrix above the AMG direct-solve size: every node
         // aggregates into a singleton, coarsening stalls, and the ladder
-        // must carry on to IC(0) with the failure on record.
+        // must carry on to CG + Jacobi with the failure on record. Jacobi
+        // is exact here, so the answer is `b / 2` after one iteration.
         let n = 300;
         let triplets: Vec<_> = (0..n).map(|i| (i, i, 2.0)).collect();
         let a = CsrMatrix::from_triplets(n, n, &triplets);
-        let b = vec![1.0; n];
+        let b: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let opts = RobustOptions {
-            start_with_amg: true,
+            lead: Lead::Amg,
             ..RobustOptions::default()
         };
-        let mut cache = None;
-        let sol =
-            solve_robust_cached_ws(&a, &b, None, &opts, &mut SolveWorkspace::new(), &mut cache)
-                .expect("rescued by ic0");
-        assert_eq!(sol.report.method, SolveMethod::CgIncompleteCholesky);
-        assert!(
-            cache.is_none(),
-            "no hierarchy to cache after a failed build"
-        );
+        let mut state = SolveWorkspace::new();
+        let sol = solve_robust(&a, None, &b, None, &opts, &mut state).expect("rescued");
+        assert_eq!(sol.report.method, SolveMethod::CgJacobi);
+        assert!(!state.has_hierarchy(), "no hierarchy after a failed build");
         assert!(
             matches!(
-                sol.report.fallbacks.first(),
-                Some(FallbackStep {
+                sol.report.fallbacks[..],
+                [FallbackStep {
                     from: SolveMethod::CgAmg,
                     error: SolveError::CoarseningFailed { .. },
-                })
+                }]
             ),
             "trail: {}",
             sol.report.trail()
         );
-        assert!(sol.report.trail().starts_with("cg+amg->cg+ic0"));
+        assert!(sol.report.trail().starts_with("cg+amg->cg+jacobi ("));
+        for (x, b) in sol.x.iter().zip(&b) {
+            assert_eq!(*x, b / 2.0);
+        }
     }
 
     #[test]
     fn trail_renders_methods_in_order() {
-        let a = kershaw();
-        let b = a.mul_vec(&[1.0, 1.0, 1.0, 1.0]);
-        let sol = solve_robust(&a, &b, None, &RobustOptions::default()).expect("rescued");
+        let sol = solve(&zero_diagonal(), &[1.0, 1.0], None, Lead::Jacobi).expect("rescued");
         let trail = sol.report.trail();
-        assert!(trail.starts_with("cg+ic0->"), "trail: {trail}");
+        assert!(trail.starts_with("cg+jacobi->bicgstab ("), "trail: {trail}");
     }
 }

@@ -1,153 +1,106 @@
-//! Iterative solvers for sparse linear systems.
+//! The Krylov cores behind [`crate::solve_robust`], and the caller-owned
+//! [`SolveWorkspace`] they borrow their vectors from.
 //!
 //! The resistive-grid and thermal systems in `vstack` are symmetric positive
 //! definite (SPD) — including the voltage-stacked PDN, whose switched-
-//! capacitor converter stamps are rank-1 PSD (see `vstack-pdn`) — so the
-//! preconditioned [conjugate gradient](cg) method is the default. The
-//! [BiCGSTAB](bicgstab) method is provided for general non-symmetric systems
-//! produced by full MNA matrices with unreduced controlled sources.
+//! capacitor converter stamps are rank-1 PSD (see `vstack-pdn`) — so every
+//! ladder rung but one runs preconditioned conjugate gradient ([`cg`]).
+//! BiCGSTAB ([`bicgstab`]) is the rung that tolerates the indefiniteness
+//! that breaks CG down.
 //!
-//! Both solvers support Jacobi (diagonal) preconditioning, which is exact for
-//! diagonally dominant grid Laplacians' scaling and costs one divide per
-//! unknown per iteration.
+//! Both cores take already-validated inputs and publish each completed
+//! solve to the global metrics registry.
 
 use std::time::Instant;
 
-use crate::amg::{AmgHierarchy, AmgHierarchyF32, AmgOptions};
-use crate::ichol::IncompleteCholesky;
+use crate::amg::{AmgHierarchy, AmgHierarchyF32};
 use crate::stencil::LinearOperator;
 use crate::vecops::{axpy, dot, norm2, xpby};
 use crate::{CsrMatrix, SolveError};
 
-/// Preconditioner selection for the iterative solvers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Preconditioner {
-    /// No preconditioning.
-    None,
-    /// Diagonal (Jacobi) scaling: `M⁻¹ = diag(A)⁻¹`.
-    #[default]
-    Jacobi,
-    /// Zero-fill incomplete Cholesky, `M = L·Lᵀ` (see
-    /// [`crate::ichol::IncompleteCholesky`]). Strongest single-level
-    /// option on grid Laplacians; factorization fails (and the solve
-    /// errors) if the matrix is not SPD enough — fall back to Jacobi in
-    /// that case.
-    IncompleteCholesky,
-    /// Aggregation-based algebraic multigrid V-cycle (see
-    /// [`crate::amg::AmgHierarchy`]), built with [`AmgOptions::default`].
-    /// Iteration counts are nearly independent of problem size, at the
-    /// price of a setup pass; callers that re-solve one sparsity pattern
-    /// many times should build the hierarchy once and use
-    /// [`cg_with_amg_ws`] instead.
-    Amg,
-}
+/// Iteration budget of every Krylov rung.
+pub(crate) const MAX_ITERATIONS: usize = 50_000;
 
-/// Options controlling a [`cg`] solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CgOptions {
-    /// Relative residual tolerance `‖r‖/‖b‖` at which to stop.
-    pub tolerance: f64,
-    /// Maximum number of iterations before giving up.
-    pub max_iterations: usize,
-    /// Preconditioner to apply.
-    pub preconditioner: Preconditioner,
-    /// If non-zero, declare [`SolveError::Stagnated`] when the residual
-    /// fails to improve for this many consecutive iterations. `0` disables
-    /// the check (the default, preserving plain-CG behavior); the
-    /// [`crate::robust`] escalation ladder enables it so a stalled solve
-    /// hands control to the next rung instead of burning the full budget.
-    pub stagnation_window: usize,
-}
+/// CG declares [`SolveError::Stagnated`] when its residual has not
+/// improved for this many consecutive iterations, so a stalled rung hands
+/// control to the next one instead of burning the whole budget.
+const STAGNATION_WINDOW: usize = 250;
 
-impl Default for CgOptions {
-    fn default() -> Self {
-        CgOptions {
-            tolerance: 1e-10,
-            max_iterations: 20_000,
-            preconditioner: Preconditioner::Jacobi,
-            stagnation_window: 0,
-        }
-    }
-}
-
-/// Options controlling a [`bicgstab`] solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BiCgStabOptions {
-    /// Relative residual tolerance `‖r‖/‖b‖` at which to stop.
-    pub tolerance: f64,
-    /// Maximum number of iterations before giving up.
-    pub max_iterations: usize,
-    /// Preconditioner to apply.
-    pub preconditioner: Preconditioner,
-}
-
-impl Default for BiCgStabOptions {
-    fn default() -> Self {
-        BiCgStabOptions {
-            tolerance: 1e-10,
-            max_iterations: 20_000,
-            preconditioner: Preconditioner::Jacobi,
-        }
-    }
-}
-
-fn inverse_diagonal(a: &CsrMatrix) -> Result<Vec<f64>, SolveError> {
-    a.diagonal()
-        .into_iter()
-        .enumerate()
-        .map(|(row, d)| {
-            if d.abs() > f64::MIN_POSITIVE {
-                Ok(1.0 / d)
-            } else {
-                Err(SolveError::SingularDiagonal { row })
-            }
-        })
-        .collect()
-}
-
-/// Rejects NaN/Inf in the matrix, right-hand side and warm-start guess so
-/// malformed systems fail fast with [`SolveError::NonFinite`] instead of
-/// iterating to a confusing breakdown.
-pub(crate) fn validate_finite(
-    a: &CsrMatrix,
-    b: &[f64],
-    guess: Option<&[f64]>,
-) -> Result<(), SolveError> {
-    for (row, _, v) in a.iter() {
-        if !v.is_finite() {
-            return Err(SolveError::NonFinite {
-                what: "matrix",
-                index: row,
-            });
-        }
-    }
-    if let Some(index) = b.iter().position(|v| !v.is_finite()) {
-        return Err(SolveError::NonFinite { what: "rhs", index });
-    }
-    if let Some(g) = guess {
-        if let Some(index) = g.iter().position(|v| !v.is_finite()) {
-            return Err(SolveError::NonFinite {
-                what: "guess",
-                index,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Reusable scratch vectors for [`cg_with_guess_ws`],
-/// [`bicgstab_with_guess_ws`] and [`crate::solve_robust_ws`].
+/// Caller-owned solve state for [`crate::solve_robust`]: the Krylov work
+/// vectors, preconditioner-setup scratch, and the two AMG hierarchy slots.
 ///
-/// A CG solve needs four work vectors and a BiCGSTAB solve eight; sweep
-/// loops and the wearout feedback loop used to re-allocate them for every
-/// solve. A workspace owns them all and is resized (never shrunk) to each
+/// A CG solve needs four work vectors and a BiCGSTAB solve eight. The
+/// workspace owns them all and resizes them (never shrinks) to each
 /// system's dimension on entry, so steady-state re-solves perform **no
 /// allocation** beyond the returned solution vector. Every vector is
 /// re-zeroed on entry, so reuse across solves — including solves of
-/// different sizes or sparsity patterns — is bit-identical to the
-/// allocate-fresh path.
+/// different sizes or sparsity patterns — is bit-identical to a fresh
+/// workspace.
+///
+/// The hierarchy slots are different: an AMG-led solve builds the f64
+/// hierarchy (and the mixed rung its f32 mirror) into an empty slot and
+/// *leaves it there*, so later solves reuse it and report a `setup_us`
+/// of 0. The cached hierarchy is frozen: re-solves after value-only
+/// re-stamps keep using it (CG converges against the current matrix under
+/// any fixed SPD preconditioner; only iteration counts drift). Call
+/// [`SolveWorkspace::clear_hierarchies`] when the sparsity pattern, or the
+/// matrix the hierarchy should describe, changes.
 #[derive(Debug, Clone, Default)]
 pub struct SolveWorkspace {
+    /// Per-iteration vectors of the Krylov cores.
+    pub(crate) krylov: Krylov,
+    /// Preconditioner-setup scratch (AMG strength/aggregation buffers),
+    /// so cached-pattern re-setup is allocation-free once grown.
+    pub(crate) setup: SetupScratch,
+    /// The f64 AMG hierarchy shared by the mixed and f64 AMG rungs.
+    pub(crate) amg: Option<AmgHierarchy>,
+    /// f32 mirror of [`SolveWorkspace::amg`] for the mixed rung.
+    pub(crate) amg_f32: Option<AmgHierarchyF32>,
+}
+
+impl SolveWorkspace {
+    /// Creates an empty workspace; vectors grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Total `f64` capacity of the Krylov vectors currently held
+    /// (diagnostic; used by tests to verify that steady-state reuse stops
+    /// allocating).
+    pub fn capacity(&self) -> usize {
+        let k = &self.krylov;
+        [
+            &k.r, &k.z, &k.p, &k.ap, &k.r_hat, &k.v, &k.phat, &k.s, &k.shat, &k.t,
+        ]
+        .iter()
+        .map(|v| v.capacity())
+        .sum()
+    }
+
+    /// How many times a preconditioner-setup scratch buffer had to grow its
+    /// allocation. Steady once the workspace has seen its largest system:
+    /// tests assert this stays flat across repeated AMG setups on a cached
+    /// pattern.
+    pub fn setup_regrowths(&self) -> u64 {
+        self.setup.growths
+    }
+
+    /// Whether an f64 AMG hierarchy is cached for the next AMG-led solve.
+    pub fn has_hierarchy(&self) -> bool {
+        self.amg.is_some()
+    }
+
+    /// Drops both cached AMG hierarchies, so the next AMG-led solve builds
+    /// from the matrix it is given.
+    pub fn clear_hierarchies(&mut self) {
+        self.amg = None;
+        self.amg_f32 = None;
+    }
+}
+
+/// The Krylov cores' work vectors: four for CG, eight for BiCGSTAB.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Krylov {
     r: Vec<f64>,
     z: Vec<f64>,
     p: Vec<f64>,
@@ -158,63 +111,23 @@ pub struct SolveWorkspace {
     s: Vec<f64>,
     shat: Vec<f64>,
     t: Vec<f64>,
-    /// Preconditioner-setup scratch (AMG strength/aggregation buffers,
-    /// IC(0) level-schedule temps), so cached-pattern re-setup is
-    /// allocation-free once grown.
-    pub(crate) setup: SetupScratch,
-}
-
-impl SolveWorkspace {
-    /// Creates an empty workspace; vectors grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total `f64` capacity currently held (diagnostic; used by tests to
-    /// verify that steady-state reuse stops allocating).
-    pub fn capacity(&self) -> usize {
-        self.r.capacity()
-            + self.z.capacity()
-            + self.p.capacity()
-            + self.ap.capacity()
-            + self.r_hat.capacity()
-            + self.v.capacity()
-            + self.phat.capacity()
-            + self.s.capacity()
-            + self.shat.capacity()
-            + self.t.capacity()
-    }
-
-    /// How many times a preconditioner-setup scratch buffer had to grow its
-    /// allocation. Steady once the workspace has seen its largest system:
-    /// tests assert this stays flat across repeated AMG/IC(0) setups on a
-    /// cached pattern.
-    pub fn setup_regrowths(&self) -> u64 {
-        self.setup.growths
-    }
 }
 
 /// Scratch buffers for preconditioner *setup* (as opposed to the per-
-/// iteration vectors above): AMG diagonal/aggregation/prolongator-triplet
-/// temporaries and IC(0) level-schedule temporaries. Every buffer is
-/// `clear()`-ed and re-filled on use, so reuse across setups — including
-/// setups of different sizes — is bit-identical to the allocate-fresh path.
+/// iteration vectors above): AMG diagonal, aggregation and prolongator-
+/// triplet temporaries. Every buffer is `clear()`-ed and re-filled on use,
+/// so reuse across setups — including setups of different sizes — is
+/// bit-identical to the allocate-fresh path.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SetupScratch {
-    /// Level diagonal (AMG strength graph / smoother setup).
+    /// Level diagonal (strength graph / smoother setup).
     pub(crate) diag: Vec<f64>,
-    /// Aggregate ids per node (AMG).
+    /// Aggregate ids per node.
     pub(crate) agg: Vec<usize>,
-    /// Pass-1 aggregate snapshot (AMG) / misc index temp.
+    /// Pass-1 aggregate snapshot.
     pub(crate) pass: Vec<usize>,
-    /// Prolongator assembly triplets (AMG).
+    /// Prolongator assembly triplets.
     pub(crate) trip: Vec<(usize, usize, f64)>,
-    /// Index temp A (IC(0) column counts).
-    pub(crate) idx_a: Vec<usize>,
-    /// Index temp B (IC(0) column cursors).
-    pub(crate) idx_b: Vec<usize>,
-    /// Index temp C (IC(0) level numbers).
-    pub(crate) idx_c: Vec<usize>,
     /// Number of buffer regrowths since creation (see
     /// [`SolveWorkspace::setup_regrowths`]).
     pub(crate) growths: u64,
@@ -239,140 +152,24 @@ fn prep(v: &mut Vec<f64>, n: usize) {
     v.resize(n, 0.0);
 }
 
-/// Publishes a completed CG solve to the global metrics registry.
-fn record_cg(solved: Solved, amg_preconditioned: bool) -> Solved {
-    let m = vstack_obs::metrics::global();
-    let it = solved.iterations as u64;
-    m.cg_solves.inc();
-    m.solver_iterations.add(it);
-    m.solver_iterations_hist.observe(it);
-    m.solver_setup_us.add(solved.setup_us);
-    m.solver_solve_us.add(solved.solve_us);
-    m.setup_us_hist.observe(solved.setup_us);
-    m.solve_us_hist.observe(solved.solve_us);
-    if amg_preconditioned {
-        m.amg_vcycles_per_solve.observe(it);
-    }
-    solved
-}
-
-/// Publishes a completed BiCGSTAB solve to the global metrics registry.
-fn record_bicgstab(solved: Solved) -> Solved {
-    let m = vstack_obs::metrics::global();
-    let it = solved.iterations as u64;
-    m.bicgstab_solves.inc();
-    m.solver_iterations.add(it);
-    m.solver_iterations_hist.observe(it);
-    m.solver_setup_us.add(solved.setup_us);
-    m.solver_solve_us.add(solved.solve_us);
-    m.setup_us_hist.observe(solved.setup_us);
-    m.solve_us_hist.observe(solved.solve_us);
-    solved
-}
-
-/// Materialized preconditioner state. `AmgRef`/`AmgF32Ref` borrow a
-/// hierarchy a caller built (and caches) elsewhere; the other variants are
-/// owned.
-enum Precond<'a> {
-    None,
-    Jacobi(Vec<f64>),
-    Ic(Box<IncompleteCholesky>),
-    Amg(Box<AmgHierarchy>),
-    AmgRef(&'a AmgHierarchy),
-    /// Mixed-precision V-cycle: the f32 hierarchy applied with
-    /// scale-to-unit iterative-refinement framing (see
-    /// [`AmgHierarchyF32::apply`]). The outer CG stays entirely in f64.
-    AmgF32Ref(&'a AmgHierarchyF32),
-}
-
-impl Precond<'_> {
-    fn build(
-        kind: Preconditioner,
-        a: &CsrMatrix,
-        scratch: &mut SetupScratch,
-    ) -> Result<Self, SolveError> {
-        Ok(match kind {
-            Preconditioner::None => Precond::None,
-            Preconditioner::Jacobi => Precond::Jacobi(inverse_diagonal(a)?),
-            Preconditioner::IncompleteCholesky => {
-                Precond::Ic(Box::new(IncompleteCholesky::factor_scratch(a, scratch)?))
-            }
-            Preconditioner::Amg => Precond::Amg(Box::new(AmgHierarchy::build_scratch(
-                a,
-                &AmgOptions::default(),
-                scratch,
-            )?)),
-        })
-    }
-
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        match self {
-            Precond::Jacobi(inv_d) => {
-                for ((zi, ri), di) in z.iter_mut().zip(r).zip(inv_d) {
-                    *zi = ri * di;
-                }
-            }
-            Precond::Ic(ic) => ic.apply(r, z),
-            Precond::Amg(h) => h.apply(r, z),
-            Precond::AmgRef(h) => h.apply(r, z),
-            Precond::AmgF32Ref(h) => h.apply(r, z),
-            Precond::None => z.copy_from_slice(r),
-        }
-    }
-}
-
-/// Solves the SPD system `A x = b` by preconditioned conjugate gradient.
+/// Output of a Krylov core: solution plus convergence diagnostics.
 ///
-/// Returns the solution vector. Use [`CsrMatrix::residual_norm`] to verify
-/// independently.
-///
-/// # Errors
-///
-/// * [`SolveError::NotSquare`] / [`SolveError::DimensionMismatch`] on shape
-///   problems.
-/// * [`SolveError::NotConverged`] if the relative residual fails to reach
-///   `options.tolerance` within `options.max_iterations`.
-/// * [`SolveError::Breakdown`] if an inner product vanishes (typically the
-///   matrix was not SPD).
-///
-/// # Example
-///
-/// ```
-/// use vstack_sparse::{CsrMatrix, solver::{cg, CgOptions}};
-///
-/// # fn main() -> Result<(), vstack_sparse::SolveError> {
-/// let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 4.0), (1, 1, 9.0)]);
-/// let x = cg(&a, &[8.0, 27.0], &CgOptions::default())?;
-/// assert!((x[0] - 2.0).abs() < 1e-9 && (x[1] - 3.0).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn cg(a: &CsrMatrix, b: &[f64], options: &CgOptions) -> Result<Vec<f64>, SolveError> {
-    let solved = cg_with_guess(a, b, None, options)?;
-    Ok(solved.x)
-}
-
-/// Output of [`cg_with_guess`]: solution plus convergence diagnostics.
-///
-/// Equality ([`PartialEq`]) compares only the *numerical* outcome — `x`,
-/// `iterations` and `relative_residual` — and deliberately ignores the
-/// wall-clock observability fields, so the crate's bit-identity guarantees
-/// ("reused workspace equals fresh", "threaded equals serial") remain
-/// testable with `assert_eq!`.
+/// Equality compares only the *numerical* outcome — `x`, `iterations` and
+/// `relative_residual` — and ignores the wall-clock fields, so the crate's
+/// bit-identity guarantees stay testable with `assert_eq!`.
 #[derive(Debug, Clone)]
-pub struct Solved {
+pub(crate) struct Solved {
     /// The solution vector.
-    pub x: Vec<f64>,
+    pub(crate) x: Vec<f64>,
     /// Iterations actually performed.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Final relative residual `‖b − Ax‖ / ‖b‖`.
-    pub relative_residual: f64,
-    /// Wall-clock microseconds spent building the preconditioner (0 when
-    /// the caller supplied a prebuilt one). Excluded from equality.
-    pub setup_us: u64,
-    /// Wall-clock microseconds spent iterating after setup. Excluded from
-    /// equality.
-    pub solve_us: u64,
+    pub(crate) relative_residual: f64,
+    /// Wall-clock microseconds of preconditioner setup the ladder charged
+    /// to this solve (0 when cached).
+    pub(crate) setup_us: u64,
+    /// Wall-clock microseconds spent iterating.
+    pub(crate) solve_us: u64,
 }
 
 impl PartialEq for Solved {
@@ -394,255 +191,117 @@ impl Solved {
             solve_us: 0,
         }
     }
+
+    /// Charges `setup_us` of preconditioner setup to this solve, publishing
+    /// it to the global `solver_setup_us` counter and `setup_us_hist` as it
+    /// joins. The ladder calls it once per completed rung solve.
+    pub(crate) fn add_setup(&mut self, setup_us: u64) {
+        self.setup_us += setup_us;
+        let m = vstack_obs::metrics::global();
+        m.solver_setup_us.add(setup_us);
+        m.setup_us_hist.observe(setup_us);
+    }
 }
 
-/// Like [`cg`], but accepts a warm-start guess and reports diagnostics.
-///
-/// Warm starting matters in `vstack`: parameter sweeps (e.g. the Fig 6
-/// imbalance sweep) solve a sequence of nearby systems, and reusing the
-/// previous solution typically halves iteration counts.
-///
-/// # Errors
-///
-/// Same as [`cg`].
-pub fn cg_with_guess(
-    a: &CsrMatrix,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &CgOptions,
-) -> Result<Solved, SolveError> {
-    cg_with_guess_ws(a, b, guess, options, &mut SolveWorkspace::new())
+/// Publishes a completed solve to the global metrics registry.
+fn record(solved: Solved, bicgstab: bool, amg_preconditioned: bool) -> Solved {
+    let m = vstack_obs::metrics::global();
+    let it = solved.iterations as u64;
+    if bicgstab {
+        m.bicgstab_solves.inc();
+    } else {
+        m.cg_solves.inc();
+    }
+    m.solver_iterations.add(it);
+    m.solver_iterations_hist.observe(it);
+    m.solver_solve_us.add(solved.solve_us);
+    m.solve_us_hist.observe(solved.solve_us);
+    if amg_preconditioned {
+        m.amg_vcycles_per_solve.observe(it);
+    }
+    solved
 }
 
-/// Like [`cg_with_guess`], but borrows its work vectors from `ws` instead
-/// of allocating them — the entry point for sweep loops that solve many
-/// systems in sequence. Results are bit-identical to [`cg_with_guess`].
-///
-/// # Errors
-///
-/// Same as [`cg`].
-pub fn cg_with_guess_ws(
-    a: &CsrMatrix,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &CgOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<Solved, SolveError> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(SolveError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    if b.len() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            found: b.len(),
-        });
-    }
-    validate_finite(a, b, guess)?;
-    if norm2(b) == 0.0 {
-        return Ok(Solved::zeros(n));
-    }
-
-    let setup_timer = Instant::now();
-    let pre = {
-        let _span = vstack_obs::span!("cg_setup");
-        Precond::build(options.preconditioner, a, &mut ws.setup)?
-    };
-    let setup_us = setup_timer.elapsed().as_micros() as u64;
-    cg_core(a, b, guess, options, &pre, setup_us, ws)
+/// A materialized preconditioner `M⁻¹`. The AMG variants borrow a
+/// hierarchy cached in the [`SolveWorkspace`].
+pub(crate) enum Precond<'a> {
+    /// No preconditioning.
+    None,
+    /// Diagonal (Jacobi) scaling: the inverse diagonal of `A`.
+    Jacobi(Vec<f64>),
+    /// One f64 AMG V-cycle.
+    Amg(&'a AmgHierarchy),
+    /// One f32 AMG V-cycle with scale-to-unit iterative-refinement framing
+    /// (see [`AmgHierarchyF32::apply`]); the outer CG stays in f64.
+    AmgF32(&'a AmgHierarchyF32),
 }
 
-/// Like [`cg_with_guess_ws`], but preconditions with a *prebuilt* AMG
-/// hierarchy instead of building one from `options.preconditioner` (which
-/// is ignored). This is the warm path for callers that solve one sparsity
-/// pattern many times — `vstack-pdn` caches the hierarchy in its
-/// `SolveScratch` so fault and sweep re-solves skip setup entirely; the
-/// reported [`Solved::setup_us`] is 0.
-///
-/// The hierarchy stays mathematically sound as a preconditioner even when
-/// the matrix *values* have drifted since it was built (CG converges
-/// against the current `a` for any fixed SPD preconditioner); only its
-/// dimension must still match.
-///
-/// # Errors
-///
-/// Same as [`cg`], plus [`SolveError::DimensionMismatch`] when
-/// `amg.dim() != a.rows()`.
-pub fn cg_with_amg_ws(
-    a: &CsrMatrix,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &CgOptions,
-    amg: &AmgHierarchy,
-    ws: &mut SolveWorkspace,
-) -> Result<Solved, SolveError> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(SolveError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
+impl Precond<'_> {
+    /// Jacobi scaling for `a`.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::SingularDiagonal`] on a zero diagonal entry.
+    pub(crate) fn jacobi(a: &CsrMatrix) -> Result<Self, SolveError> {
+        a.diagonal()
+            .into_iter()
+            .enumerate()
+            .map(|(row, d)| {
+                if d.abs() > f64::MIN_POSITIVE {
+                    Ok(1.0 / d)
+                } else {
+                    Err(SolveError::SingularDiagonal { row })
+                }
+            })
+            .collect::<Result<_, _>>()
+            .map(Precond::Jacobi)
     }
-    if b.len() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            found: b.len(),
-        });
-    }
-    if amg.dim() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            found: amg.dim(),
-        });
-    }
-    validate_finite(a, b, guess)?;
-    if norm2(b) == 0.0 {
-        return Ok(Solved::zeros(n));
-    }
-    cg_core(a, b, guess, options, &Precond::AmgRef(amg), 0, ws)
-}
 
-/// Rejects NaN/Inf in the right-hand side and warm-start guess (operator
-/// entry points cannot cheaply enumerate matrix entries, so only the
-/// vectors are screened; a non-finite operator value surfaces as a
-/// [`SolveError::Breakdown`] instead, which the escalation ladder treats
-/// as numerical and falls back from).
-fn validate_finite_vecs(b: &[f64], guess: Option<&[f64]>) -> Result<(), SolveError> {
-    if let Some(index) = b.iter().position(|v| !v.is_finite()) {
-        return Err(SolveError::NonFinite { what: "rhs", index });
-    }
-    if let Some(g) = guess {
-        if let Some(index) = g.iter().position(|v| !v.is_finite()) {
-            return Err(SolveError::NonFinite {
-                what: "guess",
-                index,
-            });
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        match self {
+            Precond::None => z.copy_from_slice(r),
+            Precond::Jacobi(inv_d) => {
+                for ((zi, ri), di) in z.iter_mut().zip(r).zip(inv_d) {
+                    *zi = ri * di;
+                }
+            }
+            Precond::Amg(h) => h.apply(r, z),
+            Precond::AmgF32(h) => h.apply(r, z),
         }
     }
-    Ok(())
 }
 
-/// Shape screening shared by the operator entry points.
-fn validate_operator(op: &dyn LinearOperator, b: &[f64]) -> Result<usize, SolveError> {
-    let n = op.rows();
-    if op.cols() != n {
-        return Err(SolveError::NotSquare {
-            rows: op.rows(),
-            cols: op.cols(),
-        });
-    }
-    if b.len() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            found: b.len(),
-        });
-    }
-    Ok(n)
-}
-
-/// Like [`cg_with_amg_ws`], but drives the outer iteration through any
-/// [`LinearOperator`] — e.g. a [`crate::StencilOperator`] whose apply is
-/// bit-identical to the CSR it was extracted from, making this a pure
-/// speedup over [`cg_with_amg_ws`] on regular grids.
+/// Solves the SPD system `A x = b` by preconditioned conjugate gradient,
+/// through any [`LinearOperator`] (the CSR matrix itself, or a stencil
+/// operator whose apply is bit-identical to it).
 ///
 /// # Errors
 ///
-/// Same as [`cg_with_amg_ws`].
-pub fn cg_with_amg_op_ws(
-    op: &dyn LinearOperator,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &CgOptions,
-    amg: &AmgHierarchy,
-    ws: &mut SolveWorkspace,
-) -> Result<Solved, SolveError> {
-    let n = validate_operator(op, b)?;
-    if amg.dim() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            found: amg.dim(),
-        });
-    }
-    validate_finite_vecs(b, guess)?;
-    if norm2(b) == 0.0 {
-        return Ok(Solved::zeros(n));
-    }
-    cg_core(op, b, guess, options, &Precond::AmgRef(amg), 0, ws)
-}
-
-/// Mixed-precision solve: f64 outer CG over `op`, preconditioned by a
-/// prebuilt **f32** AMG hierarchy applied as one V-cycle of iterative
-/// refinement per iteration (see [`AmgHierarchyF32`]). The solution meets
-/// the same f64 tolerance as the all-f64 path — precision of the
-/// preconditioner only affects the iteration count — and the f32 V-cycle
-/// is fully serial, so results are deterministic across thread counts.
-///
-/// # Errors
-///
-/// Same as [`cg_with_amg_ws`]. An overflowing f32 conversion (matrix
-/// values beyond ~3.4e38) produces non-finite V-cycle output and surfaces
-/// as [`SolveError::Breakdown`], which the escalation ladder treats as a
-/// cue to fall back to the pure-f64 path.
-pub fn cg_with_amg_f32_ws(
-    op: &dyn LinearOperator,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &CgOptions,
-    amg: &AmgHierarchyF32,
-    ws: &mut SolveWorkspace,
-) -> Result<Solved, SolveError> {
-    let n = validate_operator(op, b)?;
-    if amg.dim() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            found: amg.dim(),
-        });
-    }
-    validate_finite_vecs(b, guess)?;
-    if norm2(b) == 0.0 {
-        return Ok(Solved::zeros(n));
-    }
-    cg_core(op, b, guess, options, &Precond::AmgF32Ref(amg), 0, ws)
-}
-
-/// The shared CG iteration, parameterized over a materialized
-/// preconditioner and a generic fine-grid operator. Inputs are already
-/// validated and `b` is non-zero.
-fn cg_core(
+/// * [`SolveError::NotConverged`] if the relative residual fails to reach
+///   `tolerance` within `max_iterations`.
+/// * [`SolveError::Stagnated`] if it stops improving first.
+/// * [`SolveError::Breakdown`] if `pᵀAp` is not positive and finite
+///   (the matrix was not SPD, or an f32 V-cycle overflowed).
+pub(crate) fn cg(
     a: &dyn LinearOperator,
     b: &[f64],
     guess: Option<&[f64]>,
-    options: &CgOptions,
     pre: &Precond<'_>,
-    setup_us: u64,
-    ws: &mut SolveWorkspace,
+    tolerance: f64,
+    max_iterations: usize,
+    ws: &mut Krylov,
 ) -> Result<Solved, SolveError> {
-    let _span = vstack_obs::span!("cg_solve");
-    let amg_preconditioned = matches!(
-        pre,
-        Precond::Amg(_) | Precond::AmgRef(_) | Precond::AmgF32Ref(_)
-    );
     let n = a.rows();
     let b_norm = norm2(b);
+    if b_norm == 0.0 {
+        return Ok(Solved::zeros(n));
+    }
+    let _span = vstack_obs::span!("cg_solve");
+    let amg_preconditioned = matches!(pre, Precond::Amg(_) | Precond::AmgF32(_));
     let solve_timer = Instant::now();
+    let mut x = guess.map_or_else(|| vec![0.0; n], <[f64]>::to_vec);
 
-    let mut x = match guess {
-        Some(g) => {
-            if g.len() != n {
-                return Err(SolveError::DimensionMismatch {
-                    expected: n,
-                    found: g.len(),
-                });
-            }
-            g.to_vec()
-        }
-        None => vec![0.0; n],
-    };
-
-    let SolveWorkspace { r, z, p, ap, .. } = ws;
+    let Krylov { r, z, p, ap, .. } = ws;
     prep(r, n);
     prep(z, n);
     prep(p, n);
@@ -664,32 +323,31 @@ fn cg_core(
     let mut best_res = f64::INFINITY;
     let mut stalled = 0usize;
 
-    for it in 0..options.max_iterations {
+    let done = |x, iterations, res| {
+        let solved = Solved {
+            x,
+            iterations,
+            relative_residual: res,
+            setup_us: 0,
+            solve_us: solve_timer.elapsed().as_micros() as u64,
+        };
+        Ok(record(solved, false, amg_preconditioned))
+    };
+    for it in 0..max_iterations {
         let res = norm2(r) / b_norm;
-        if res <= options.tolerance {
-            return Ok(record_cg(
-                Solved {
-                    x,
-                    iterations: it,
-                    relative_residual: res,
-                    setup_us,
-                    solve_us: solve_timer.elapsed().as_micros() as u64,
-                },
-                amg_preconditioned,
-            ));
+        if res <= tolerance {
+            return done(x, it, res);
         }
-        if options.stagnation_window > 0 {
-            if res < best_res * (1.0 - 1e-6) {
-                best_res = res;
-                stalled = 0;
-            } else {
-                stalled += 1;
-                if stalled >= options.stagnation_window {
-                    return Err(SolveError::Stagnated {
-                        iterations: it,
-                        residual: res,
-                    });
-                }
+        if res < best_res * (1.0 - 1e-6) {
+            best_res = res;
+            stalled = 0;
+        } else {
+            stalled += 1;
+            if stalled >= STAGNATION_WINDOW {
+                return Err(SolveError::Stagnated {
+                    iterations: it,
+                    residual: res,
+                });
             }
         }
         a.mul_vec_into(p, ap);
@@ -708,160 +366,43 @@ fn cg_core(
     }
 
     let res = norm2(r) / b_norm;
-    if res <= options.tolerance {
-        Ok(record_cg(
-            Solved {
-                x,
-                iterations: options.max_iterations,
-                relative_residual: res,
-                setup_us,
-                solve_us: solve_timer.elapsed().as_micros() as u64,
-            },
-            amg_preconditioned,
-        ))
+    if res <= tolerance {
+        done(x, max_iterations, res)
     } else {
         Err(SolveError::NotConverged {
-            iterations: options.max_iterations,
+            iterations: max_iterations,
             residual: res,
         })
     }
 }
 
-/// Solves the (possibly non-symmetric) system `A x = b` by BiCGSTAB.
-///
-/// Used for full MNA matrices that retain voltage-source and controlled-
-/// source rows. For SPD systems prefer [`cg`], which is cheaper per
-/// iteration and guaranteed to converge.
+/// Solves the (possibly non-symmetric or indefinite) system `A x = b` by
+/// preconditioned BiCGSTAB.
 ///
 /// # Errors
 ///
-/// * [`SolveError::NotSquare`] / [`SolveError::DimensionMismatch`] on shape
-///   problems.
-/// * [`SolveError::NotConverged`] if the tolerance is not met in
-///   `options.max_iterations`.
+/// * [`SolveError::NotConverged`] if the tolerance is not met within
+///   `max_iterations`.
 /// * [`SolveError::Breakdown`] on vanishing inner products.
-pub fn bicgstab(
-    a: &CsrMatrix,
-    b: &[f64],
-    options: &BiCgStabOptions,
-) -> Result<Vec<f64>, SolveError> {
-    let solved = bicgstab_with_guess(a, b, None, options)?;
-    Ok(solved.x)
-}
-
-/// Like [`bicgstab`], but accepts a warm-start guess and reports
-/// diagnostics — the same contract as [`cg_with_guess`].
-///
-/// Warm starting is what makes the wearout loop in `vstack` affordable:
-/// each pad-kill step perturbs the previous system only locally, so the
-/// previous voltage field is an excellent initial iterate.
-///
-/// # Errors
-///
-/// Same as [`bicgstab`].
-pub fn bicgstab_with_guess(
+pub(crate) fn bicgstab(
     a: &CsrMatrix,
     b: &[f64],
     guess: Option<&[f64]>,
-    options: &BiCgStabOptions,
-) -> Result<Solved, SolveError> {
-    bicgstab_with_guess_ws(a, b, guess, options, &mut SolveWorkspace::new())
-}
-
-/// Like [`bicgstab_with_guess`], but borrows its eight work vectors from
-/// `ws` instead of allocating them. Results are bit-identical to
-/// [`bicgstab_with_guess`].
-///
-/// # Errors
-///
-/// Same as [`bicgstab`].
-pub fn bicgstab_with_guess_ws(
-    a: &CsrMatrix,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &BiCgStabOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<Solved, SolveError> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(SolveError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    if b.len() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            found: b.len(),
-        });
-    }
-    validate_finite(a, b, guess)?;
-    if norm2(b) == 0.0 {
-        return Ok(Solved::zeros(n));
-    }
-
-    let setup_timer = Instant::now();
-    let pre = Precond::build(options.preconditioner, a, &mut ws.setup)?;
-    let setup_us = setup_timer.elapsed().as_micros() as u64;
-    bicgstab_core(a, b, guess, options, &pre, setup_us, ws)
-}
-
-/// Like [`bicgstab_with_guess_ws`], but drives every matrix–vector product
-/// through any [`LinearOperator`]. Runs **unpreconditioned**
-/// (`options.preconditioner` is ignored): the single-level preconditioners
-/// need explicit matrix entries, which a matrix-free operator does not
-/// expose. Intended for operators whose apply is bit-identical to an
-/// assembled matrix (e.g. [`crate::StencilOperator`]).
-///
-/// # Errors
-///
-/// Same as [`bicgstab`].
-pub fn bicgstab_with_operator_ws(
-    op: &dyn LinearOperator,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &BiCgStabOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<Solved, SolveError> {
-    let n = validate_operator(op, b)?;
-    validate_finite_vecs(b, guess)?;
-    if norm2(b) == 0.0 {
-        return Ok(Solved::zeros(n));
-    }
-    bicgstab_core(op, b, guess, options, &Precond::None, 0, ws)
-}
-
-/// The shared BiCGSTAB iteration, parameterized over a materialized
-/// preconditioner and a generic operator. Inputs are already validated and
-/// `b` is non-zero.
-fn bicgstab_core(
-    a: &dyn LinearOperator,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &BiCgStabOptions,
     pre: &Precond<'_>,
-    setup_us: u64,
-    ws: &mut SolveWorkspace,
+    tolerance: f64,
+    max_iterations: usize,
+    ws: &mut Krylov,
 ) -> Result<Solved, SolveError> {
-    let _span = vstack_obs::span!("bicgstab_solve");
     let n = a.rows();
     let b_norm = norm2(b);
+    if b_norm == 0.0 {
+        return Ok(Solved::zeros(n));
+    }
+    let _span = vstack_obs::span!("bicgstab_solve");
     let solve_timer = Instant::now();
+    let mut x = guess.map_or_else(|| vec![0.0; n], <[f64]>::to_vec);
 
-    let mut x = match guess {
-        Some(g) => {
-            if g.len() != n {
-                return Err(SolveError::DimensionMismatch {
-                    expected: n,
-                    found: g.len(),
-                });
-            }
-            g.to_vec()
-        }
-        None => vec![0.0; n],
-    };
-
-    let SolveWorkspace {
+    let Krylov {
         r,
         r_hat,
         v,
@@ -881,27 +422,32 @@ fn bicgstab_core(
     prep(shat, n);
     prep(t, n);
 
+    let done = |x, iterations, res| {
+        let solved = Solved {
+            x,
+            iterations,
+            relative_residual: res,
+            setup_us: 0,
+            solve_us: solve_timer.elapsed().as_micros() as u64,
+        };
+        Ok(record(solved, true, false))
+    };
+
     // r = b − A x
     a.mul_vec_into(&x, r);
     for (ri, bi) in r.iter_mut().zip(b) {
         *ri = bi - *ri;
     }
     let initial_res = norm2(r) / b_norm;
-    if initial_res <= options.tolerance {
-        return Ok(record_bicgstab(Solved {
-            x,
-            iterations: 0,
-            relative_residual: initial_res,
-            setup_us,
-            solve_us: solve_timer.elapsed().as_micros() as u64,
-        }));
+    if initial_res <= tolerance {
+        return done(x, 0, initial_res);
     }
     r_hat.copy_from_slice(r);
     let mut rho = 1.0;
     let mut alpha = 1.0;
     let mut omega = 1.0;
 
-    for it in 0..options.max_iterations {
+    for it in 0..max_iterations {
         let rho_next = dot(r_hat, r);
         if rho_next.abs() < f64::MIN_POSITIVE {
             return Err(SolveError::Breakdown { iterations: it });
@@ -923,15 +469,9 @@ fn bicgstab_core(
             s[i] = r[i] - alpha * v[i];
         }
         let s_res = norm2(s) / b_norm;
-        if s_res <= options.tolerance {
+        if s_res <= tolerance {
             axpy(alpha, phat, &mut x);
-            return Ok(record_bicgstab(Solved {
-                x,
-                iterations: it + 1,
-                relative_residual: s_res,
-                setup_us,
-                solve_us: solve_timer.elapsed().as_micros() as u64,
-            }));
+            return done(x, it + 1, s_res);
         }
         pre.apply(s, shat);
         a.mul_vec_into(shat, t);
@@ -946,14 +486,8 @@ fn bicgstab_core(
             r[i] = s[i] - omega * t[i];
         }
         let res = norm2(r) / b_norm;
-        if res <= options.tolerance {
-            return Ok(record_bicgstab(Solved {
-                x,
-                iterations: it + 1,
-                relative_residual: res,
-                setup_us,
-                solve_us: solve_timer.elapsed().as_micros() as u64,
-            }));
+        if res <= tolerance {
+            return done(x, it + 1, res);
         }
         if omega.abs() < f64::MIN_POSITIVE {
             return Err(SolveError::Breakdown { iterations: it });
@@ -961,7 +495,7 @@ fn bicgstab_core(
     }
 
     Err(SolveError::NotConverged {
-        iterations: options.max_iterations,
+        iterations: max_iterations,
         residual: norm2(r) / b_norm,
     })
 }
@@ -969,7 +503,7 @@ fn bicgstab_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TripletMatrix;
+    use crate::{solve_robust, RobustOptions, TripletMatrix};
 
     fn laplacian_1d(n: usize) -> CsrMatrix {
         let mut t = TripletMatrix::new(n, n);
@@ -983,37 +517,75 @@ mod tests {
         t.to_csr()
     }
 
+    fn jacobi_cg(a: &CsrMatrix, b: &[f64], guess: Option<&[f64]>) -> Result<Solved, SolveError> {
+        let pre = Precond::jacobi(a)?;
+        cg(
+            a,
+            b,
+            guess,
+            &pre,
+            1e-10,
+            MAX_ITERATIONS,
+            &mut Krylov::default(),
+        )
+    }
+
+    fn jacobi_bicgstab(
+        a: &CsrMatrix,
+        b: &[f64],
+        guess: Option<&[f64]>,
+    ) -> Result<Solved, SolveError> {
+        let pre = Precond::jacobi(a)?;
+        bicgstab(
+            a,
+            b,
+            guess,
+            &pre,
+            1e-10,
+            MAX_ITERATIONS,
+            &mut Krylov::default(),
+        )
+    }
+
+    fn max_diff(x: &[f64], y: &[f64]) -> f64 {
+        x.iter()
+            .zip(y)
+            .map(|(u, v)| (u - v).abs())
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn cg_solves_laplacian() {
         let n = 100;
         let a = laplacian_1d(n);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let b = a.mul_vec(&x_true);
-        let x = cg(&a, &b, &CgOptions::default()).expect("cg should converge");
-        let err: f64 = x
-            .iter()
-            .zip(&x_true)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        assert!(err < 1e-6, "max err {err}");
+        let x = jacobi_cg(&a, &b, None).expect("cg should converge").x;
+        assert!(max_diff(&x, &x_true) < 1e-6);
     }
 
     #[test]
     fn cg_without_preconditioner() {
         let a = laplacian_1d(50);
         let b = vec![1.0; 50];
-        let opts = CgOptions {
-            preconditioner: Preconditioner::None,
-            ..CgOptions::default()
-        };
-        let x = cg(&a, &b, &opts).expect("cg should converge");
+        let x = cg(
+            &a,
+            &b,
+            None,
+            &Precond::None,
+            1e-10,
+            1000,
+            &mut Krylov::default(),
+        )
+        .expect("cg should converge")
+        .x;
         assert!(a.residual_norm(&x, &b) < 1e-8);
     }
 
     #[test]
     fn cg_zero_rhs_returns_zero() {
         let a = laplacian_1d(10);
-        let x = cg(&a, &[0.0; 10], &CgOptions::default()).expect("trivial solve");
+        let x = jacobi_cg(&a, &[0.0; 10], None).expect("trivial solve").x;
         assert_eq!(x, vec![0.0; 10]);
     }
 
@@ -1022,74 +594,53 @@ mod tests {
         let n = 400;
         let a = laplacian_1d(n);
         let b = vec![1.0; n];
-        let opts = CgOptions::default();
-        let cold = cg_with_guess(&a, &b, None, &opts).expect("cold solve");
-        let warm = cg_with_guess(&a, &b, Some(&cold.x), &opts).expect("warm solve");
+        let cold = jacobi_cg(&a, &b, None).expect("cold solve");
+        let warm = jacobi_cg(&a, &b, Some(&cold.x)).expect("warm solve");
         assert!(warm.iterations <= 1, "warm start should converge instantly");
     }
 
     #[test]
     fn cg_dimension_mismatch_rejected() {
         let a = laplacian_1d(4);
-        let err = cg(&a, &[1.0; 3], &CgOptions::default()).unwrap_err();
+        let mut state = SolveWorkspace::new();
+        let opts = RobustOptions::default();
+        let err = solve_robust(&a, None, &[1.0; 3], None, &opts, &mut state).unwrap_err();
         assert!(matches!(err, SolveError::DimensionMismatch { .. }));
+        let err = solve_robust(&a, None, &[1.0; 4], Some(&[0.0; 5]), &opts, &mut state);
+        assert!(matches!(
+            err,
+            Err(SolveError::DimensionMismatch {
+                expected: 4,
+                found: 5
+            })
+        ));
     }
 
     #[test]
     fn cg_rejects_nonsquare() {
         let a = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]);
-        let err = cg(&a, &[1.0, 1.0], &CgOptions::default()).unwrap_err();
-        assert!(matches!(err, SolveError::NotSquare { .. }));
+        let opts = RobustOptions::default();
+        let err = solve_robust(
+            &a,
+            None,
+            &[1.0, 1.0],
+            None,
+            &opts,
+            &mut SolveWorkspace::new(),
+        );
+        assert!(matches!(err, Err(SolveError::NotSquare { .. })));
     }
 
     #[test]
     fn cg_not_converged_when_budget_too_small() {
         let a = laplacian_1d(200);
         let b = vec![1.0; 200];
-        let opts = CgOptions {
-            max_iterations: 2,
-            ..CgOptions::default()
-        };
-        let err = cg(&a, &b, &opts).unwrap_err();
-        assert!(matches!(err, SolveError::NotConverged { .. }));
-    }
-
-    #[test]
-    fn cg_with_incomplete_cholesky_converges_faster() {
-        let a = laplacian_1d(400);
-        let b = vec![1.0; 400];
-        let jacobi = cg_with_guess(&a, &b, None, &CgOptions::default()).expect("jacobi");
-        let ic_opts = CgOptions {
-            preconditioner: Preconditioner::IncompleteCholesky,
-            ..CgOptions::default()
-        };
-        let ic = cg_with_guess(&a, &b, None, &ic_opts).expect("ic");
-        assert!(a.residual_norm(&ic.x, &b) < 1e-7);
-        assert!(
-            ic.iterations < jacobi.iterations / 2,
-            "IC(0) {} vs Jacobi {} iterations",
-            ic.iterations,
-            jacobi.iterations
-        );
-    }
-
-    #[test]
-    fn ic_preconditioner_matches_jacobi_solution() {
-        let a = laplacian_1d(64);
-        let b: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
-        let x1 = cg(&a, &b, &CgOptions::default()).expect("jacobi");
-        let x2 = cg(
-            &a,
-            &b,
-            &CgOptions {
-                preconditioner: Preconditioner::IncompleteCholesky,
-                ..CgOptions::default()
-            },
-        )
-        .expect("ic");
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-6);
-        }
+        let pre = Precond::jacobi(&a).unwrap();
+        let err = cg(&a, &b, None, &pre, 1e-10, 2, &mut Krylov::default()).unwrap_err();
+        assert!(matches!(
+            err,
+            SolveError::NotConverged { iterations: 2, .. }
+        ));
     }
 
     #[test]
@@ -1109,30 +660,23 @@ mod tests {
         assert!(!a.is_symmetric(1e-12));
         let x_true: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
         let b = a.mul_vec(&x_true);
-        let x = bicgstab(&a, &b, &BiCgStabOptions::default()).expect("bicgstab converges");
-        let err: f64 = x
-            .iter()
-            .zip(&x_true)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        assert!(err < 1e-6, "max err {err}");
+        let x = jacobi_bicgstab(&a, &b, None).expect("bicgstab converges").x;
+        assert!(max_diff(&x, &x_true) < 1e-6);
     }
 
     #[test]
     fn bicgstab_matches_cg_on_spd() {
         let a = laplacian_1d(64);
         let b: Vec<f64> = (0..64).map(|i| (i as f64).cos()).collect();
-        let x1 = cg(&a, &b, &CgOptions::default()).expect("cg");
-        let x2 = bicgstab(&a, &b, &BiCgStabOptions::default()).expect("bicgstab");
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-6);
-        }
+        let x1 = jacobi_cg(&a, &b, None).expect("cg").x;
+        let x2 = jacobi_bicgstab(&a, &b, None).expect("bicgstab").x;
+        assert!(max_diff(&x1, &x2) < 1e-6);
     }
 
     #[test]
     fn bicgstab_zero_rhs() {
         let a = laplacian_1d(8);
-        let x = bicgstab(&a, &[0.0; 8], &BiCgStabOptions::default()).expect("trivial");
+        let x = jacobi_bicgstab(&a, &[0.0; 8], None).expect("trivial").x;
         assert_eq!(x, vec![0.0; 8]);
     }
 
@@ -1140,10 +684,9 @@ mod tests {
     fn bicgstab_warm_start_converges_instantly() {
         let a = laplacian_1d(100);
         let b = vec![1.0; 100];
-        let opts = BiCgStabOptions::default();
-        let cold = bicgstab_with_guess(&a, &b, None, &opts).expect("cold");
+        let cold = jacobi_bicgstab(&a, &b, None).expect("cold");
         assert!(cold.iterations > 0);
-        let warm = bicgstab_with_guess(&a, &b, Some(&cold.x), &opts).expect("warm");
+        let warm = jacobi_bicgstab(&a, &b, Some(&cold.x)).expect("warm");
         assert_eq!(warm.iterations, 0, "residual {}", warm.relative_residual);
     }
 
@@ -1151,45 +694,42 @@ mod tests {
     fn jacobi_on_zero_diagonal_is_surfaced_not_masked() {
         // Zero diagonal at row 1: previously silently treated as 1.0.
         let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0)]);
-        let err = cg(&a, &[1.0, 1.0], &CgOptions::default()).unwrap_err();
+        let err = jacobi_cg(&a, &[1.0, 1.0], None).unwrap_err();
         assert!(matches!(err, SolveError::SingularDiagonal { row: 1 }));
     }
 
     #[test]
     fn non_finite_inputs_rejected_up_front() {
         let a = laplacian_1d(3);
-        let err = cg(&a, &[1.0, f64::NAN, 0.0], &CgOptions::default()).unwrap_err();
+        let opts = RobustOptions::default();
+        let mut state = SolveWorkspace::new();
+        let err = solve_robust(&a, None, &[1.0, f64::NAN, 0.0], None, &opts, &mut state);
         assert!(matches!(
             err,
-            SolveError::NonFinite {
+            Err(SolveError::NonFinite {
                 what: "rhs",
                 index: 1
-            }
+            })
         ));
 
-        let err = cg_with_guess(
-            &a,
-            &[1.0; 3],
-            Some(&[f64::INFINITY, 0.0, 0.0]),
-            &CgOptions::default(),
-        )
-        .unwrap_err();
+        let guess = [f64::INFINITY, 0.0, 0.0];
+        let err = solve_robust(&a, None, &[1.0; 3], Some(&guess), &opts, &mut state);
         assert!(matches!(
             err,
-            SolveError::NonFinite {
+            Err(SolveError::NonFinite {
                 what: "guess",
                 index: 0
-            }
+            })
         ));
 
         let bad = CsrMatrix::from_triplets(2, 2, &[(0, 0, f64::NAN), (1, 1, 1.0)]);
-        let err = bicgstab(&bad, &[1.0, 1.0], &BiCgStabOptions::default()).unwrap_err();
+        let err = solve_robust(&bad, None, &[1.0, 1.0], None, &opts, &mut state);
         assert!(matches!(
             err,
-            SolveError::NonFinite {
+            Err(SolveError::NonFinite {
                 what: "matrix",
                 index: 0
-            }
+            })
         ));
     }
 
@@ -1200,23 +740,26 @@ mod tests {
         // CG and BiCGSTAB; every result must match the allocate-fresh path
         // bit for bit, and once the workspace has grown to the largest size
         // its capacity must stop changing.
+        let solve_both = |a: &CsrMatrix, b: &[f64], ws: &mut SolveWorkspace| {
+            let pre = Precond::jacobi(a).unwrap();
+            let x_cg = cg(a, b, None, &pre, 1e-10, MAX_ITERATIONS, &mut ws.krylov).unwrap();
+            let x_bi = bicgstab(a, b, None, &pre, 1e-10, MAX_ITERATIONS, &mut ws.krylov).unwrap();
+            (x_cg, x_bi)
+        };
         for &n in &[10, 50, 30, 50, 7] {
             let a = laplacian_1d(n);
             let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-            let fresh = cg_with_guess(&a, &b, None, &CgOptions::default()).unwrap();
-            let reused = cg_with_guess_ws(&a, &b, None, &CgOptions::default(), &mut ws).unwrap();
-            assert_eq!(fresh, reused, "cg n={n}");
-            let fresh = bicgstab_with_guess(&a, &b, None, &BiCgStabOptions::default()).unwrap();
-            let reused =
-                bicgstab_with_guess_ws(&a, &b, None, &BiCgStabOptions::default(), &mut ws).unwrap();
-            assert_eq!(fresh, reused, "bicgstab n={n}");
+            let (cg_reused, bi_reused) = solve_both(&a, &b, &mut ws);
+            assert_eq!(jacobi_cg(&a, &b, None).unwrap(), cg_reused, "cg n={n}");
+            assert_eq!(
+                jacobi_bicgstab(&a, &b, None).unwrap(),
+                bi_reused,
+                "bicgstab n={n}"
+            );
         }
         let cap = ws.capacity();
         for _ in 0..3 {
-            let a = laplacian_1d(50);
-            let b = vec![1.0; 50];
-            cg_with_guess_ws(&a, &b, None, &CgOptions::default(), &mut ws).unwrap();
-            bicgstab_with_guess_ws(&a, &b, None, &BiCgStabOptions::default(), &mut ws).unwrap();
+            solve_both(&laplacian_1d(50), &[1.0; 50], &mut ws);
         }
         assert_eq!(ws.capacity(), cap, "steady-state reuse must not reallocate");
     }
@@ -1228,18 +771,10 @@ mod tests {
         // residual plateaus at the projection instead of converging.
         let n = 40;
         let mut t = TripletMatrix::new(n, n);
-        for i in 0..n {
-            if i + 1 < n {
-                t.stamp_conductance(Some(i), Some(i + 1), 1.0);
-            }
+        for i in 0..n - 1 {
+            t.stamp_conductance(Some(i), Some(i + 1), 1.0);
         }
-        let a = t.to_csr();
-        let b = vec![1.0; n];
-        let opts = CgOptions {
-            stagnation_window: 50,
-            ..CgOptions::default()
-        };
-        let err = cg(&a, &b, &opts).unwrap_err();
+        let err = jacobi_cg(&t.to_csr(), &vec![1.0; n], None).unwrap_err();
         assert!(
             matches!(
                 err,

@@ -23,8 +23,8 @@
 //! approximated. Consequently swapping a `CsrMatrix` for the
 //! [`StencilOperator`] built from it changes performance, never results.
 //!
-//! The [`LinearOperator`] trait is the common surface: `cg` and `bicgstab`
-//! cores in [`crate::solver`] take `&dyn LinearOperator`, so a solve can be
+//! The [`LinearOperator`] trait is the common surface: the CG core behind
+//! [`crate::solve_robust`] takes `&dyn LinearOperator`, so a solve can be
 //! driven by either representation without duplicating solver code.
 
 use crate::error::SolveError;

@@ -10,18 +10,19 @@
 //!   prolongator with the unfiltered matrix let it reach 9.9 on a 4-layer
 //!   Dense-TSV PDN), with a bounded AMG-CG iteration count, including a
 //!   row whose strength-filtered, lumped diagonal is zero;
-//! * AMG-led escalation-ladder solves match dense LU (`vstack_sparse::
-//!   dense`, which shares no code with the Krylov solvers or the
-//!   multigrid) to 1e-8 relative, on regular and V-S systems, healthy and
-//!   with a faulted conductor left in the pattern as an explicit zero, at
-//!   pool widths 1 and 2.
+//! * escalation-ladder solves from every lead a production caller uses
+//!   (mixed-precision AMG, f64 AMG and Jacobi) match dense LU
+//!   (`vstack_sparse::dense`, which shares no code with the Krylov solvers
+//!   or the multigrid) to 1e-8 relative, on regular and V-S systems,
+//!   healthy and with a faulted conductor left in the pattern as an
+//!   explicit zero, at pool widths 1 and 2.
 
 use std::sync::Arc;
 
 use vstack_sparse::dense::DenseMatrix;
 use vstack_sparse::pool::{with_pool, ThreadPool};
 use vstack_sparse::{
-    solve_robust_cached_ws, AmgHierarchy, AmgOptions, CsrMatrix, RobustOptions, SolveMethod,
+    solve_robust, AmgHierarchy, AmgOptions, CsrMatrix, Lead, RobustOptions, SolveMethod,
     SolveWorkspace, TripletMatrix,
 };
 
@@ -234,11 +235,10 @@ fn tsv_coupled_stack_keeps_operator_complexity_low() {
 
     let opts = RobustOptions {
         tolerance: 1e-9,
-        start_with_ic: false,
-        start_with_amg: true,
+        lead: Lead::Amg,
         ..RobustOptions::default()
     };
-    let sol = solve_robust_cached_ws(&a, &s.b, None, &opts, &mut SolveWorkspace::new(), &mut None)
+    let sol = solve_robust(&a, None, &s.b, None, &opts, &mut SolveWorkspace::new())
         .expect("amg-led solve");
     assert_eq!(
         sol.report.method,
@@ -267,27 +267,22 @@ fn amg_led_ladder_solves_match_dense_lu() {
         assert!(a.rows() > AmgOptions::default().direct_max, "{name}");
         let exact = dense(&a).lu().expect("SPD system").solve(&s.b).expect("lu");
         let scale = exact.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-        for (mixed, method) in [(false, SolveMethod::CgAmg), (true, SolveMethod::CgAmgMixed)] {
+        for (lead, method) in [
+            (Lead::Amg, SolveMethod::CgAmg),
+            (Lead::MixedAmg, SolveMethod::CgAmgMixed),
+            (Lead::Jacobi, SolveMethod::CgJacobi),
+        ] {
             let opts = RobustOptions {
                 tolerance: 1e-12,
-                start_with_ic: false,
-                start_with_amg: !mixed,
-                start_with_mixed: mixed,
+                lead,
                 ..RobustOptions::default()
             };
             for width in [1, 2] {
                 let pool = Arc::new(ThreadPool::new(width));
                 let sol = with_pool(&pool, || {
-                    solve_robust_cached_ws(
-                        &a,
-                        &s.b,
-                        None,
-                        &opts,
-                        &mut SolveWorkspace::new(),
-                        &mut None,
-                    )
+                    solve_robust(&a, None, &s.b, None, &opts, &mut SolveWorkspace::new())
                 })
-                .expect("amg-led solve");
+                .expect("ladder solve");
                 let what = format!("{name}, {method}, width {width}");
                 assert_eq!(sol.report.method, method, "{what}: {}", sol.report.trail());
                 let err = sol

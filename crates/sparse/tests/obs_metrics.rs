@@ -9,121 +9,114 @@
 
 use vstack_obs::metrics::global;
 use vstack_sparse::{
-    solve_robust, solve_robust_cached_ws, CsrMatrix, RobustOptions, SolveMethod, SolveWorkspace,
-    TripletMatrix,
+    solve_robust, CsrMatrix, Lead, RobustOptions, RobustSolved, SolveError, SolveMethod,
+    SolveWorkspace, TripletMatrix,
 };
 
-/// Kershaw's 4×4 SPD matrix: zero-fill incomplete Cholesky breaks down
-/// with a negative pivot, forcing at least one ladder escalation.
-fn kershaw() -> CsrMatrix {
-    let vals = [
-        [3.0, -2.0, 0.0, 2.0],
-        [-2.0, 3.0, -2.0, 0.0],
-        [0.0, -2.0, 3.0, -2.0],
-        [2.0, 0.0, -2.0, 3.0],
-    ];
-    let mut t = TripletMatrix::new(4, 4);
-    for (r, row) in vals.iter().enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                t.push(r, c, v);
-            }
-        }
+/// 1-D Laplacian, grounded at node 0 when `grounded` (then it solves on
+/// the first rung); ungrounded it is singular.
+fn laplacian_1d(n: usize, grounded: bool) -> CsrMatrix {
+    let mut t = TripletMatrix::new(n, n);
+    for i in 0..n - 1 {
+        t.stamp_conductance(Some(i), Some(i + 1), 1.0);
+    }
+    if grounded {
+        t.stamp_conductance(Some(0), None, 1.0);
     }
     t.to_csr()
 }
 
-/// 1-D grounded Laplacian: solves on the first rung, no escalation.
-fn laplacian_1d(n: usize) -> CsrMatrix {
-    let mut t = TripletMatrix::new(n, n);
-    for i in 0..n {
-        t.push(i, i, if i == 0 { 3.0 } else { 2.0 });
-        if i + 1 < n {
-            t.push(i, i + 1, -1.0);
-            t.push(i + 1, i, -1.0);
-        }
-    }
-    t.to_csr()
+/// `(ladder_solves, ladder_escalations, ladder_rescued, bicgstab_solves)`.
+fn counters() -> [u64; 4] {
+    let m = global();
+    [
+        m.ladder_solves.get(),
+        m.ladder_escalations.get(),
+        m.ladder_rescued.get(),
+        m.bicgstab_solves.get(),
+    ]
+}
+
+/// Solves from `lead` at the PDN tolerance and returns the counter deltas
+/// alongside the result.
+fn solve_counted(
+    a: &CsrMatrix,
+    b: &[f64],
+    lead: Lead,
+) -> (Result<RobustSolved, SolveError>, [u64; 4]) {
+    let opts = RobustOptions {
+        tolerance: 1e-9,
+        lead,
+        ..RobustOptions::default()
+    };
+    let before = counters();
+    let sol = solve_robust(a, None, b, None, &opts, &mut SolveWorkspace::new());
+    let after = counters();
+    (sol, std::array::from_fn(|i| after[i] - before[i]))
 }
 
 #[test]
 fn ladder_counters_move_in_lock_step_with_solve_reports() {
     let m = global();
-    let opts = RobustOptions::default();
 
     // A healthy solve: one ladder entry, zero escalations, zero rescues.
-    let before = (
-        m.ladder_solves.get(),
-        m.ladder_escalations.get(),
-        m.ladder_rescued.get(),
-    );
-    let a = laplacian_1d(50);
-    let sol = solve_robust(&a, &vec![1.0; 50], None, &opts).expect("healthy solve");
-    assert!(sol.report.fallbacks.is_empty());
-    assert_eq!(m.ladder_solves.get(), before.0 + 1);
-    assert_eq!(m.ladder_escalations.get(), before.1);
-    assert_eq!(m.ladder_rescued.get(), before.2);
+    let (sol, delta) = solve_counted(&laplacian_1d(50, true), &[1.0; 50], Lead::Jacobi);
+    let sol = sol.expect("healthy solve");
+    assert_eq!(sol.report.trail().split(' ').next(), Some("cg+jacobi"));
+    assert_eq!(delta, [1, 0, 0, 0]);
 
-    // Kershaw defeats IC(0): the escalation counter must advance by
-    // exactly the number of recorded fallback steps, and the rescue
-    // counter by exactly one.
-    let before = (
-        m.ladder_solves.get(),
-        m.ladder_escalations.get(),
-        m.ladder_rescued.get(),
-    );
-    let a = kershaw();
-    let b = a.mul_vec(&[1.0, 2.0, -1.0, 0.5]);
-    let sol = solve_robust(&a, &b, None, &opts).expect("rescued solve");
-    assert!(!sol.report.fallbacks.is_empty(), "{}", sol.report.trail());
+    // A diagonal matrix above the AMG direct-solve size fails coarsening:
+    // one escalation, one rescue by CG + Jacobi.
+    let a = CsrMatrix::from_triplets(300, 300, &(0..300).map(|i| (i, i, 2.0)).collect::<Vec<_>>());
+    let (sol, delta) = solve_counted(&a, &[1.0; 300], Lead::Amg);
+    let sol = sol.expect("rescued solve");
     assert_eq!(
-        sol.report.fallbacks[0].from,
-        SolveMethod::CgIncompleteCholesky
+        sol.report.trail().split(' ').next(),
+        Some("cg+amg->cg+jacobi")
     );
-    assert_eq!(m.ladder_solves.get(), before.0 + 1);
-    assert_eq!(
-        m.ladder_escalations.get(),
-        before.1 + sol.report.fallbacks.len() as u64,
-        "one escalation per recorded fallback step: {}",
-        sol.report.trail()
-    );
-    assert_eq!(m.ladder_rescued.get(), before.2 + 1);
+    assert_eq!(delta, [1, 1, 1, 0]);
 
-    // A zero diagonal defeats IC(0) *and* Jacobi: still exactly one
-    // counter tick per fallback step, across a deeper trail.
-    let before = m.ladder_escalations.get();
+    // A zero diagonal defeats Jacobi: BiCGSTAB rescues, and counts itself.
     let a = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
-    let sol = solve_robust(&a, &[2.0, 5.0], None, &opts).expect("bicgstab rescue");
-    assert!(sol.report.fallbacks.len() >= 2, "{}", sol.report.trail());
+    let (sol, delta) = solve_counted(&a, &[2.0, 5.0], Lead::Jacobi);
+    let sol = sol.expect("bicgstab rescue");
     assert_eq!(
-        m.ladder_escalations.get(),
-        before + sol.report.fallbacks.len() as u64
+        sol.report.trail().split(' ').next(),
+        Some("cg+jacobi->bicgstab")
     );
+    assert_eq!(delta, [1, 1, 1, 1]);
 
-    // AMG-led solves through the cached ladder entry: the hierarchy (and,
-    // on the mixed rung, its f32 mirror) is built inside the ladder, and
-    // the setup counter must advance by exactly the setup time the report
+    // An ungrounded Laplacian with `b = 1` exhausts the ladder: CG and
+    // BiCGSTAB each escalate once, and the shifted rung's answer misses
+    // the original system by all of `b` — no rescue.
+    let (sol, delta) = solve_counted(&laplacian_1d(40, false), &[1.0; 40], Lead::Jacobi);
+    match sol {
+        Err(SolveError::NotConverged {
+            iterations: 40,
+            residual,
+        }) => assert!((residual - 1.0).abs() < 1e-6, "residual {residual}"),
+        other => panic!("expected the shifted rung's NotConverged, got {other:?}"),
+    }
+    assert_eq!(delta, [1, 2, 0, 0]);
+
+    // AMG-led solves: the hierarchy (and, on the mixed rung, its f32
+    // mirror) is built inside the ladder and kept in the state, and the
+    // setup counter must advance by exactly the setup time the report
     // carries, on the first solve that builds and on the re-solve that
     // reuses the cached hierarchy alike.
-    let a = laplacian_1d(2000);
+    let a = laplacian_1d(2000, true);
     let b = vec![1.0; a.rows()];
-    for opts in [
-        RobustOptions {
-            start_with_amg: true,
+    for lead in [Lead::Amg, Lead::MixedAmg] {
+        let opts = RobustOptions {
+            lead,
             ..RobustOptions::default()
-        },
-        RobustOptions {
-            start_with_mixed: true,
-            ..RobustOptions::default()
-        },
-    ] {
-        let mut cache = None;
-        let mut ws = SolveWorkspace::new();
+        };
+        let mut state = SolveWorkspace::new();
         for round in 0..2 {
             let before = m.solver_setup_us.get();
-            let sol = solve_robust_cached_ws(&a, &b, None, &opts, &mut ws, &mut cache)
-                .expect("amg-led solve");
+            let sol = solve_robust(&a, None, &b, None, &opts, &mut state).expect("amg-led solve");
             assert!(sol.report.fallbacks.is_empty(), "{}", sol.report.trail());
+            assert_ne!(sol.report.method, SolveMethod::CgJacobi);
             if round == 0 {
                 assert!(sol.report.setup_us > 0, "the first solve builds");
             }

@@ -4,13 +4,12 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use vstack_sparse::dense::DenseMatrix;
-use vstack_sparse::ichol::IncompleteCholesky;
 use vstack_sparse::pool::{with_pool, ThreadPool};
-use vstack_sparse::robust::{solve_robust, RobustOptions, SolveMethod};
-use vstack_sparse::solver::{
-    bicgstab, cg, cg_with_guess_ws, BiCgStabOptions, CgOptions, Preconditioner,
+use vstack_sparse::robust::FallbackStep;
+use vstack_sparse::{
+    solve_robust, vecops, CsrMatrix, Lead, RobustOptions, RobustSolved, SolveError, SolveMethod,
+    SolveWorkspace, TripletMatrix,
 };
-use vstack_sparse::{vecops, CsrMatrix, SolveWorkspace, TripletMatrix};
 
 /// Strategy: a random list of triplets inside an `n × n` matrix.
 fn triplets(n: usize, max_entries: usize) -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
@@ -46,32 +45,13 @@ fn spd_matrix(n: usize) -> impl Strategy<Value = CsrMatrix> {
     })
 }
 
-/// Strategy: an SPD matrix whose leading 4×4 block is a scaled copy of
-/// Kershaw's classic IC(0)-defeating pattern (zero-fill incomplete
-/// Cholesky hits a negative pivot on it), embedded block-diagonally ahead
-/// of a random SPD tail. The whole matrix is SPD and well-posed, but the
-/// first escalation-ladder rung is guaranteed to fail.
-fn ic0_defeating_spd(tail: usize) -> impl Strategy<Value = CsrMatrix> {
-    (0.5..4.0f64, spd_matrix(tail)).prop_map(move |(scale, tail_m)| {
-        let kershaw = [
-            [3.0, -2.0, 0.0, 2.0],
-            [-2.0, 3.0, -2.0, 0.0],
-            [0.0, -2.0, 3.0, -2.0],
-            [2.0, 0.0, -2.0, 3.0],
-        ];
-        let mut t = TripletMatrix::new(4 + tail, 4 + tail);
-        for (r, row) in kershaw.iter().enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    t.push(r, c, scale * v);
-                }
-            }
-        }
-        for (r, c, v) in tail_m.iter() {
-            t.push(4 + r, 4 + c, v);
-        }
-        t.to_csr()
-    })
+/// Solves through the ladder from `lead` with a fresh state.
+fn solve(a: &CsrMatrix, b: &[f64], lead: Lead) -> RobustSolved {
+    let opts = RobustOptions {
+        lead,
+        ..RobustOptions::default()
+    };
+    solve_robust(a, None, b, None, &opts, &mut SolveWorkspace::new()).expect("ladder must converge")
 }
 
 /// Strategy: an SPD `side`×`side` grid Laplacian with random edge
@@ -160,17 +140,29 @@ proptest! {
     /// CG solves every randomly generated SPD system to tolerance.
     #[test]
     fn cg_solves_random_spd(a in spd_matrix(10), b in prop::collection::vec(-5.0..5.0f64, 10)) {
-        let x = cg(&a, &b, &CgOptions::default()).expect("SPD system must converge");
+        let sol = solve(&a, &b, Lead::Jacobi);
+        prop_assert_eq!(sol.report.method, SolveMethod::CgJacobi);
         let bnorm: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-        prop_assert!(a.residual_norm(&x, &b) <= 1e-7 * bnorm.max(1.0));
+        prop_assert!(a.residual_norm(&sol.x, &b) <= 1e-7 * bnorm.max(1.0));
     }
 
-    /// BiCGSTAB agrees with CG on SPD systems.
+    /// BiCGSTAB agrees with CG on SPD systems. A decoupled zero-diagonal
+    /// 2×2 block appended to the SPD matrix defeats CG + Jacobi, so the
+    /// ladder answers the whole system with BiCGSTAB; its SPD part must
+    /// match CG + Jacobi on the SPD block alone.
     #[test]
     fn bicgstab_agrees_with_cg(a in spd_matrix(8), b in prop::collection::vec(-2.0..2.0f64, 8)) {
-        let x1 = cg(&a, &b, &CgOptions::default()).expect("cg");
-        let x2 = bicgstab(&a, &b, &BiCgStabOptions::default()).expect("bicgstab");
-        for (u, v) in x1.iter().zip(&x2) {
+        let cg = solve(&a, &b, Lead::Jacobi);
+        let mut t = TripletMatrix::new(10, 10);
+        for (r, c, v) in a.iter() {
+            t.push(r, c, v);
+        }
+        t.push(8, 9, 1.0);
+        t.push(9, 8, 1.0);
+        t.push(9, 9, 1.0);
+        let bicg = solve(&t.to_csr(), &[&b[..], &[2.0, 5.0]].concat(), Lead::Jacobi);
+        prop_assert_eq!(bicg.report.method, SolveMethod::BiCgStab);
+        for (u, v) in cg.x.iter().zip(&bicg.x) {
             prop_assert!((u - v).abs() < 1e-5);
         }
     }
@@ -189,25 +181,30 @@ proptest! {
         }
     }
 
-    /// Whenever IC(0) fails on a well-posed SPD system, `solve_robust`
-    /// still recovers through the ladder — with a non-empty fallback trail
-    /// whose first abandoned rung is the incomplete-Cholesky attempt, and
-    /// a solution satisfying the original system.
+    /// Whenever AMG coarsening degenerates — a diagonal matrix above the
+    /// direct-solve size aggregates into singletons — an AMG-led ladder
+    /// records the failure and CG + Jacobi, exact on a diagonal, returns
+    /// `b / d`.
     #[test]
-    fn robust_rescues_ic0_failures(
-        a in ic0_defeating_spd(6),
-        x_true in prop::collection::vec(-3.0..3.0f64, 10),
+    fn robust_rescues_coarsening_failures(
+        d in prop::collection::vec(0.5..50.0f64, 300),
+        b in prop::collection::vec(-3.0..3.0f64, 300),
     ) {
-        let b = a.mul_vec(&x_true);
-        let sol = solve_robust(&a, &b, None, &RobustOptions::default())
-            .expect("SPD system must be rescued");
-        prop_assert!(sol.report.was_rescued(), "trail: {}", sol.report.trail());
-        prop_assert_eq!(
-            sol.report.fallbacks[0].from,
-            SolveMethod::CgIncompleteCholesky
+        let triplets: Vec<_> = d.iter().enumerate().map(|(i, &v)| (i, i, v)).collect();
+        let a = CsrMatrix::from_triplets(300, 300, &triplets);
+        let sol = solve(&a, &b, Lead::Amg);
+        prop_assert_eq!(sol.report.method, SolveMethod::CgJacobi);
+        prop_assert!(
+            matches!(
+                sol.report.fallbacks[..],
+                [FallbackStep { from: SolveMethod::CgAmg, error: SolveError::CoarseningFailed { .. } }]
+            ),
+            "trail: {}",
+            sol.report.trail()
         );
-        let bnorm: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-        prop_assert!(a.residual_norm(&sol.x, &b) <= 1e-6 * bnorm.max(1.0));
+        for ((x, b), d) in sol.x.iter().zip(&b).zip(&d) {
+            prop_assert!((x - b / d).abs() <= 1e-12 * (b / d).abs().max(1.0));
+        }
     }
 
     /// Triplet duplicate handling: pushing values one at a time or summed up
@@ -256,27 +253,6 @@ proptest! {
         }
     }
 
-    /// The level-scheduled parallel IC(0) application produces bit-for-bit
-    /// the serial forward/backward substitution, whenever the random SPD
-    /// matrix admits an IC(0) factorization.
-    #[test]
-    fn par_ic0_apply_bit_identical_to_serial(
-        a in spd_matrix(16),
-        r in prop::collection::vec(-3.0..3.0f64, 16),
-    ) {
-        if let Ok(ic) = IncompleteCholesky::factor(&a) {
-            let mut serial = vec![0.0; 16];
-            ic.apply(&r, &mut serial);
-            for pool in pools() {
-                let mut par = vec![f64::NAN; 16];
-                ic.par_apply(pool, &r, &mut par);
-                for (s, p) in serial.iter().zip(&par) {
-                    prop_assert_eq!(s.to_bits(), p.to_bits());
-                }
-            }
-        }
-    }
-
     /// AMG-preconditioned CG converges on random grid Laplacians to the
     /// same solution Jacobi-preconditioned CG finds. 400 unknowns is past
     /// `direct_max`, so a genuine coarse level is built and cycled.
@@ -285,13 +261,11 @@ proptest! {
         a in grid_spd(20, 0),
         b in prop::collection::vec(-2.0..2.0f64, 400),
     ) {
-        let jac = cg(&a, &b, &CgOptions::default()).expect("jacobi cg");
-        let amg_opts = CgOptions {
-            preconditioner: Preconditioner::Amg,
-            ..CgOptions::default()
-        };
-        let amg = cg(&a, &b, &amg_opts).expect("amg cg");
-        for (u, v) in jac.iter().zip(&amg) {
+        let jac = solve(&a, &b, Lead::Jacobi);
+        let amg = solve(&a, &b, Lead::Amg);
+        prop_assert_eq!(jac.report.method, SolveMethod::CgJacobi);
+        prop_assert_eq!(amg.report.method, SolveMethod::CgAmg);
+        for (u, v) in jac.x.iter().zip(&amg.x) {
             prop_assert!((u - v).abs() < 1e-5);
         }
     }
@@ -303,13 +277,11 @@ proptest! {
         a in grid_spd(20, 4),
         b in prop::collection::vec(-2.0..2.0f64, 400),
     ) {
-        let jac = cg(&a, &b, &CgOptions::default()).expect("jacobi cg");
-        let amg_opts = CgOptions {
-            preconditioner: Preconditioner::Amg,
-            ..CgOptions::default()
-        };
-        let amg = cg(&a, &b, &amg_opts).expect("amg cg");
-        for (u, v) in jac.iter().zip(&amg) {
+        let jac = solve(&a, &b, Lead::Jacobi);
+        let amg = solve(&a, &b, Lead::Amg);
+        prop_assert_eq!(jac.report.method, SolveMethod::CgJacobi);
+        prop_assert_eq!(amg.report.method, SolveMethod::CgAmg);
+        for (u, v) in jac.x.iter().zip(&amg.x) {
             prop_assert!((u - v).abs() < 1e-5);
         }
     }
@@ -324,11 +296,11 @@ proptest! {
         a2 in spd_matrix(13),
         b2 in prop::collection::vec(-4.0..4.0f64, 13),
     ) {
-        let opts = CgOptions::default();
+        let opts = RobustOptions::default();
         let mut ws = SolveWorkspace::new();
         for (a, b) in [(&a1, &b1), (&a2, &b2), (&a1, &b1)] {
-            let fresh = cg(a, b, &opts).expect("SPD system must converge");
-            let reused = cg_with_guess_ws(a, b, None, &opts, &mut ws)
+            let fresh = solve(a, b, Lead::Jacobi).x;
+            let reused = solve_robust(a, None, b, None, &opts, &mut ws)
                 .expect("SPD system must converge")
                 .x;
             for (f, r) in fresh.iter().zip(&reused) {
@@ -344,28 +316,21 @@ proptest! {
     // it under three pool widths.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// A `Preconditioner::Amg` CG solve is bit-for-bit identical at 1, 2
-    /// and 4 pool contexts — hierarchy construction is serial and the
-    /// V-cycle's parallel SpMV is bit-identical by design.
+    /// An AMG-led ladder solve is bit-for-bit identical at 1, 2 and 4
+    /// pool contexts — hierarchy construction is serial and the V-cycle's
+    /// parallel SpMV is bit-identical by design.
     #[test]
     fn amg_cg_bit_identical_across_pools(a in grid_spd(86, 2)) {
         let n = 86 * 86;
         let b: Vec<f64> = (0..n).map(|i| ((i % 11) as f64 - 5.0) * 1e-3).collect();
-        let opts = CgOptions {
-            preconditioner: Preconditioner::Amg,
-            ..CgOptions::default()
-        };
         let mut reference: Option<(Vec<f64>, usize)> = None;
         for pool in pools() {
-            let solved = with_pool(pool, || {
-                let mut ws = SolveWorkspace::new();
-                cg_with_guess_ws(&a, &b, None, &opts, &mut ws)
-            })
-            .expect("amg cg");
+            let solved = with_pool(pool, || solve(&a, &b, Lead::Amg));
+            prop_assert_eq!(solved.report.method, SolveMethod::CgAmg);
             match &reference {
-                None => reference = Some((solved.x, solved.iterations)),
+                None => reference = Some((solved.x, solved.report.iterations)),
                 Some((x0, it0)) => {
-                    prop_assert_eq!(*it0, solved.iterations);
+                    prop_assert_eq!(*it0, solved.report.iterations);
                     for (u, v) in x0.iter().zip(&solved.x) {
                         prop_assert_eq!(u.to_bits(), v.to_bits());
                     }

@@ -12,7 +12,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use vstack_sparse::pool::{with_pool, ThreadPool};
 use vstack_sparse::{
-    solve_robust, CsrMatrix, RobustOptions, SmwRejection, SmwSketch, SmwUpdate, TripletMatrix,
+    solve_robust, CsrMatrix, RobustOptions, SmwRejection, SmwSketch, SmwUpdate, SolveWorkspace,
+    TripletMatrix,
 };
 
 /// Ingredients of one random test system.
@@ -99,12 +100,13 @@ fn grid_system(nx: usize, ny: usize, rail_picks: &[usize], stacked: bool) -> Gri
     }
 }
 
-fn tight_options() -> RobustOptions {
-    RobustOptions {
+/// Solves `a x = b` on the ladder to a tight 1e-12 tolerance.
+fn tight_solve(a: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>, vstack_sparse::SolveError> {
+    let opts = RobustOptions {
         tolerance: 1e-12,
-        max_iterations: 50_000,
         ..RobustOptions::default()
-    }
+    };
+    solve_robust(a, None, b, None, &opts, &mut SolveWorkspace::new()).map(|s| s.x)
 }
 
 fn rel_err(x: &[f64], y: &[f64]) -> f64 {
@@ -124,9 +126,7 @@ fn downdate(
     edge_frac: &[usize],
 ) -> Option<(SmwSketch, Vec<SmwUpdate>, CsrMatrix, Vec<f64>)> {
     let n = sys.b0.len();
-    let x0 = solve_robust(&sys.a0, &sys.b0, None, &tight_options())
-        .ok()?
-        .x;
+    let x0 = tight_solve(&sys.a0, &sys.b0).ok()?;
     let mut sketch = SmwSketch::new(x0, sys.b0.clone(), 1e-9);
     let mut updates = Vec::new();
     let mut delta = TripletMatrix::new(n, n);
@@ -179,9 +179,7 @@ fn downdate(
     }
     for u in &updates {
         sketch
-            .ensure_column(u.column, |rhs| {
-                solve_robust(&sys.a0, rhs, None, &tight_options()).map(|s| s.x)
-            })
+            .ensure_column(u.column, |rhs| tight_solve(&sys.a0, rhs))
             .ok()?;
     }
     Some((sketch, updates, t.to_csr(), b_f))
@@ -209,9 +207,7 @@ proptest! {
         if let Some((sketch, updates, a_f, b_f)) = downdate(&sys, &rail_kills, &edge_kills) {
             match sketch.query(&updates) {
                 Ok(answer) => {
-                    let exact = solve_robust(&a_f, &b_f, None, &tight_options())
-                        .expect("downdated system solvable")
-                        .x;
+                    let exact = tight_solve(&a_f, &b_f).expect("downdated system solvable");
                     let rel = rel_err(&answer.x, &exact);
                     prop_assert!(rel <= 1e-9, "rel err {rel} (k = {})", updates.len());
                     prop_assert!(answer.rel_residual <= 1e-9);
@@ -231,7 +227,7 @@ proptest! {
         rail_picks in prop::collection::vec(0usize..256, 1..4),
     ) {
         let sys = grid_system(nx, ny, &rail_picks, false);
-        let x0 = solve_robust(&sys.a0, &sys.b0, None, &tight_options()).unwrap().x;
+        let x0 = tight_solve(&sys.a0, &sys.b0).unwrap();
         let mut sketch = SmwSketch::new(x0, sys.b0.clone(), 1e-9);
         let mut updates = Vec::new();
         for &(node, g, v_rail) in &sys.rails {
@@ -240,9 +236,7 @@ proptest! {
         }
         for u in &updates {
             sketch
-                .ensure_column(u.column, |rhs| {
-                    solve_robust(&sys.a0, rhs, None, &tight_options()).map(|s| s.x)
-                })
+                .ensure_column(u.column, |rhs| tight_solve(&sys.a0, rhs))
                 .unwrap();
         }
         match sketch.query(&updates) {

@@ -10,16 +10,15 @@
 //! 2. **f32/f64 agreement** — the mixed-precision rung converges to the
 //!    same CG tolerance as the all-f64 ladder on random regular and
 //!    converter-coupled grids, and the solutions agree.
-//! 3. **Allocation stability** — AMG and IC(0) re-setup on a warm
-//!    [`SolveWorkspace`] never regrow their scratch buffers.
+//! 3. **Allocation stability** — AMG re-setup on a warm
+//!    [`SolveWorkspace`] never regrows its scratch buffers.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use vstack_sparse::pool::ThreadPool;
-use vstack_sparse::solver::{cg_with_guess_ws, CgOptions, Preconditioner};
 use vstack_sparse::{
-    solve_robust, solve_robust_operator_ws, AmgHierarchy, AmgOptions, CsrMatrix, RobustOptions,
+    solve_robust, AmgHierarchy, AmgOptions, CsrMatrix, Lead, RobustOptions, RobustSolved,
     SolveMethod, SolveWorkspace, StencilDescriptor, StencilOperator, TripletMatrix,
 };
 
@@ -192,25 +191,8 @@ proptest! {
         let bnorm = norm2(&b).max(1.0);
 
         let op = StencilOperator::from_csr(&a, desc).expect("extraction");
-        let options = RobustOptions {
-            start_with_amg: true,
-            start_with_mixed: true,
-            ..RobustOptions::default()
-        };
-        let mut ws = SolveWorkspace::new();
-        let (mut amg, mut amg_f32) = (None, None);
-        let mixed = solve_robust_operator_ws(
-            &a, Some(&op), &b, None, &options, &mut ws, &mut amg, &mut amg_f32,
-        )
-        .expect("mixed ladder must converge");
-
-        let plain = solve_robust(
-            &a,
-            &b,
-            None,
-            &RobustOptions { start_with_amg: true, ..RobustOptions::default() },
-        )
-        .expect("f64 ladder must converge");
+        let mixed = solve_from(&a, Some(&op), &b, Lead::MixedAmg);
+        let plain = solve_from(&a, None, &b, Lead::Amg);
 
         prop_assert!(a.residual_norm(&mixed.x, &b) <= 1e-6 * bnorm);
         prop_assert!(a.residual_norm(&plain.x, &b) <= 1e-6 * bnorm);
@@ -222,6 +204,21 @@ proptest! {
             );
         }
     }
+}
+
+/// Solves through the ladder from `lead` with a fresh state.
+fn solve_from(
+    a: &CsrMatrix,
+    stencil: Option<&StencilOperator>,
+    b: &[f64],
+    lead: Lead,
+) -> RobustSolved {
+    let options = RobustOptions {
+        lead,
+        ..RobustOptions::default()
+    };
+    solve_robust(a, stencil, b, None, &options, &mut SolveWorkspace::new())
+        .expect("ladder must converge")
 }
 
 /// Fixed three-plane stacked grid with two converter taps — the
@@ -248,7 +245,7 @@ fn fixture_scaled(s: f64) -> (StencilDescriptor, CsrMatrix) {
     (desc, a)
 }
 
-/// The hot path end-to-end: with a stencil operator and `start_with_mixed`
+/// The hot path end-to-end: with a stencil operator and the `MixedAmg` lead
 /// the ladder accepts the mixed rung outright, reports the
 /// `stencil`/`mixed` provenance, and needs at most 50% more CG iterations
 /// than the pure-f64 AMG rung on the same system.
@@ -263,24 +260,7 @@ fn mixed_rung_accepted_with_stencil_operator() {
         "taps must demote rows to the side-CSR"
     );
 
-    let options = RobustOptions {
-        start_with_amg: true,
-        start_with_mixed: true,
-        ..RobustOptions::default()
-    };
-    let mut ws = SolveWorkspace::new();
-    let (mut amg, mut amg_f32) = (None, None);
-    let mixed = solve_robust_operator_ws(
-        &a,
-        Some(&op),
-        &b,
-        None,
-        &options,
-        &mut ws,
-        &mut amg,
-        &mut amg_f32,
-    )
-    .expect("mixed rung must converge");
+    let mixed = solve_from(&a, Some(&op), &b, Lead::MixedAmg);
     assert_eq!(mixed.report.method, SolveMethod::CgAmgMixed);
     assert_eq!(mixed.report.operator, "stencil");
     assert_eq!(mixed.report.precision, "mixed");
@@ -290,16 +270,7 @@ fn mixed_rung_accepted_with_stencil_operator() {
         mixed.report.trail()
     );
 
-    let plain = solve_robust(
-        &a,
-        &b,
-        None,
-        &RobustOptions {
-            start_with_amg: true,
-            ..RobustOptions::default()
-        },
-    )
-    .expect("f64 rung must converge");
+    let plain = solve_from(&a, None, &b, Lead::Amg);
     assert_eq!(plain.report.method, SolveMethod::CgAmg);
     assert_eq!(plain.report.operator, "csr");
     assert_eq!(plain.report.precision, "f64");
@@ -321,24 +292,7 @@ fn f32_overflow_falls_back_to_pure_f64() {
     let b = lcg_vec(2, n);
     let op = StencilOperator::from_csr(&a, desc).expect("extraction");
 
-    let options = RobustOptions {
-        start_with_amg: true,
-        start_with_mixed: true,
-        ..RobustOptions::default()
-    };
-    let mut ws = SolveWorkspace::new();
-    let (mut amg, mut amg_f32) = (None, None);
-    let sol = solve_robust_operator_ws(
-        &a,
-        Some(&op),
-        &b,
-        None,
-        &options,
-        &mut ws,
-        &mut amg,
-        &mut amg_f32,
-    )
-    .expect("f64 rung must rescue the solve");
+    let sol = solve_from(&a, Some(&op), &b, Lead::MixedAmg);
     assert_eq!(sol.report.fallbacks[0].from, SolveMethod::CgAmgMixed);
     assert_eq!(sol.report.method, SolveMethod::CgAmg);
     assert_eq!(sol.report.operator, "csr");
@@ -400,31 +354,4 @@ fn amg_rebuild_is_allocation_free_on_warm_workspace() {
     for (u, v) in z1.iter().zip(&z2) {
         assert_eq!(u.to_bits(), v.to_bits());
     }
-}
-
-/// Re-running an IC(0)-preconditioned solve on a warm workspace re-factors
-/// without regrowing the level-schedule scratch.
-#[test]
-fn ic_refactor_is_allocation_free_on_warm_workspace() {
-    let desc = StencilDescriptor::single_plane(24);
-    let n = desc.unknowns();
-    let vert = vec![0.0; n];
-    let anchor: Vec<f64> = (0..n).map(|i| 0.3 + (i % 6) as f64 * 0.1).collect();
-    let a = stacked_grid(&desc, &[3.0], &vert, &anchor, &[]);
-    let b = a.mul_vec(&lcg_vec(5, n));
-
-    let options = CgOptions {
-        preconditioner: Preconditioner::IncompleteCholesky,
-        ..CgOptions::default()
-    };
-    let mut ws = SolveWorkspace::new();
-    cg_with_guess_ws(&a, &b, None, &options, &mut ws).expect("first solve");
-    let after_first = ws.setup_regrowths();
-    assert!(after_first > 0, "a cold workspace must grow at least once");
-    cg_with_guess_ws(&a, &b, None, &options, &mut ws).expect("second solve");
-    assert_eq!(
-        ws.setup_regrowths(),
-        after_first,
-        "IC(0) re-factorization on a warm workspace must not reallocate"
-    );
 }

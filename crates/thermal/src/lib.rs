@@ -31,8 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use vstack_sparse::solver::{cg, CgOptions};
-use vstack_sparse::{SolveError, TripletMatrix};
+use vstack_sparse::{solve_robust, RobustOptions, SolveError, SolveWorkspace, TripletMatrix};
 
 /// Material and boundary parameters of the stack's thermal path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,7 +124,7 @@ impl StackThermalModel {
     ///
     /// # Errors
     ///
-    /// Propagates [`SolveError`] if CG fails to converge.
+    /// Propagates [`SolveError`] if the escalation ladder fails to converge.
     ///
     /// # Panics
     ///
@@ -189,12 +188,8 @@ impl StackThermalModel {
         }
 
         let a = m.to_csr();
-        let opts = CgOptions {
-            tolerance: 1e-10,
-            max_iterations: 20_000,
-            ..CgOptions::default()
-        };
-        let delta = cg(&a, &rhs, &opts)?;
+        let opts = RobustOptions::default();
+        let delta = solve_robust(&a, None, &rhs, None, &opts, &mut SolveWorkspace::new())?.x;
         let temps: Vec<Vec<f64>> = (0..self.n_layers)
             .map(|l| {
                 (0..cells)

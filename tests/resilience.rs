@@ -8,49 +8,49 @@ use vstack::experiments::ext_wearout::{
 use vstack::experiments::Fidelity;
 use vstack::pdn::{FaultSet, PdnError};
 use vstack::scenario::DesignScenario;
-use vstack::sparse::{solve_robust, CsrMatrix, RobustOptions, SolveMethod, TripletMatrix};
+use vstack::sparse::robust::FallbackStep;
+use vstack::sparse::{
+    solve_robust, CsrMatrix, Lead, RobustOptions, SolveError, SolveMethod, SolveWorkspace,
+};
 
-/// Kershaw's 4×4 SPD matrix: well-posed, but zero-fill incomplete
-/// Cholesky hits a negative pivot on it, forcing the ladder's first rung
-/// to fail.
-fn kershaw() -> CsrMatrix {
-    let vals = [
-        [3.0, -2.0, 0.0, 2.0],
-        [-2.0, 3.0, -2.0, 0.0],
-        [0.0, -2.0, 3.0, -2.0],
-        [2.0, 0.0, -2.0, 3.0],
-    ];
-    let mut t = TripletMatrix::new(4, 4);
-    for (r, row) in vals.iter().enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                t.push(r, c, v);
-            }
-        }
-    }
-    t.to_csr()
-}
-
-/// The escalation ladder rescues an IC(0)-defeating system and its
-/// `SolveReport` records the full fallback trail, starting from the
-/// abandoned incomplete-Cholesky rung.
+/// The escalation ladder rescues a system that defeats every CG rung, and
+/// its `SolveReport` records the full fallback trail. A zero diagonal
+/// entry (in a decoupled, well-posed 2×2 block) stops both the AMG build's
+/// smoother and Jacobi scaling, so an AMG-led solve falls through to
+/// unpreconditioned BiCGSTAB, whose answer must reproduce `x_true`.
 #[test]
 fn escalation_ladder_reports_its_fallback_trail() {
-    let a = kershaw();
-    let x_true = [1.0, -2.0, 0.5, 3.0];
+    let n = 300;
+    let mut triplets: Vec<_> = (0..n).map(|i| (i, i, 1.0 + (i % 7) as f64)).collect();
+    triplets.extend([(n, n + 1, 1.0), (n + 1, n, 1.0), (n + 1, n + 1, 1.0)]);
+    let a = CsrMatrix::from_triplets(n + 2, n + 2, &triplets);
+    let x_true: Vec<f64> = (0..n + 2).map(|i| (i as f64 * 0.3).sin()).collect();
     let b = a.mul_vec(&x_true);
-    let sol = solve_robust(&a, &b, None, &RobustOptions::default()).expect("rescued");
+    let opts = RobustOptions {
+        lead: Lead::Amg,
+        ..RobustOptions::default()
+    };
+    let sol = solve_robust(&a, None, &b, None, &opts, &mut SolveWorkspace::new()).expect("rescued");
 
-    assert!(sol.report.was_rescued());
+    let singular = |from| FallbackStep {
+        from,
+        error: SolveError::SingularDiagonal { row: n },
+    };
     assert_eq!(
-        sol.report.fallbacks[0].from,
-        SolveMethod::CgIncompleteCholesky
+        sol.report.fallbacks,
+        [
+            singular(SolveMethod::CgAmg),
+            singular(SolveMethod::CgJacobi)
+        ]
     );
-    assert_ne!(sol.report.method, SolveMethod::CgIncompleteCholesky);
+    assert_eq!(sol.report.method, SolveMethod::BiCgStab);
     let trail = sol.report.trail();
-    assert!(trail.starts_with("cg+ic0->"), "trail: {trail}");
+    assert!(
+        trail.starts_with("cg+amg->cg+jacobi->bicgstab ("),
+        "trail: {trail}"
+    );
     for (u, v) in sol.x.iter().zip(&x_true) {
-        assert!((u - v).abs() < 1e-6, "x = {:?}", sol.x);
+        assert!((u - v).abs() < 1e-8, "x = {:?}", sol.x);
     }
 }
 
