@@ -12,14 +12,10 @@
 //! * `spmv` — row-partitioned CSR matrix–vector product on a PDN-sized
 //!   grid Laplacian (above the `PAR_SPMV_MIN_NNZ` threshold, so the
 //!   threaded pool genuinely engages).
-//! * `cg_solve` — a full workspace-reusing solve through the production
-//!   hot path for its size: at or above `NetworkBuilder::AMG_MIN_UNKNOWNS`
-//!   that is the mixed-precision lead (matrix-free stencil operator, f32
-//!   AMG V-cycle), below it the Jacobi lead.
-//! * `cg_amg` — the same system from the f64 AMG lead over the CSR — the
-//!   pre-stencil baseline the 2× speedup target is measured against.
-//! * `cg_mixed` — the mixed-precision lead with the stencil operator: the
-//!   full hot path (same code `cg_solve` takes at this size).
+//! * `cg_amg` — a full workspace-reusing solve from the f64 AMG lead.
+//! * `cg_mixed` — the same system from the mixed-precision lead (f64
+//!   outer CG over the CSR, f32 AMG V-cycle): the production hot path at
+//!   this size, which is at or above `NetworkBuilder::AMG_MIN_UNKNOWNS`.
 //! * `cg_scaling/{jacobi,amg,mixed}/g{N}` — single-thread medians and
 //!   iteration counts across grid sizes, one entry per lead. Jacobi pays
 //!   its (cheap) setup inside the timed solve, as the ladder does; AMG
@@ -33,9 +29,9 @@
 //! * `fig6_sweep` — the end-to-end Fig 6 IR-drop study, whose series fan
 //!   out over the pool.
 //! * `obs_overhead/{disabled,enabled,span_disabled}` — the tracing
-//!   overhead gate: the `cg_solve` system solved with span recording off
+//!   overhead gate: the `cg_mixed` system solved with span recording off
 //!   (the shipping default; CI holds its median within 1% of
-//!   `cg_solve/threads1`) and on, plus the per-probe cost of a disabled
+//!   `cg_mixed/threads1`) and on, plus the per-probe cost of a disabled
 //!   `span!` itself.
 //!
 //! Threaded variants are only benched at widths the host actually has:
@@ -56,11 +52,10 @@ use std::sync::Arc;
 use criterion::{BenchReport, Criterion};
 use vstack::experiments::fig6::ir_drop_study;
 use vstack::experiments::Fidelity;
-use vstack::pdn::network::NetworkBuilder;
 use vstack::sparse::pool::{with_pool, ThreadPool};
 use vstack::sparse::{
     solve_robust, AmgHierarchy, AmgOptions, CsrMatrix, Lead, RobustOptions, RobustSolved,
-    SmwSketch, SmwUpdate, SolveWorkspace, StencilDescriptor, StencilOperator, TripletMatrix,
+    SmwSketch, SmwUpdate, SolveWorkspace, TripletMatrix,
 };
 
 /// 2-D grid Laplacian with Dirichlet stamps on `rails`, sized like one
@@ -106,7 +101,7 @@ fn sizes(quick: bool) -> Sizes {
     if quick {
         Sizes {
             spmv_n: 192, // 36 864 nodes: keeps nnz above PAR_SPMV_MIN_NNZ
-            cg_n: 96,    // 9 216 unknowns: engages the stencil + mixed hot path
+            cg_n: 96,    // 9 216 unknowns: engages the mixed-precision hot path
             scaling_grids: &[12, 48, 96],
             fig6_layers: 2,
             kernel_samples: 10,
@@ -129,7 +124,7 @@ fn sizes(quick: bool) -> Sizes {
 /// Extra per-entry facts the timing report alone cannot carry.
 struct Extra {
     preconditioner: &'static str,
-    /// Outer-iteration operator: `"csr"` or `"stencil"`.
+    /// Outer-iteration operator: `"csr"`, or `"smw"` for the sketch query.
     operator: &'static str,
     /// Preconditioner precision: `"f64"` or `"mixed"` (f32 V-cycle).
     precision: &'static str,
@@ -158,33 +153,21 @@ fn pool_widths() -> Vec<(usize, Arc<ThreadPool>)> {
     widths
 }
 
-/// One ladder solve from `lead` at the benches' default tolerance; the
-/// ladder uses `stencil` only on the mixed lead.
-fn solve(
-    a: &CsrMatrix,
-    stencil: Option<&StencilOperator>,
-    b: &[f64],
-    lead: Lead,
-    state: &mut SolveWorkspace,
-) -> RobustSolved {
+/// One ladder solve from `lead` at the benches' default tolerance.
+fn solve(a: &CsrMatrix, b: &[f64], lead: Lead, state: &mut SolveWorkspace) -> RobustSolved {
     let opts = RobustOptions {
         lead,
         ..RobustOptions::default()
     };
-    solve_robust(a, stencil, b, None, &opts, state).expect("bench solve")
+    solve_robust(a, b, None, &opts, state).expect("bench solve")
 }
 
 /// A solve state warmed by one untimed solve — so an AMG lead's
 /// hierarchy is cached, as `SolveScratch` reuse leaves it — plus the
 /// iteration count every later solve from it reports.
-fn warm_state(
-    a: &CsrMatrix,
-    stencil: Option<&StencilOperator>,
-    b: &[f64],
-    lead: Lead,
-) -> (SolveWorkspace, usize) {
+fn warm_state(a: &CsrMatrix, b: &[f64], lead: Lead) -> (SolveWorkspace, usize) {
     let mut state = SolveWorkspace::new();
-    let report = solve(a, stencil, b, lead, &mut state).report;
+    let report = solve(a, b, lead, &mut state).report;
     assert!(
         !report.was_rescued(),
         "bench solve left its lead: {}",
@@ -193,35 +176,34 @@ fn warm_state(
     (state, report.iterations)
 }
 
-/// The lead, operator and precision tags of a timed entry.
-fn tags(lead: Lead) -> (&'static str, &'static str, &'static str) {
+/// The preconditioner and precision tags of a timed entry; every ladder
+/// rung iterates on the CSR.
+fn tags(lead: Lead) -> (&'static str, &'static str) {
     match lead {
-        Lead::Jacobi => ("jacobi", "csr", "f64"),
-        Lead::Amg => ("amg", "csr", "f64"),
-        Lead::MixedAmg => ("amgf32", "stencil", "mixed"),
+        Lead::Jacobi => ("jacobi", "f64"),
+        Lead::Amg => ("amg", "f64"),
+        Lead::MixedAmg => ("amgf32", "mixed"),
     }
 }
 
 /// Times `group/id`: ladder solves from `lead` on a warmed state,
 /// recording the entry's tags and iteration count.
-#[allow(clippy::too_many_arguments)]
 fn bench_solve(
     c: &mut Criterion,
     meta: &mut Meta,
     (group, id): (&str, &str),
     samples: usize,
     a: &CsrMatrix,
-    stencil: Option<&StencilOperator>,
     b: &[f64],
     lead: Lead,
 ) {
-    let (state, iterations) = warm_state(a, stencil, b, lead);
-    let (preconditioner, operator, precision) = tags(lead);
+    let (state, iterations) = warm_state(a, b, lead);
+    let (preconditioner, precision) = tags(lead);
     meta.insert(
         format!("{group}/{id}"),
         Extra {
             preconditioner,
-            operator,
+            operator: "csr",
             precision,
             iterations,
         },
@@ -230,27 +212,14 @@ fn bench_solve(
     g.sample_size(samples);
     g.bench_function(id, |bch| {
         let mut state = state.clone();
-        bch.iter(|| black_box(solve(a, stencil, b, lead, &mut state)))
+        bch.iter(|| black_box(solve(a, b, lead, &mut state)))
     });
     g.finish();
-}
-
-/// The production lead for a system of `n` unknowns (see
-/// `NetworkBuilder::solve_reported`).
-fn production_lead(n: usize) -> Lead {
-    if n >= NetworkBuilder::AMG_MIN_UNKNOWNS {
-        Lead::MixedAmg
-    } else {
-        Lead::Jacobi
-    }
 }
 
 fn bench_kernels(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
     let (a_spmv, b_spmv) = grid_laplacian(s.spmv_n);
     let (a_cg, b_cg) = grid_laplacian(s.cg_n);
-    let stencil = StencilOperator::from_csr(&a_cg, StencilDescriptor::single_plane(s.cg_n))
-        .expect("grid laplacian extracts");
-    let stencil = Some(&stencil);
 
     for (threads, pool) in pool_widths() {
         let id = format!("threads{threads}");
@@ -265,29 +234,22 @@ fn bench_kernels(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
                 })
             });
             g.finish();
-            for (group, lead) in [
-                ("cg_solve", production_lead(a_cg.rows())),
-                ("cg_amg", Lead::Amg),
-                ("cg_mixed", Lead::MixedAmg),
-            ] {
+            for (group, lead) in [("cg_amg", Lead::Amg), ("cg_mixed", Lead::MixedAmg)] {
                 let name = (group, id.as_str());
-                bench_solve(c, meta, name, s.kernel_samples, &a_cg, stencil, &b_cg, lead);
+                bench_solve(c, meta, name, s.kernel_samples, &a_cg, &b_cg, lead);
             }
         });
     }
 }
 
-/// Tracing-overhead gate: the `cg_solve` system with spans compiled in,
+/// Tracing-overhead gate: the `cg_mixed` system with spans compiled in,
 /// timed with recording disabled (the shipping default) and enabled, plus
 /// a microbench pricing the disabled `span!` probe itself. CI compares
-/// the `disabled` median against `cg_solve/threads1`.
+/// the `disabled` median against `cg_mixed/threads1`.
 fn bench_obs_overhead(c: &mut Criterion, s: &Sizes) {
     let (a, b) = grid_laplacian(s.cg_n);
-    let lead = production_lead(a.rows());
-    let stencil = StencilOperator::from_csr(&a, StencilDescriptor::single_plane(s.cg_n))
-        .expect("grid laplacian extracts");
-    let stencil = Some(&stencil);
-    let (state, _) = warm_state(&a, stencil, &b, lead);
+    let lead = Lead::MixedAmg;
+    let (state, _) = warm_state(&a, &b, lead);
     let pool = Arc::new(ThreadPool::new(1));
     with_pool(&pool, || {
         let mut g = c.benchmark_group("obs_overhead");
@@ -296,7 +258,7 @@ fn bench_obs_overhead(c: &mut Criterion, s: &Sizes) {
             vstack_obs::trace::set_enabled(on);
             g.bench_function(mode, |bch| {
                 let mut state = state.clone();
-                bch.iter(|| black_box(solve(&a, stencil, &b, lead, &mut state)))
+                bch.iter(|| black_box(solve(&a, &b, lead, &mut state)))
             });
             vstack_obs::trace::set_enabled(false);
             let _ = vstack_obs::trace::drain();
@@ -314,10 +276,6 @@ fn bench_scaling(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
     let pool = Arc::new(ThreadPool::new(1));
     for &grid in s.scaling_grids {
         let (a, b) = grid_laplacian(grid);
-        // The stencil + f32-V-cycle hot path at every size, so the
-        // crossover against the pure-f64 rungs is in the record.
-        let stencil = StencilOperator::from_csr(&a, StencilDescriptor::single_plane(grid))
-            .expect("grid laplacian extracts");
         with_pool(&pool, || {
             let mut g = c.benchmark_group("cg_scaling");
             g.sample_size(s.scaling_samples);
@@ -335,16 +293,7 @@ fn bench_scaling(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
                 };
                 let id = format!("{name}/g{grid}");
                 let entry = ("cg_scaling", id.as_str());
-                bench_solve(
-                    c,
-                    meta,
-                    entry,
-                    s.scaling_samples,
-                    &a,
-                    Some(&stencil),
-                    &b,
-                    lead,
-                );
+                bench_solve(c, meta, entry, s.scaling_samples, &a, &b, lead);
             }
         });
     }
@@ -375,7 +324,7 @@ fn bench_fault_sketch(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
         ..RobustOptions::default()
     };
     let exact_solve = |a: &CsrMatrix, rhs: &[f64], state: &mut SolveWorkspace| {
-        solve_robust(a, None, rhs, None, &opts, state)
+        solve_robust(a, rhs, None, &opts, state)
     };
     let pool = Arc::new(ThreadPool::new(1));
     with_pool(&pool, || {
@@ -506,7 +455,7 @@ fn bench_fig6(c: &mut Criterion, s: &Sizes) {
 fn render_json(reports: &[BenchReport], meta: &Meta, quick: bool) -> String {
     let host = host_parallelism();
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"vstack-bench-solver/5\",\n");
+    out.push_str("  \"schema\": \"vstack-bench-solver/6\",\n");
     out.push_str(&format!("  \"host_parallelism\": {host},\n"));
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str("  \"entries\": [\n");

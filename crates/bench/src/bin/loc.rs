@@ -69,8 +69,9 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lines of `text` inside `#[cfg(test)] mod … { … }` blocks: from the
-/// attribute through the `}` that closes the module at its own indent.
+/// Lines of `text` inside `#[cfg(test)] mod … { … }` blocks, whatever the
+/// module's visibility: from the attribute through the `}` that closes
+/// the module at its own indent.
 fn cfg_test_lines(text: &str) -> usize {
     let lines: Vec<&str> = text.lines().collect();
     let mut count = 0;
@@ -79,6 +80,7 @@ fn cfg_test_lines(text: &str) -> usize {
         let opens_module = lines[i].trim() == "#[cfg(test)]"
             && lines.get(i + 1).is_some_and(|l| {
                 let l = l.trim_start();
+                let l = l.strip_prefix("pub(crate) ").unwrap_or(l);
                 l.starts_with("mod ") && l.ends_with('{')
             });
         if !opens_module {

@@ -122,9 +122,6 @@ pub struct EngineStats {
     /// Wall-clock spent inside solves, microseconds (per-job, so parallel
     /// batches sum to more than elapsed time).
     pub solve_time_us: u64,
-    /// Solves whose accepted rung iterated through the matrix-free
-    /// stencil operator (`solver_path` starts with `"stencil"`).
-    pub stencil_solves: u64,
     /// Solves whose accepted rung used the mixed-precision f32 V-cycle
     /// (`solver_path` ends with `"mixed"`).
     pub mixed_solves: u64,
@@ -175,7 +172,6 @@ impl EngineStats {
             ),
             ("solver_setup_us", Json::Num(self.solver_setup_us as f64)),
             ("solve_time_us", Json::Num(self.solve_time_us as f64)),
-            ("stencil_solves", Json::Num(self.stencil_solves as f64)),
             ("mixed_solves", Json::Num(self.mixed_solves as f64)),
             ("hit_rate", Json::Num(self.hit_rate())),
         ])
@@ -374,9 +370,6 @@ impl Engine {
                     self.stats.solver_iterations += summary.solver_iterations as u64;
                     self.stats.solver_setup_us += summary.solver_setup_us;
                     self.stats.solve_time_us += micros;
-                    if summary.solver_path.starts_with("stencil") {
-                        self.stats.stencil_solves += 1;
-                    }
                     if summary.solver_path.ends_with("mixed") {
                         self.stats.mixed_solves += 1;
                     }

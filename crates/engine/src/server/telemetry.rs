@@ -135,7 +135,7 @@ pub struct RequestTelemetry {
     /// Where the answer came from: `mem`, `disk`, `solve`, or `none`
     /// for requests that never produced one.
     pub cache_tier: &'static str,
-    /// Solver ladder path from the summary (for example `stencil+mixed`),
+    /// Solver ladder path from the summary (for example `csr+mixed`),
     /// empty when no solve happened.
     pub solver_path: String,
 }

@@ -40,10 +40,10 @@ pub struct SolveSummary {
     /// or `"cg+jacobi->bicgstab (…)"`.
     pub solver_trail: String,
     /// Operator and precision of the accepted rung, `"<operator>+<precision>"`
-    /// — e.g. `"stencil+mixed"` for the matrix-free mixed-precision hot
-    /// path, `"csr+f64"` for the classic path. Optional-additive on the
-    /// wire: summaries cached before this field existed parse as
-    /// `"csr+f64"`, keeping the schema version unchanged.
+    /// — e.g. `"csr+mixed"` for the mixed-precision hot path, `"csr+f64"`
+    /// for the pure-f64 rungs. Optional-additive on the wire: summaries
+    /// cached before this field existed parse as `"csr+f64"`, keeping the
+    /// schema version unchanged.
     pub solver_path: String,
     /// Thermal–EM–IR fixed-point iterations behind this result; 0 for a
     /// plain uncoupled solve. Optional-additive on the wire (absent ⇒ 0),

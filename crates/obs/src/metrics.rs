@@ -396,7 +396,9 @@ pub struct Metrics {
     pub amg_build_failures: Counter,
     /// Individual V-cycle applications.
     pub amg_vcycles: Counter,
-    /// Matrix-free stencil-operator SpMV applications.
+    /// Always 0: nothing increments it since the matrix-free stencil
+    /// operator was deleted. Kept registered because the `e2e` benchmark
+    /// (`layers.rs`) looks every counter it reports up by name.
     pub stencil_applies: Counter,
     /// Mixed-precision refinement sweeps (f32 V-cycle applications).
     pub refinement_sweeps: Counter,

@@ -5,7 +5,7 @@
 use vstack_sparse::vecops::norm2;
 use vstack_sparse::{
     solve_robust, CancelToken, CsrMatrix, Lead, RobustOptions, SolveError, SolveReport,
-    SolveWorkspace, StencilDescriptor, StencilOperator, TripletMatrix,
+    SolveWorkspace, TripletMatrix,
 };
 
 use crate::error::PdnError;
@@ -104,11 +104,6 @@ pub struct SolveScratch {
     /// value-only re-stamps — CG converges against the *current* matrix;
     /// only the rung's iteration count drifts with the values.
     workspace: SolveWorkspace,
-    /// Matrix-free stencil operator extracted from the assembled CSR when
-    /// the builder carries a [`StencilDescriptor`]. Rebuilt on pattern
-    /// changes; on value-only re-stamps only its values are refreshed
-    /// (same classification, bit-identical applies).
-    stencil: Option<StencilOperator>,
     /// Cooperative cancellation token handed to the escalation ladder of
     /// every solve run through this scratch. Defaults to
     /// [`CancelToken::never`]; serving tiers install a per-request token
@@ -191,10 +186,6 @@ pub struct NetworkBuilder {
     /// — the Dirichlet anchors every other node must reach for the system
     /// to be non-singular.
     rail_nodes: Vec<bool>,
-    /// Regular-grid shape of the stamped system, when the topology has
-    /// one. Lets large solves extract a matrix-free [`StencilOperator`]
-    /// for the mixed-precision hot path; `None` keeps everything on CSR.
-    stencil_desc: Option<StencilDescriptor>,
 }
 
 impl NetworkBuilder {
@@ -204,26 +195,7 @@ impl NetworkBuilder {
             matrix: TripletMatrix::with_capacity(n, n, 8 * n),
             rhs: vec![0.0; n],
             rail_nodes: vec![false; n],
-            stencil_desc: None,
         }
-    }
-
-    /// Declares the regular-grid shape of this network so large solves can
-    /// extract a matrix-free [`StencilOperator`] from the assembled CSR.
-    /// `desc.unknowns()` must equal the builder's unknown count; rows that
-    /// do not match the stencil pattern (pads, converters) are handled by
-    /// the operator's side-CSR, so declaring the shape is always safe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `desc.unknowns()` differs from [`NetworkBuilder::len`].
-    pub fn set_stencil_descriptor(&mut self, desc: StencilDescriptor) {
-        assert_eq!(
-            desc.unknowns(),
-            self.rhs.len(),
-            "stencil descriptor does not cover the unknowns"
-        );
-        self.stencil_desc = Some(desc);
     }
 
     /// Number of unknowns.
@@ -381,11 +353,10 @@ impl NetworkBuilder {
     ///   enough that Jacobi converges reliably, and skipping
     ///   preconditioner setup keeps small solves cheap;
     /// * at or above it the ladder leads with the mixed-precision rung
-    ///   ([`Lead::MixedAmg`]: f64 CG through the matrix-free stencil
-    ///   operator, preconditioned by an f32 AMG V-cycle), whose
-    ///   near-size-independent iteration counts dominate on large
-    ///   many-layer grids, falling back to f64 CG+AMG → CG+Jacobi →
-    ///   BiCGSTAB → Tikhonov-shifted CG on numerical trouble.
+    ///   ([`Lead::MixedAmg`]: f64 CG over the CSR, preconditioned by an
+    ///   f32 AMG V-cycle), whose near-size-independent iteration counts
+    ///   dominate on large many-layer grids, falling back to f64 CG+AMG →
+    ///   CG+Jacobi → BiCGSTAB → Tikhonov-shifted CG on numerical trouble.
     ///
     /// # Errors
     ///
@@ -446,40 +417,15 @@ impl NetworkBuilder {
         } else {
             scratch.pattern_builds += 1;
             m.pdn_pattern_builds.inc();
-            // The cached hierarchies and stencil describe a different
-            // operator structure; drop them so the next large solve
-            // rebuilds.
+            // The cached hierarchies describe a different operator
+            // structure; drop them so the next large solve rebuilds.
             scratch.workspace.clear_hierarchies();
-            scratch.stencil = None;
             // A structural change also invalidates the fault sketch (its
             // columns are tied to the old node numbering). Value-only
             // re-stamps keep it: the sketch checks its own fingerprint.
             scratch.sketch = None;
         }
-        // Keep the matrix-free operator in sync with the fresh stamping:
-        // refresh values in place on a pattern hit, re-extract otherwise.
-        // Only systems large enough for the mixed rung pay the extraction.
-        if self.stencil_desc.is_some() && n >= Self::AMG_MIN_UNKNOWNS {
-            let refreshed = match scratch.stencil.as_mut() {
-                Some(s) if pattern_reused => s.refresh_values_from(&a).is_ok(),
-                _ => false,
-            };
-            if !refreshed {
-                scratch.stencil = self
-                    .stencil_desc
-                    .clone()
-                    .and_then(|d| StencilOperator::from_csr(&a, d).ok());
-            }
-        } else {
-            scratch.stencil = None;
-        }
-        let result = self.solve_csr(
-            &a,
-            scratch.stencil.as_ref(),
-            guess,
-            &mut scratch.workspace,
-            &scratch.cancel,
-        );
+        let result = self.solve_csr(&a, guess, &mut scratch.workspace, &scratch.cancel);
         scratch.pattern = Some(a);
         result
     }
@@ -511,13 +457,12 @@ impl NetworkBuilder {
 
     /// The shared solve tail: connectivity check, then the escalation
     /// ladder over an already-assembled CSR matrix. Large systems lead
-    /// with the mixed-precision rung (f64 outer CG — through `stencil`
-    /// when available — preconditioned by the f32 V-cycle), falling back
-    /// to the pure-f64 CSR rungs on any numerical trouble.
+    /// with the mixed-precision rung (f64 outer CG preconditioned by the
+    /// f32 V-cycle), falling back to the pure-f64 rungs on any numerical
+    /// trouble.
     fn solve_csr(
         &self,
         a: &CsrMatrix,
-        stencil: Option<&StencilOperator>,
         guess: Option<&[f64]>,
         workspace: &mut SolveWorkspace,
         cancel: &CancelToken,
@@ -547,7 +492,7 @@ impl NetworkBuilder {
                 m.amg_cache_misses.inc();
             }
         }
-        let solved = solve_robust(a, stencil, &self.rhs, guess, &opts, workspace)?;
+        let solved = solve_robust(a, &self.rhs, guess, &opts, workspace)?;
         Ok((solved.x, solved.report))
     }
 
@@ -688,8 +633,28 @@ pub fn core_load_weights(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Direct envelope-Cholesky solve of `nb`'s stamped system: an oracle
+    /// that shares no code with the Krylov ladder.
+    pub(crate) fn direct_solve(nb: &NetworkBuilder) -> Vec<f64> {
+        let a = nb.to_matrix();
+        let chol = vstack_sparse::EnvelopeCholesky::factor(&a).unwrap();
+        let (mut x, mut work) = (vec![0.0; a.rows()], vec![0.0; a.rows()]);
+        chol.solve_into(nb.rhs(), &mut x, &mut work);
+        x
+    }
+
+    /// `max |got − want|` as a fraction of `max |want|`.
+    pub(crate) fn max_error_of_scale(got: &[f64], want: &[f64]) -> f64 {
+        let scale = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let err = got
+            .iter()
+            .zip(want)
+            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+        err / scale
+    }
 
     #[test]
     fn load_weights_sum_to_one_and_vary_per_block() {

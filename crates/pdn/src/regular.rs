@@ -638,7 +638,7 @@ impl RegularPdn {
                 rhs[a] += i_companion;
                 rhs[b] -= i_companion;
             }
-            v = solve_robust(&a_t, None, &rhs, Some(&v), &opts, &mut ws)?.x;
+            v = solve_robust(&a_t, &rhs, Some(&v), &opts, &mut ws)?.x;
             times_s.push(step as f64 * config.dt_s);
             max_drop_series.push(self.max_drop_of(&v));
         }
@@ -669,6 +669,8 @@ impl RegularPdn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::tests::{direct_solve, max_error_of_scale};
+    use vstack_sparse::SolveMethod;
 
     fn quick_params() -> PdnParams {
         // Coarser grid keeps unit tests fast.
@@ -946,6 +948,27 @@ mod tests {
         assert!((plain.max_ir_drop_frac - faulted.solution.max_ir_drop_frac).abs() < 1e-12);
         assert!(!faulted.report.was_rescued());
         assert_eq!(faulted.voltages.len(), 2 * 2 * pdn.grid().count());
+    }
+
+    /// Paper-fidelity 4-layer stacks (5,408 unknowns) lead the ladder with
+    /// the mixed-precision rung over the CSR; every answer must match a
+    /// direct solve of the same assembled matrix.
+    #[test]
+    fn paper_fidelity_solves_match_direct_factorization() {
+        let p = PdnParams::paper_defaults();
+        let loads = StackLoads::uniform_peak(&p, 4);
+        for topo in [TsvTopology::Few, TsvTopology::Dense] {
+            let pdn = RegularPdn::new(&p, 4, topo, 0.5);
+            let sol = pdn
+                .solve_faulted_scratch(&loads, &FaultSet::new(), None, &mut SolveScratch::new())
+                .unwrap();
+            assert_eq!(sol.voltages.len(), 5408, "{topo:?}");
+            assert_eq!(sol.report.method, SolveMethod::CgAmgMixed, "{topo:?}");
+            assert_eq!(sol.report.operator, "csr", "{topo:?}");
+            let want = direct_solve(&pdn.assemble(&loads, &FaultSet::new()).nb);
+            let err = max_error_of_scale(&sol.voltages, &want);
+            assert!(err <= 1e-8, "{topo:?}: error {err:e} of max |v|");
+        }
     }
 
     #[test]

@@ -254,7 +254,7 @@ impl FaultSketch {
         };
         // A fresh state: the baseline builds its own hierarchy from `a0`
         // rather than reuse one frozen from another (faulted) stamping.
-        let solved = solve_robust(&a0, None, nb.rhs(), None, &opts, &mut SolveWorkspace::new())
+        let solved = solve_robust(&a0, nb.rhs(), None, &opts, &mut SolveWorkspace::new())
             .map_err(PdnError::Solve)?;
         Ok(FaultSketch {
             fingerprint,

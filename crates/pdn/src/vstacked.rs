@@ -13,7 +13,7 @@
 
 use vstack_power::floorplan::Floorplan;
 use vstack_sc::compact::ScConverter;
-use vstack_sparse::{SolveError, SolveMethod, SolveReport, StencilDescriptor};
+use vstack_sparse::{SolveError, SolveMethod, SolveReport};
 
 use crate::c4::{C4Array, PadNet};
 use crate::error::PdnError;
@@ -797,7 +797,7 @@ impl VstackPdn {
                 rhs[a] += i_companion;
                 rhs[b] -= i_companion;
             }
-            v = solve_robust(&a_t, None, &rhs, Some(&v), &opts, &mut ws)?.x;
+            v = solve_robust(&a_t, &rhs, Some(&v), &opts, &mut ws)?.x;
             times_s.push(step as f64 * config.dt_s);
             max_drop_series.push(self.max_drop_of(&v));
         }
@@ -853,17 +853,6 @@ impl VstackPdn {
         let mut nb = NetworkBuilder::new(n_unknowns);
         let seg_r = self.params.grid_segment_resistance_ohm();
         let n = self.n_layers;
-        // Unknowns are 2·n stacked copies of the same nx×ny grid (ground
-        // then supply net per layer); TSVs couple each layer's supply
-        // plane (odd index) to the next layer's ground plane at exactly
-        // the plane stride, which is the vertical coupling the stencil
-        // operator models. Pads and converter stamps fall to its side-CSR.
-        nb.set_stencil_descriptor(StencilDescriptor {
-            nx: self.grid.nx,
-            ny: self.grid.ny,
-            planes: 2 * n,
-            interfaces: (0..2 * n - 1).map(|p| p % 2 == 1).collect(),
-        });
         let v_supply = n as f64 * self.params.vdd;
 
         // On-chip grids, with any per-layer resistance drift (thermal
@@ -1160,6 +1149,7 @@ fn segment_position(first: &StackLoads, last: &StackLoads, point: &StackLoads) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::tests::{direct_solve, max_error_of_scale};
     use vstack_power::workload::ImbalancePattern;
 
     fn quick_params() -> PdnParams {
@@ -1539,11 +1529,28 @@ mod tests {
         let sites = pdn.converter_sites();
         let g = vec![1.0 / pdn.converter.r_series(pdn.converter.f_nom); sites.len()];
         let asm = pdn.assemble_with_conductances(loads, &sites, &g, &FaultSet::new());
-        let a = asm.nb.to_matrix();
-        let chol = vstack_sparse::EnvelopeCholesky::factor(&a).unwrap();
-        let (mut x, mut work) = (vec![0.0; a.rows()], vec![0.0; a.rows()]);
-        chol.solve_into(asm.nb.rhs(), &mut x, &mut work);
-        x
+        direct_solve(&asm.nb)
+    }
+
+    /// Paper-fidelity 4-layer stacks (5,408 unknowns) lead the ladder with
+    /// the mixed-precision rung over the CSR; every answer must match a
+    /// direct solve of the same assembled matrix.
+    #[test]
+    fn paper_fidelity_solves_match_direct_factorization() {
+        let p = PdnParams::paper_defaults();
+        for k in [4, 8] {
+            let pdn = vs_pdn(&p, 4, k);
+            for x in [0.0, 0.5] {
+                let loads = StackLoads::interleaved(&p, 4, &ImbalancePattern::new(x));
+                let sol = fresh(&pdn, &loads);
+                let case = format!("{k}/core, imbalance {x}");
+                assert_eq!(sol.voltages.len(), 5408, "{case}");
+                assert_eq!(sol.report.method, SolveMethod::CgAmgMixed, "{case}");
+                assert_eq!(sol.report.operator, "csr", "{case}");
+                let err = max_error_of_scale(&sol.voltages, &direct(&pdn, &loads));
+                assert!(err <= 1e-8, "{case}: error {err:e} of max |v|");
+            }
+        }
     }
 
     #[test]
@@ -1572,14 +1579,8 @@ mod tests {
                         "{case}: only the endpoints reach the ladder"
                     );
                     for (i, sol) in &points {
-                        let want = direct(&pdn, &loads[*i]);
-                        let scale = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-                        let err = sol
-                            .voltages
-                            .iter()
-                            .zip(&want)
-                            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-                        assert!(err <= 1e-8 * scale, "{case} point {i}: {err} of {scale}");
+                        let err = max_error_of_scale(&sol.voltages, &direct(&pdn, &loads[*i]));
+                        assert!(err <= 1e-8, "{case} point {i}: error {err:e} of max |v|");
                         if *i == 0 || *i == xs.len() - 1 {
                             let alone = fresh(&pdn, &loads[*i]);
                             assert_eq!(sol.voltages, alone.voltages, "{case} point {i}");

@@ -961,7 +961,7 @@ mod tests {
                 lead,
                 ..RobustOptions::default()
             };
-            let sol = solve_robust(&a, None, &b, None, &opts, &mut SolveWorkspace::new()).unwrap();
+            let sol = solve_robust(&a, &b, None, &opts, &mut SolveWorkspace::new()).unwrap();
             assert!(!sol.report.was_rescued(), "{}", sol.report.trail());
             sol
         };

@@ -173,8 +173,8 @@ impl CsrMatrix {
     }
 
     /// Raw CSR arrays `(row_ptr, col_idx, values)` for in-crate consumers
-    /// that stream the whole matrix (stencil extraction, f32 hierarchy
-    /// conversion) without per-row bounds checks.
+    /// that stream the whole matrix (f32 hierarchy conversion) without
+    /// per-row bounds checks.
     pub(crate) fn raw_parts(&self) -> (&[usize], &[usize], &[f64]) {
         (&self.row_ptr, &self.col_idx, &self.values)
     }
@@ -203,12 +203,9 @@ impl CsrMatrix {
     }
 
     /// Serial per-row kernel shared by the serial and parallel SpMV paths,
-    /// so both produce identical bits for every row. Also the reference
-    /// accumulation order the stencil operator (`crate::stencil`)
-    /// reproduces for its regular rows and delegates to for its side-CSR
-    /// rows.
+    /// so both produce identical bits for every row.
     #[inline]
-    pub(crate) fn row_dot(&self, r: usize, x: &[f64]) -> f64 {
+    fn row_dot(&self, r: usize, x: &[f64]) -> f64 {
         let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
         let mut acc = 0.0;
         for k in lo..hi {

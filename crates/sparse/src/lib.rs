@@ -54,7 +54,7 @@
 //! }
 //! let a = a.to_csr();
 //! let b = vec![1.0; n];
-//! let sol = solve_robust(&a, None, &b, None, &RobustOptions::default(), &mut SolveWorkspace::new())?;
+//! let sol = solve_robust(&a, &b, None, &RobustOptions::default(), &mut SolveWorkspace::new())?;
 //! let r = a.residual_norm(&sol.x, &b);
 //! assert!(r < 1e-8);
 //! # Ok(())
@@ -79,7 +79,6 @@ pub mod pool;
 pub mod robust;
 pub mod smw;
 mod solver;
-pub mod stencil;
 pub mod vecops;
 
 pub use amg::{AmgHierarchy, AmgHierarchyF32, AmgOptions};
@@ -90,5 +89,4 @@ pub use error::SolveError;
 pub use robust::{solve_robust, Lead, RobustOptions, RobustSolved, SolveMethod, SolveReport};
 pub use smw::{SmwAnswer, SmwRejection, SmwSketch, SmwUpdate};
 pub use solver::SolveWorkspace;
-pub use stencil::{LinearOperator, StencilDescriptor, StencilOperator};
 pub use triplet::TripletMatrix;

@@ -10,8 +10,7 @@
 //! starting at the rung [`RobustOptions::lead`] names:
 //!
 //! 1. **CG + f32 AMG** ([`Lead::MixedAmg`]) — the mixed-precision hot
-//!    path: an f64 outer CG (driven through a matrix-free
-//!    [`StencilOperator`] when one is given) preconditioned by a
+//!    path: an f64 outer CG over the CSR, preconditioned by a
 //!    single-precision V-cycle ([`crate::amg::AmgHierarchyF32`]);
 //! 2. **CG + AMG** ([`Lead::Amg`]) — an f64 aggregation-based multigrid
 //!    V-cycle over the CSR, whose iteration counts stay nearly flat as
@@ -38,7 +37,6 @@ use std::time::Instant;
 use crate::amg::{AmgHierarchy, AmgHierarchyF32, AmgOptions};
 use crate::cancel::CancelToken;
 use crate::solver::{bicgstab, cg, Precond, SolveWorkspace, Solved, MAX_ITERATIONS};
-use crate::stencil::{LinearOperator, StencilOperator};
 use crate::vecops::norm2;
 use crate::{CsrMatrix, SolveError, TripletMatrix};
 
@@ -128,9 +126,9 @@ pub struct SolveReport {
     pub relative_residual: f64,
     /// Diagonal (Tikhonov) shift applied, `0.0` unless the last rung ran.
     pub diagonal_shift: f64,
-    /// Fine-grid operator the accepted rung iterated with: `"stencil"`
-    /// when the matrix-free [`StencilOperator`] drove the SpMVs, `"csr"`
-    /// otherwise (including every pure-f64 fallback rung).
+    /// Fine-grid operator the accepted rung iterated with: `"csr"` for
+    /// every ladder rung, `"superposition"` for a superposed sweep point
+    /// that ran no rung at all.
     pub operator: &'static str,
     /// Arithmetic of the accepted rung's preconditioner: `"mixed"` for
     /// the f32 V-cycle refinement rung, `"f64"` everywhere else. The
@@ -200,10 +198,9 @@ pub enum Lead {
     /// large systems, or when the [`SolveWorkspace`] caches it across
     /// re-solves.
     Amg,
-    /// CG + f32 AMG, through the stencil operator when one is given, then
-    /// CG + f64 AMG. When the refinement breaks down or stagnates the
-    /// ladder falls back to the pure-f64 rungs, so leading with it is
-    /// never a correctness risk.
+    /// CG + f32 AMG, then CG + f64 AMG. When the refinement breaks down
+    /// or stagnates the ladder falls back to the pure-f64 rungs, so
+    /// leading with it is never a correctness risk.
     MixedAmg,
 }
 
@@ -257,12 +254,7 @@ fn check_cancelled(cancel: &CancelToken) -> Result<(), SolveError> {
 /// Rejects shape mismatches and NaN/Inf in the matrix, right-hand side
 /// and warm-start guess, so malformed systems fail fast instead of
 /// iterating to a confusing breakdown.
-fn validate(
-    a: &CsrMatrix,
-    stencil: Option<&StencilOperator>,
-    b: &[f64],
-    guess: Option<&[f64]>,
-) -> Result<(), SolveError> {
+fn validate(a: &CsrMatrix, b: &[f64], guess: Option<&[f64]>) -> Result<(), SolveError> {
     let n = a.rows();
     if a.cols() != n {
         return Err(SolveError::NotSquare {
@@ -270,9 +262,8 @@ fn validate(
             cols: a.cols(),
         });
     }
-    let stencil_dims = stencil.map(|s| [s.rows(), s.cols()]).into_iter().flatten();
-    let lengths = [b.len()].into_iter().chain(guess.map(<[f64]>::len));
-    if let Some(found) = lengths.chain(stencil_dims).find(|&len| len != n) {
+    let mut lengths = [b.len()].into_iter().chain(guess.map(<[f64]>::len));
+    if let Some(found) = lengths.find(|&len| len != n) {
         return Err(SolveError::DimensionMismatch { expected: n, found });
     }
     if let Some((index, _, _)) = a.iter().find(|(_, _, v)| !v.is_finite()) {
@@ -353,7 +344,6 @@ fn jacobi_cg(
 fn run_rung(
     method: SolveMethod,
     a: &CsrMatrix,
-    stencil: Option<&StencilOperator>,
     b: &[f64],
     guess: Option<&[f64]>,
     tolerance: f64,
@@ -363,9 +353,8 @@ fn run_rung(
 ) -> Result<Solved, SolveError> {
     let (pre, build_us) = match method {
         SolveMethod::CgAmgMixed => {
-            // The f64 hierarchy is built (or reused), mirrored into f32
-            // once per cached hierarchy, and the outer CG runs through the
-            // stencil operator when one was provided.
+            // The f64 hierarchy is built (or reused) and mirrored into f32
+            // once per cached hierarchy.
             let mut build_us = ensure_hierarchy(a, state, amg_err)?;
             if state.amg_f32.is_none() {
                 let timer = Instant::now();
@@ -376,8 +365,8 @@ fn run_rung(
             let h = state.amg_f32.as_ref().expect("f32 mirror just ensured");
             (Precond::AmgF32(h), build_us)
         }
-        // Deliberately pure f64 and pure CSR: the fallback target when the
-        // mixed rung stagnates or breaks down.
+        // Deliberately pure f64: the fallback target when the mixed rung
+        // stagnates or breaks down.
         SolveMethod::CgAmg => {
             let build_us = ensure_hierarchy(a, state, amg_err)?;
             let h = state.amg.as_ref().expect("hierarchy just ensured");
@@ -411,12 +400,8 @@ fn run_rung(
         }
         other => unreachable!("{other} is not a Krylov ladder rung"),
     };
-    let op: &dyn LinearOperator = match stencil {
-        Some(s) if method == SolveMethod::CgAmgMixed => s,
-        _ => a,
-    };
     let mut solved = cg(
-        op,
+        a,
         b,
         guess,
         &pre,
@@ -429,12 +414,7 @@ fn run_rung(
 }
 
 /// Wraps an accepted rung's solve in its report, counting a rescue.
-fn accept(
-    method: SolveMethod,
-    operator: &'static str,
-    solved: Solved,
-    fallbacks: Vec<FallbackStep>,
-) -> RobustSolved {
+fn accept(method: SolveMethod, solved: Solved, fallbacks: Vec<FallbackStep>) -> RobustSolved {
     if !fallbacks.is_empty() {
         vstack_obs::metrics::global().ladder_rescued.inc();
     }
@@ -451,7 +431,7 @@ fn accept(
             iterations: solved.iterations,
             relative_residual: solved.relative_residual,
             diagonal_shift: 0.0,
-            operator,
+            operator: "csr",
             precision,
             setup_us: solved.setup_us,
             solve_us: solved.solve_us,
@@ -473,12 +453,6 @@ fn shifted_matrix(a: &CsrMatrix, lambda: f64) -> CsrMatrix {
 /// Solves `A x = b` through the deterministic escalation ladder described
 /// in the [module docs](self), reporting every fallback taken.
 ///
-/// * `stencil` — a matrix-free [`StencilOperator`] extracted from `a`.
-///   The mixed-precision rung drives its outer CG SpMVs through it
-///   instead of the CSR (bit-identical by the stencil's extraction
-///   contract, just faster); every pure-f64 rung stays on the CSR so a
-///   stencil-side surprise can never take down the whole ladder. Ignored
-///   unless [`RobustOptions::lead`] is [`Lead::MixedAmg`].
 /// * `guess` — a warm start; `None` starts every rung from zero.
 /// * `state` — caller-owned Krylov vectors and AMG hierarchy slots (see
 ///   [`SolveWorkspace`]). A hierarchy left there by an earlier AMG-led
@@ -504,7 +478,7 @@ fn shifted_matrix(a: &CsrMatrix, lambda: f64) -> CsrMatrix {
 /// # fn main() -> Result<(), vstack_sparse::SolveError> {
 /// let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 4.0), (1, 1, 9.0)]);
 /// let mut state = SolveWorkspace::new();
-/// let sol = solve_robust(&a, None, &[8.0, 27.0], None, &RobustOptions::default(), &mut state)?;
+/// let sol = solve_robust(&a, &[8.0, 27.0], None, &RobustOptions::default(), &mut state)?;
 /// assert!((sol.x[0] - 2.0).abs() < 1e-9);
 /// assert!(!sol.report.was_rescued());
 /// # Ok(())
@@ -512,13 +486,12 @@ fn shifted_matrix(a: &CsrMatrix, lambda: f64) -> CsrMatrix {
 /// ```
 pub fn solve_robust(
     a: &CsrMatrix,
-    stencil: Option<&StencilOperator>,
     b: &[f64],
     guess: Option<&[f64]>,
     options: &RobustOptions,
     state: &mut SolveWorkspace,
 ) -> Result<RobustSolved, SolveError> {
-    validate(a, stencil, b, guess)?;
+    validate(a, b, guess)?;
     let _span = vstack_obs::span!("solve_robust");
     vstack_obs::metrics::global().ladder_solves.inc();
 
@@ -534,7 +507,6 @@ pub fn solve_robust(
         match run_rung(
             method,
             a,
-            stencil,
             b,
             guess,
             options.tolerance,
@@ -542,13 +514,7 @@ pub fn solve_robust(
             &mut amg_err,
             &fallbacks,
         ) {
-            Ok(solved) => {
-                let operator = match stencil {
-                    Some(_) if method == SolveMethod::CgAmgMixed => "stencil",
-                    _ => "csr",
-                };
-                return Ok(accept(method, operator, solved, fallbacks));
-            }
+            Ok(solved) => return Ok(accept(method, solved, fallbacks)),
             Err(e) if is_structural(&e) => return Err(e),
             Err(e) => {
                 // One escalation tick per recorded step, in lock-step.
@@ -589,7 +555,7 @@ pub fn solve_robust(
             relative_residual: residual,
             ..solved
         };
-        let mut sol = accept(SolveMethod::CgShifted, "csr", solved, fallbacks);
+        let mut sol = accept(SolveMethod::CgShifted, solved, fallbacks);
         sol.report.diagonal_shift = lambda;
         return Ok(sol);
     }
@@ -627,7 +593,7 @@ mod tests {
             lead,
             ..RobustOptions::default()
         };
-        solve_robust(a, None, b, guess, &opts, &mut SolveWorkspace::new())
+        solve_robust(a, b, guess, &opts, &mut SolveWorkspace::new())
     }
 
     /// Symmetric indefinite with a zero diagonal entry: Jacobi is
@@ -704,12 +670,12 @@ mod tests {
             ..RobustOptions::default()
         };
         let mut state = SolveWorkspace::new();
-        let cold = solve_robust(&a, None, &b, None, &opts, &mut state).expect("amg rung solves");
+        let cold = solve_robust(&a, &b, None, &opts, &mut state).expect("amg rung solves");
         assert_eq!(cold.report.method, SolveMethod::CgAmg);
         assert!(!cold.report.was_rescued(), "trail: {}", cold.report.trail());
         assert!(a.residual_norm(&cold.x, &b) < 1e-7);
         assert!(state.has_hierarchy(), "hierarchy must be left in the state");
-        let warm = solve_robust(&a, None, &b, None, &opts, &mut state).expect("cached re-solve");
+        let warm = solve_robust(&a, &b, None, &opts, &mut state).expect("cached re-solve");
         assert_eq!(warm.report.setup_us, 0, "cached hierarchy skips setup");
         assert_eq!(cold, warm, "cached re-solve must be bit-identical");
     }
@@ -729,7 +695,7 @@ mod tests {
             ..RobustOptions::default()
         };
         let mut state = SolveWorkspace::new();
-        let sol = solve_robust(&a, None, &b, None, &opts, &mut state).expect("rescued");
+        let sol = solve_robust(&a, &b, None, &opts, &mut state).expect("rescued");
         assert_eq!(sol.report.method, SolveMethod::CgJacobi);
         assert!(!state.has_hierarchy(), "no hierarchy after a failed build");
         assert!(

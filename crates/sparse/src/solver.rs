@@ -14,7 +14,6 @@
 use std::time::Instant;
 
 use crate::amg::{AmgHierarchy, AmgHierarchyF32};
-use crate::stencil::LinearOperator;
 use crate::vecops::{axpy, dot, norm2, xpby};
 use crate::{CsrMatrix, SolveError};
 
@@ -271,9 +270,7 @@ impl Precond<'_> {
     }
 }
 
-/// Solves the SPD system `A x = b` by preconditioned conjugate gradient,
-/// through any [`LinearOperator`] (the CSR matrix itself, or a stencil
-/// operator whose apply is bit-identical to it).
+/// Solves the SPD system `A x = b` by preconditioned conjugate gradient.
 ///
 /// # Errors
 ///
@@ -283,7 +280,7 @@ impl Precond<'_> {
 /// * [`SolveError::Breakdown`] if `pᵀAp` is not positive and finite
 ///   (the matrix was not SPD, or an f32 V-cycle overflowed).
 pub(crate) fn cg(
-    a: &dyn LinearOperator,
+    a: &CsrMatrix,
     b: &[f64],
     guess: Option<&[f64]>,
     pre: &Precond<'_>,
@@ -604,9 +601,9 @@ mod tests {
         let a = laplacian_1d(4);
         let mut state = SolveWorkspace::new();
         let opts = RobustOptions::default();
-        let err = solve_robust(&a, None, &[1.0; 3], None, &opts, &mut state).unwrap_err();
+        let err = solve_robust(&a, &[1.0; 3], None, &opts, &mut state).unwrap_err();
         assert!(matches!(err, SolveError::DimensionMismatch { .. }));
-        let err = solve_robust(&a, None, &[1.0; 4], Some(&[0.0; 5]), &opts, &mut state);
+        let err = solve_robust(&a, &[1.0; 4], Some(&[0.0; 5]), &opts, &mut state);
         assert!(matches!(
             err,
             Err(SolveError::DimensionMismatch {
@@ -620,14 +617,7 @@ mod tests {
     fn cg_rejects_nonsquare() {
         let a = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]);
         let opts = RobustOptions::default();
-        let err = solve_robust(
-            &a,
-            None,
-            &[1.0, 1.0],
-            None,
-            &opts,
-            &mut SolveWorkspace::new(),
-        );
+        let err = solve_robust(&a, &[1.0, 1.0], None, &opts, &mut SolveWorkspace::new());
         assert!(matches!(err, Err(SolveError::NotSquare { .. })));
     }
 
@@ -703,7 +693,7 @@ mod tests {
         let a = laplacian_1d(3);
         let opts = RobustOptions::default();
         let mut state = SolveWorkspace::new();
-        let err = solve_robust(&a, None, &[1.0, f64::NAN, 0.0], None, &opts, &mut state);
+        let err = solve_robust(&a, &[1.0, f64::NAN, 0.0], None, &opts, &mut state);
         assert!(matches!(
             err,
             Err(SolveError::NonFinite {
@@ -713,7 +703,7 @@ mod tests {
         ));
 
         let guess = [f64::INFINITY, 0.0, 0.0];
-        let err = solve_robust(&a, None, &[1.0; 3], Some(&guess), &opts, &mut state);
+        let err = solve_robust(&a, &[1.0; 3], Some(&guess), &opts, &mut state);
         assert!(matches!(
             err,
             Err(SolveError::NonFinite {
@@ -723,7 +713,7 @@ mod tests {
         ));
 
         let bad = CsrMatrix::from_triplets(2, 2, &[(0, 0, f64::NAN), (1, 1, 1.0)]);
-        let err = solve_robust(&bad, None, &[1.0, 1.0], None, &opts, &mut state);
+        let err = solve_robust(&bad, &[1.0, 1.0], None, &opts, &mut state);
         assert!(matches!(
             err,
             Err(SolveError::NonFinite {

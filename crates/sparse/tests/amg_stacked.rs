@@ -238,8 +238,8 @@ fn tsv_coupled_stack_keeps_operator_complexity_low() {
         lead: Lead::Amg,
         ..RobustOptions::default()
     };
-    let sol = solve_robust(&a, None, &s.b, None, &opts, &mut SolveWorkspace::new())
-        .expect("amg-led solve");
+    let sol =
+        solve_robust(&a, &s.b, None, &opts, &mut SolveWorkspace::new()).expect("amg-led solve");
     assert_eq!(
         sol.report.method,
         SolveMethod::CgAmg,
@@ -280,7 +280,7 @@ fn amg_led_ladder_solves_match_dense_lu() {
             for width in [1, 2] {
                 let pool = Arc::new(ThreadPool::new(width));
                 let sol = with_pool(&pool, || {
-                    solve_robust(&a, None, &s.b, None, &opts, &mut SolveWorkspace::new())
+                    solve_robust(&a, &s.b, None, &opts, &mut SolveWorkspace::new())
                 })
                 .expect("ladder solve");
                 let what = format!("{name}, {method}, width {width}");

@@ -50,7 +50,7 @@ fn solve_counted(
         ..RobustOptions::default()
     };
     let before = counters();
-    let sol = solve_robust(a, None, b, None, &opts, &mut SolveWorkspace::new());
+    let sol = solve_robust(a, b, None, &opts, &mut SolveWorkspace::new());
     let after = counters();
     (sol, std::array::from_fn(|i| after[i] - before[i]))
 }
@@ -114,7 +114,7 @@ fn ladder_counters_move_in_lock_step_with_solve_reports() {
         let mut state = SolveWorkspace::new();
         for round in 0..2 {
             let before = m.solver_setup_us.get();
-            let sol = solve_robust(&a, None, &b, None, &opts, &mut state).expect("amg-led solve");
+            let sol = solve_robust(&a, &b, None, &opts, &mut state).expect("amg-led solve");
             assert!(sol.report.fallbacks.is_empty(), "{}", sol.report.trail());
             assert_ne!(sol.report.method, SolveMethod::CgJacobi);
             if round == 0 {

@@ -51,7 +51,7 @@ fn solve(a: &CsrMatrix, b: &[f64], lead: Lead) -> RobustSolved {
         lead,
         ..RobustOptions::default()
     };
-    solve_robust(a, None, b, None, &opts, &mut SolveWorkspace::new()).expect("ladder must converge")
+    solve_robust(a, b, None, &opts, &mut SolveWorkspace::new()).expect("ladder must converge")
 }
 
 /// Strategy: an SPD `side`×`side` grid Laplacian with random edge
@@ -300,7 +300,7 @@ proptest! {
         let mut ws = SolveWorkspace::new();
         for (a, b) in [(&a1, &b1), (&a2, &b2), (&a1, &b1)] {
             let fresh = solve(a, b, Lead::Jacobi).x;
-            let reused = solve_robust(a, None, b, None, &opts, &mut ws)
+            let reused = solve_robust(a, b, None, &opts, &mut ws)
                 .expect("SPD system must converge")
                 .x;
             for (f, r) in fresh.iter().zip(&reused) {

@@ -106,7 +106,7 @@ fn tight_solve(a: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>, vstack_sparse::Solv
         tolerance: 1e-12,
         ..RobustOptions::default()
     };
-    solve_robust(a, None, b, None, &opts, &mut SolveWorkspace::new()).map(|s| s.x)
+    solve_robust(a, b, None, &opts, &mut SolveWorkspace::new()).map(|s| s.x)
 }
 
 fn rel_err(x: &[f64], y: &[f64]) -> f64 {

@@ -189,7 +189,7 @@ impl StackThermalModel {
 
         let a = m.to_csr();
         let opts = RobustOptions::default();
-        let delta = solve_robust(&a, None, &rhs, None, &opts, &mut SolveWorkspace::new())?.x;
+        let delta = solve_robust(&a, &rhs, None, &opts, &mut SolveWorkspace::new())?.x;
         let temps: Vec<Vec<f64>> = (0..self.n_layers)
             .map(|l| {
                 (0..cells)

@@ -30,7 +30,7 @@ fn escalation_ladder_reports_its_fallback_trail() {
         lead: Lead::Amg,
         ..RobustOptions::default()
     };
-    let sol = solve_robust(&a, None, &b, None, &opts, &mut SolveWorkspace::new()).expect("rescued");
+    let sol = solve_robust(&a, &b, None, &opts, &mut SolveWorkspace::new()).expect("rescued");
 
     let singular = |from| FallbackStep {
         from,
