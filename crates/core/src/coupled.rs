@@ -28,23 +28,13 @@
 //! the integration tests assert via [`SolveScratch::pattern_builds`].
 
 use crate::em_study::{c4_array_lifetime, paper_em_lifetimes, tsv_array_lifetime, EmLifetimes};
-use crate::scenario::DesignScenario;
+use crate::scenario::{DesignScenario, ScenarioLoad};
 use vstack_em::black::{BlackModel, DEFAULT_JUNCTION_K};
-use vstack_pdn::{FaultedSolution, PdnError, SolveScratch, StackLoads};
+use vstack_pdn::{FaultSet, FaultedSolution, PdnError, SolveScratch, StackLoads};
 use vstack_thermal::{StackThermalModel, ThermalParams};
 
 /// Temperature coefficient of copper resistivity, 1/K.
 pub const COPPER_ALPHA_PER_K: f64 = 0.00393;
-
-/// Which electrical scenario the coupled loop drives.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CoupledLoad {
-    /// Regular PDN at full activity (its worst case).
-    RegularPeak,
-    /// Voltage-stacked PDN under the interleaved pattern at this
-    /// imbalance.
-    VoltageStacked(f64),
-}
 
 /// Knobs of the coupled fixed-point driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,20 +146,6 @@ pub struct CoupledSolution {
     pub report: CoupledReport,
 }
 
-fn solve_once(
-    scenario: &DesignScenario,
-    load: CoupledLoad,
-    guess: Option<&[f64]>,
-    scratch: &mut SolveScratch,
-) -> Result<FaultedSolution, PdnError> {
-    match load {
-        CoupledLoad::RegularPeak => scenario.solve_regular_peak_warm(guess, scratch),
-        CoupledLoad::VoltageStacked(imbalance) => {
-            scenario.solve_voltage_stacked_warm(imbalance, guess, scratch)
-        }
-    }
-}
-
 /// Per-layer, per-cell heat map in watts: constant core power (ideal
 /// current sources at nominal Vdd) plus the solution's resistive and
 /// converter losses spread proportionally to layer current, plus any
@@ -206,7 +182,8 @@ fn power_map(
     power
 }
 
-/// Runs the undamped thermal–EM–IR fixed point for one scenario.
+/// Runs the undamped thermal–EM–IR fixed point for the PDN and loads
+/// `load` selects.
 ///
 /// `guess` seeds the first (uncoupled) IR solve — the engine passes its
 /// nearest cached neighbour; each subsequent iteration warm-starts from
@@ -226,7 +203,7 @@ fn power_map(
 /// or a drifted resistance scale becomes non-positive.
 pub fn solve_coupled(
     scenario: &DesignScenario,
-    load: CoupledLoad,
+    load: ScenarioLoad,
     config: &CoupledConfig,
     guess: Option<&[f64]>,
     scratch: &mut SolveScratch,
@@ -236,10 +213,7 @@ pub fn solve_coupled(
     metrics.coupling_runs.inc();
     let _span = vstack_obs::span!("coupled_solve");
 
-    let loads = match load {
-        CoupledLoad::RegularPeak => scenario.peak_loads(),
-        CoupledLoad::VoltageStacked(imbalance) => scenario.interleaved_loads(imbalance),
-    };
+    let loads = scenario.loads(load);
     let n_layers = scenario.n_layers();
     let thermal = StackThermalModel::new(
         config.thermal,
@@ -250,7 +224,8 @@ pub fn solve_coupled(
 
     // Uncoupled baseline: nominal resistances, fixed-junction EM. Kept as
     // the graceful-degradation fallback.
-    let base = solve_once(scenario, load, guess, scratch)?;
+    let healthy = FaultSet::new();
+    let base = scenario.solve_faulted(load, &healthy, guess, scratch)?;
     let em_uncoupled = paper_em_lifetimes(&base.solution);
 
     let mut temps = vec![config.thermal.ambient_c; n_layers];
@@ -292,7 +267,7 @@ pub fn solve_coupled(
             .map(|t| 1.0 + config.alpha_per_k * (t - config.reference_c))
             .collect();
         let drifted = scenario.clone().params(params);
-        last = solve_once(&drifted, load, Some(&last.voltages), scratch)?;
+        last = drifted.solve_faulted(load, &healthy, Some(&last.voltages), scratch)?;
     }
 
     let em = if converged {
@@ -353,7 +328,7 @@ mod tests {
         let s = quick_scenario(4);
         let out = solve_coupled(
             &s,
-            CoupledLoad::RegularPeak,
+            ScenarioLoad::RegularPeak,
             &CoupledConfig::paper_air_cooled(),
             None,
             &mut scratch,
@@ -372,7 +347,7 @@ mod tests {
         let mut scratch = SolveScratch::new();
         let out = solve_coupled(
             &quick_scenario(8),
-            CoupledLoad::RegularPeak,
+            ScenarioLoad::RegularPeak,
             &CoupledConfig::paper_air_cooled(),
             None,
             &mut scratch,
@@ -389,7 +364,7 @@ mod tests {
         let s = quick_scenario(4);
         let cold = solve_coupled(
             &s,
-            CoupledLoad::RegularPeak,
+            ScenarioLoad::RegularPeak,
             &CoupledConfig::paper_air_cooled().ambient_c(25.0),
             None,
             &mut scratch,
@@ -397,7 +372,7 @@ mod tests {
         .unwrap();
         let hot = solve_coupled(
             &s,
-            CoupledLoad::RegularPeak,
+            ScenarioLoad::RegularPeak,
             &CoupledConfig::paper_air_cooled().ambient_c(65.0),
             None,
             &mut scratch,
@@ -413,7 +388,7 @@ mod tests {
         let s = quick_scenario(4);
         let base = solve_coupled(
             &s,
-            CoupledLoad::RegularPeak,
+            ScenarioLoad::RegularPeak,
             &CoupledConfig::paper_air_cooled(),
             None,
             &mut scratch,
@@ -421,7 +396,7 @@ mod tests {
         .unwrap();
         let spiked = solve_coupled(
             &s,
-            CoupledLoad::RegularPeak,
+            ScenarioLoad::RegularPeak,
             &CoupledConfig::paper_air_cooled().hotspot(2, 10.0),
             None,
             &mut scratch,
@@ -439,12 +414,20 @@ mod tests {
             max_iterations: 2,
             ..CoupledConfig::paper_air_cooled()
         };
-        let out = solve_coupled(&s, CoupledLoad::RegularPeak, &strict, None, &mut scratch).unwrap();
+        let out =
+            solve_coupled(&s, ScenarioLoad::RegularPeak, &strict, None, &mut scratch).unwrap();
         assert!(!out.report.converged);
         // Fallback result is the uncoupled solve, bit-identical, and so
         // are the lifetimes it reports.
         let mut scratch2 = SolveScratch::new();
-        let base = s.solve_regular_peak_warm(None, &mut scratch2).unwrap();
+        let base = s
+            .solve_faulted(
+                ScenarioLoad::RegularPeak,
+                &FaultSet::new(),
+                None,
+                &mut scratch2,
+            )
+            .unwrap();
         assert_eq!(out.solved.solution, base.solution);
         assert_eq!(out.report.em, out.report.em_uncoupled);
     }
@@ -454,7 +437,7 @@ mod tests {
         let mut scratch = SolveScratch::new();
         let out = solve_coupled(
             &quick_scenario(2),
-            CoupledLoad::VoltageStacked(0.3),
+            ScenarioLoad::VoltageStacked(0.3),
             &CoupledConfig::paper_air_cooled(),
             None,
             &mut scratch,

@@ -4,7 +4,7 @@
 //! closed-loop control to future work (§3.1, §5.3). This experiment runs
 //! it: the same Fig 8 sweep with frequency-modulated converters, solved by
 //! the fixed-point iteration of
-//! [`vstack_pdn::VstackPdn::solve_closed_loop`].
+//! [`vstack_pdn::Pdn::solve_closed_loop`].
 //!
 //! Expected physics: closed-loop converters scale their switching losses
 //! with delivered current, so (a) light-imbalance efficiency rises

@@ -11,7 +11,7 @@
 //! Brute force, this is N (or N²) full ladder solves. The rank-k
 //! Sherman–Morrison–Woodbury fault sketch
 //! ([`vstack_pdn::FaultSketch`], driven through
-//! `solve_faulted_sketched`) collapses each what-if to a dense rank-k
+//! [`vstack_pdn::Pdn::solve_faulted_sketched`]) collapses each what-if to a dense rank-k
 //! update against one cached baseline, so the whole map costs one exact
 //! solve, one factorization of the baseline matrix, and two triangular
 //! sweeps per fault column — the per-query marginal cost is microseconds. Every entry records whether
@@ -22,11 +22,11 @@
 //! take the exact path; a disconnection is reported as a terminal entry
 //! (`disconnected`, drop = ∞ for ranking), not an error.
 
-use vstack_pdn::{FaultSet, FaultedSolution, PdnError, SolveScratch, TsvTopology};
+use vstack_pdn::{FaultSet, PdnError, SolveScratch, TsvTopology};
 use vstack_sparse::SolveError;
 
 use crate::experiments::Fidelity;
-use crate::scenario::DesignScenario;
+use crate::scenario::{DesignScenario, ScenarioLoad};
 
 /// One fault-able network element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -208,18 +208,40 @@ fn rank(entries: &mut [FaultMapEntry]) {
     });
 }
 
-fn sweep(
-    label: &'static str,
-    n_layers: usize,
-    config: &FaultMapConfig,
-    cands: &[FaultElement],
-    tsvs_per_bundle: usize,
-    solve: &mut dyn FnMut(&FaultSet, &mut SolveScratch) -> Result<FaultedSolution, PdnError>,
-) -> Result<FaultMap, SolveError> {
+fn scenario(config: &FaultMapConfig) -> DesignScenario {
+    let mut p = DesignScenario::paper_baseline().pdn_params().clone();
+    p.grid_refinement = config.fidelity.grid_refinement();
+    DesignScenario::paper_baseline()
+        .params(p)
+        .layers(config.n_layers)
+        .tsv_topology(TsvTopology::Few)
+        .power_c4_fraction(0.25)
+}
+
+/// The exhaustive single-fault map (plus sampled pairs) of the PDN and
+/// loads `load` selects. The study maps the regular topology at full
+/// activity and the voltage-stacked one under the same workload
+/// (`VoltageStacked(0.0)`).
+///
+/// # Errors
+///
+/// Propagates [`SolveError`] only if a *solvable* network exhausts the
+/// escalation ladder; disconnection is a ranked entry, not an error.
+pub fn fault_map(config: &FaultMapConfig, load: ScenarioLoad) -> Result<FaultMap, SolveError> {
+    let s = scenario(config);
+    let pdn = s.pdn(load);
+    let loads = s.loads(load);
+    let n_layers = config.n_layers;
+    let cands = candidates(
+        pdn.c4().vdd_count(),
+        pdn.c4().gnd_count(),
+        n_layers.saturating_sub(1),
+        s.pdn_params().floorplan().core_count(),
+    );
     let mut scratch = SolveScratch::new();
     // Warm the sketch on the healthy baseline; a failure here is a real
     // error (the pristine network must solve).
-    let baseline = match solve(&FaultSet::new(), &mut scratch) {
+    let baseline = match pdn.solve_faulted_sketched(&loads, &FaultSet::new(), &mut scratch) {
         Ok(s) => s,
         Err(PdnError::Solve(e)) => return Err(e),
         Err(PdnError::Disconnected { .. }) => {
@@ -227,11 +249,11 @@ fn sweep(
         }
     };
 
-    let mut query = |elements: Vec<FaultElement>,
-                     scratch: &mut SolveScratch|
+    let query = |elements: Vec<FaultElement>,
+                 scratch: &mut SolveScratch|
      -> Result<FaultMapEntry, SolveError> {
-        let faults = fault_set_for(&elements, tsvs_per_bundle);
-        match solve(&faults, scratch) {
+        let faults = fault_set_for(&elements, pdn.tsvs_per_bundle());
+        match pdn.solve_faulted_sketched(&loads, &faults, scratch) {
             Ok(s) => Ok(FaultMapEntry {
                 elements,
                 max_ir_drop_frac: s.solution.max_ir_drop_frac,
@@ -249,7 +271,7 @@ fn sweep(
     };
 
     let mut singles = Vec::with_capacity(cands.len());
-    for &e in cands {
+    for &e in &cands {
         singles.push(query(vec![e], &mut scratch)?);
     }
     rank(&mut singles);
@@ -277,7 +299,7 @@ fn sweep(
     rank(&mut pairs);
 
     Ok(FaultMap {
-        label,
+        label: load.label(),
         n_layers,
         baseline_drop_frac: baseline.solution.max_ir_drop_frac,
         singles,
@@ -285,76 +307,16 @@ fn sweep(
     })
 }
 
-fn scenario(config: &FaultMapConfig) -> DesignScenario {
-    let mut p = DesignScenario::paper_baseline().pdn_params().clone();
-    p.grid_refinement = config.fidelity.grid_refinement();
-    DesignScenario::paper_baseline()
-        .params(p)
-        .layers(config.n_layers)
-        .tsv_topology(TsvTopology::Few)
-        .power_c4_fraction(0.25)
-}
-
-/// The exhaustive single-fault map (plus sampled pairs) of the regular
-/// topology at full activity.
-///
-/// # Errors
-///
-/// Propagates [`SolveError`] only if a *solvable* network exhausts the
-/// escalation ladder; disconnection is a ranked entry, not an error.
-pub fn regular_fault_map(config: &FaultMapConfig) -> Result<FaultMap, SolveError> {
-    let s = scenario(config);
-    let pdn = s.regular_pdn();
-    let loads = s.peak_loads();
-    let cands = candidates(
-        pdn.c4().vdd_count(),
-        pdn.c4().gnd_count(),
-        config.n_layers.saturating_sub(1),
-        s.pdn_params().floorplan().core_count(),
-    );
-    sweep(
-        "regular",
-        config.n_layers,
-        config,
-        &cands,
-        TsvTopology::Few.vdd_tsvs_per_core(),
-        &mut |f, scratch| pdn.solve_faulted_sketched(&loads, f, scratch),
-    )
-}
-
-/// The exhaustive single-fault map (plus sampled pairs) of the
-/// voltage-stacked topology under the same full-activity workload.
-///
-/// # Errors
-///
-/// As for [`regular_fault_map`].
-pub fn vs_fault_map(config: &FaultMapConfig) -> Result<FaultMap, SolveError> {
-    let s = scenario(config);
-    let pdn = s.voltage_stacked_pdn();
-    let loads = s.peak_loads();
-    let cands = candidates(
-        pdn.c4().vdd_count(),
-        pdn.c4().gnd_count(),
-        config.n_layers.saturating_sub(1),
-        s.pdn_params().floorplan().core_count(),
-    );
-    sweep(
-        "voltage-stacked",
-        config.n_layers,
-        config,
-        &cands,
-        TsvTopology::Few.tsvs_per_core(),
-        &mut |f, scratch| pdn.solve_faulted_sketched(&loads, f, scratch),
-    )
-}
-
 /// Both topologies' maps, regular first.
 ///
 /// # Errors
 ///
-/// As for [`regular_fault_map`].
+/// As for [`fault_map`].
 pub fn fault_map_comparison(config: &FaultMapConfig) -> Result<Vec<FaultMap>, SolveError> {
-    Ok(vec![regular_fault_map(config)?, vs_fault_map(config)?])
+    [ScenarioLoad::RegularPeak, ScenarioLoad::VoltageStacked(0.0)]
+        .into_iter()
+        .map(|load| fault_map(config, load))
+        .collect()
 }
 
 #[cfg(test)]
@@ -364,8 +326,8 @@ mod tests {
     #[test]
     fn quick_map_is_exhaustive_deterministic_and_ranked() {
         let cfg = FaultMapConfig::quick();
-        let a = regular_fault_map(&cfg).unwrap();
-        let b = regular_fault_map(&cfg).unwrap();
+        let a = fault_map(&cfg, ScenarioLoad::RegularPeak).unwrap();
+        let b = fault_map(&cfg, ScenarioLoad::RegularPeak).unwrap();
         assert_eq!(a, b, "the map must be bit-for-bit deterministic");
 
         let s = scenario(&cfg);
@@ -404,7 +366,7 @@ mod tests {
     #[test]
     fn pair_sample_is_deduped_and_bounded() {
         let cfg = FaultMapConfig::quick();
-        let map = vs_fault_map(&cfg).unwrap();
+        let map = fault_map(&cfg, ScenarioLoad::VoltageStacked(0.0)).unwrap();
         assert!(map.pairs.len() <= cfg.pair_samples);
         assert!(!map.pairs.is_empty());
         let mut keys: Vec<_> = map

@@ -15,10 +15,10 @@
 use vstack_pdn::{PdnError, SolveScratch, TsvTopology};
 use vstack_sparse::pool;
 
-use crate::coupled::{solve_coupled, CoupledConfig, CoupledLoad};
+use crate::coupled::{solve_coupled, CoupledConfig};
 use crate::em_study::EmLifetimes;
 use crate::experiments::Fidelity;
-use crate::scenario::DesignScenario;
+use crate::scenario::{DesignScenario, ScenarioLoad};
 
 /// Configuration of the thermal-coupling lifetime study.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,18 +95,15 @@ fn run_point(
     stacked: bool,
 ) -> Result<ThermalEmPoint, PdnError> {
     let s = scenario(config, n_layers);
-    let (label, load) = if stacked {
-        (
-            "voltage-stacked",
-            CoupledLoad::VoltageStacked(config.imbalance),
-        )
+    let load = if stacked {
+        ScenarioLoad::VoltageStacked(config.imbalance)
     } else {
-        ("regular", CoupledLoad::RegularPeak)
+        ScenarioLoad::RegularPeak
     };
     let mut scratch = SolveScratch::new();
     let out = solve_coupled(&s, load, &config.coupled, None, &mut scratch)?;
     Ok(ThermalEmPoint {
-        label,
+        label: load.label(),
         n_layers,
         iterations: out.report.iterations,
         converged: out.report.converged,

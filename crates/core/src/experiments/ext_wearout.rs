@@ -39,11 +39,11 @@
 //! the same fault fraction costs far less headroom.
 
 use vstack_em::black::{BlackModel, DEFAULT_JUNCTION_K};
-use vstack_pdn::{FaultSet, FaultedSolution, PdnError, SolveScratch, TsvTopology};
+use vstack_pdn::{FaultSet, PdnError, SolveScratch, TsvTopology};
 use vstack_sparse::{pool, SolveError};
 
 use crate::experiments::Fidelity;
-use crate::scenario::DesignScenario;
+use crate::scenario::{DesignScenario, ScenarioLoad};
 
 /// Which conductor a TTF entry belongs to (deterministic sort key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -170,25 +170,46 @@ impl WearoutCurve {
     }
 }
 
-/// The per-round solve interface the loop drives: both topologies expose
-/// the same fault-aware entry point, so the loop is written once.
-/// `FnMut` so the closures can carry a [`SolveScratch`] across rounds —
-/// the scratch holds the fault sketch (and the sparsity pattern and
-/// Krylov workspace for its exact-solve paths), so successive rounds of
-/// the same topology are SMW updates, not fresh ladder solves.
-type FaultedSolver<'a> = dyn FnMut(&FaultSet) -> Result<FaultedSolution, PdnError> + 'a;
+fn scenario(config: &WearoutConfig, n_layers: usize) -> DesignScenario {
+    let mut p = DesignScenario::paper_baseline().pdn_params().clone();
+    p.grid_refinement = config.fidelity.grid_refinement();
+    DesignScenario::paper_baseline()
+        .params(p)
+        .layers(n_layers)
+        .tsv_topology(TsvTopology::Few)
+        .power_c4_fraction(0.25)
+}
 
-fn run_loop(
-    label: &'static str,
-    n_layers: usize,
-    total_pads: usize,
+/// Runs the wearout loop on the `n_layers` PDN and loads `load` selects.
+/// The study runs the regular topology at full activity and the
+/// voltage-stacked one under the same full-activity (balanced) workload
+/// (`VoltageStacked(0.0)`).
+///
+/// Every round solves through one [`SolveScratch`], which holds the fault
+/// sketch (and the sparsity pattern and Krylov workspace for its
+/// exact-solve paths), so successive rounds are SMW updates, not fresh
+/// ladder solves.
+///
+/// # Errors
+///
+/// Propagates [`SolveError`] only if the *pristine* network fails to
+/// solve — disconnection and fault-induced ladder exhaustion are terminal
+/// [`WearoutOutcome`]s, not errors.
+pub fn wearout(
     config: &WearoutConfig,
-    solve: &mut FaultedSolver<'_>,
+    load: ScenarioLoad,
+    n_layers: usize,
 ) -> Result<WearoutCurve, SolveError> {
     assert!(
         config.kill_fraction_per_round > 0.0 && config.kill_fraction_per_round < 1.0,
         "kill fraction must be in (0,1)"
     );
+    let s = scenario(config, n_layers);
+    let pdn = s.pdn(load);
+    let loads = s.loads(load);
+    let label = load.label();
+    let total_pads = pdn.c4().vdd_count() + pdn.c4().gnd_count();
+    let mut scratch = SolveScratch::new();
     let c4_model = BlackModel::paper_c4().at_temperature(config.junction_temp_k);
     let tsv_model = BlackModel::paper_tsv().at_temperature(config.junction_temp_k);
     let n_kill = ((total_pads as f64 * config.kill_fraction_per_round).round() as usize).max(1);
@@ -199,7 +220,7 @@ fn run_loop(
     let mut failed_tsvs = 0usize;
 
     for round in 0..=config.max_rounds {
-        let solved = match solve(&faults) {
+        let solved = match pdn.solve_faulted_sketched(&loads, &faults, &mut scratch) {
             Ok(s) => s,
             Err(PdnError::Disconnected { floating_nodes, .. }) => {
                 return Ok(WearoutCurve {
@@ -302,54 +323,6 @@ fn run_loop(
     })
 }
 
-fn scenario(config: &WearoutConfig, n_layers: usize) -> DesignScenario {
-    let mut p = DesignScenario::paper_baseline().pdn_params().clone();
-    p.grid_refinement = config.fidelity.grid_refinement();
-    DesignScenario::paper_baseline()
-        .params(p)
-        .layers(n_layers)
-        .tsv_topology(TsvTopology::Few)
-        .power_c4_fraction(0.25)
-}
-
-/// Runs the wearout loop on the regular topology at full activity.
-///
-/// # Errors
-///
-/// Propagates [`SolveError`] only if the *pristine* network fails to
-/// solve — disconnection and fault-induced ladder exhaustion are terminal
-/// [`WearoutOutcome`]s, not errors.
-pub fn regular_wearout(
-    config: &WearoutConfig,
-    n_layers: usize,
-) -> Result<WearoutCurve, SolveError> {
-    let s = scenario(config, n_layers);
-    let pdn = s.regular_pdn();
-    let loads = s.peak_loads();
-    let total_pads = pdn.c4().vdd_count() + pdn.c4().gnd_count();
-    let mut scratch = SolveScratch::new();
-    run_loop("regular", n_layers, total_pads, config, &mut |f| {
-        pdn.solve_faulted_sketched(&loads, f, &mut scratch)
-    })
-}
-
-/// Runs the wearout loop on the voltage-stacked topology under the same
-/// full-activity (balanced) workload.
-///
-/// # Errors
-///
-/// As for [`regular_wearout`].
-pub fn vs_wearout(config: &WearoutConfig, n_layers: usize) -> Result<WearoutCurve, SolveError> {
-    let s = scenario(config, n_layers);
-    let pdn = s.voltage_stacked_pdn();
-    let loads = s.peak_loads();
-    let total_pads = pdn.c4().vdd_count() + pdn.c4().gnd_count();
-    let mut scratch = SolveScratch::new();
-    run_loop("voltage-stacked", n_layers, total_pads, config, &mut |f| {
-        pdn.solve_faulted_sketched(&loads, f, &mut scratch)
-    })
-}
-
 /// The full study: both topologies at every requested layer count, in
 /// deterministic order (regular then V-S, shallow then deep).
 ///
@@ -361,7 +334,7 @@ pub fn vs_wearout(config: &WearoutConfig, n_layers: usize) -> Result<WearoutCurv
 ///
 /// # Errors
 ///
-/// As for [`regular_wearout`].
+/// As for [`wearout`].
 pub fn wearout_comparison(
     config: &WearoutConfig,
     layer_counts: &[usize],
@@ -371,11 +344,12 @@ pub fn wearout_comparison(
         .flat_map(|&n| [(n, false), (n, true)])
         .collect();
     pool::par_map(tasks, |(n, stacked)| {
-        if stacked {
-            vs_wearout(config, n)
+        let load = if stacked {
+            ScenarioLoad::VoltageStacked(0.0)
         } else {
-            regular_wearout(config, n)
-        }
+            ScenarioLoad::RegularPeak
+        };
+        wearout(config, load, n)
     })
     .into_iter()
     .collect()
@@ -396,8 +370,8 @@ mod tests {
 
     #[test]
     fn degradation_is_monotone_and_deterministic() {
-        let a = regular_wearout(&quick(), 2).unwrap();
-        let b = regular_wearout(&quick(), 2).unwrap();
+        let a = wearout(&quick(), ScenarioLoad::RegularPeak, 2).unwrap();
+        let b = wearout(&quick(), ScenarioLoad::RegularPeak, 2).unwrap();
         assert_eq!(a, b, "the loop must be bit-for-bit deterministic");
         assert!(a.points.len() >= 2);
         for w in a.points.windows(2) {
@@ -413,8 +387,8 @@ mod tests {
     #[test]
     fn vs_degrades_more_gracefully_than_regular() {
         let cfg = quick();
-        let reg = regular_wearout(&cfg, 4).unwrap();
-        let vs = vs_wearout(&cfg, 4).unwrap();
+        let reg = wearout(&cfg, ScenarioLoad::RegularPeak, 4).unwrap();
+        let vs = wearout(&cfg, ScenarioLoad::VoltageStacked(0.0), 4).unwrap();
         assert!(
             vs.degradation_slope() < reg.degradation_slope(),
             "V-S slope {} must beat regular slope {}",
@@ -439,12 +413,13 @@ mod tests {
 
     #[test]
     fn junction_override_shifts_every_ttf() {
-        let base = regular_wearout(&quick(), 2).unwrap();
-        let hot = regular_wearout(
+        let base = wearout(&quick(), ScenarioLoad::RegularPeak, 2).unwrap();
+        let hot = wearout(
             &WearoutConfig {
                 junction_temp_k: 393.15,
                 ..quick()
             },
+            ScenarioLoad::RegularPeak,
             2,
         )
         .unwrap();
@@ -462,7 +437,7 @@ mod tests {
             drop_limit_frac: f64::INFINITY, // force the run to the bitter end
             ..quick()
         };
-        let curve = regular_wearout(&cfg, 2).unwrap();
+        let curve = wearout(&cfg, ScenarioLoad::RegularPeak, 2).unwrap();
         assert!(
             matches!(curve.outcome, WearoutOutcome::Disconnected { .. }),
             "expected disconnection, got {:?}",

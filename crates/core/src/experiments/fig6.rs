@@ -116,7 +116,7 @@ pub const REGULAR_REFERENCE_TOPOLOGIES: [TsvTopology; 3] =
 /// `point`. Figs 6 and 8 run one such sweep per converter count, each as
 /// one [`pool::par_map`] task.
 ///
-/// The sweep runs through [`vstack_pdn::VstackPdn::solve_load_sweep`] on
+/// The sweep runs through [`vstack_pdn::Pdn::solve_load_sweep`] on
 /// one [`SolveScratch`]. With open-loop converters the V-S matrix does not
 /// depend on the imbalance (only the load currents do) and every core
 /// current is affine in it, so the first and last imbalances are solved

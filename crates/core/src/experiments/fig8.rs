@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn shared_sweep_endpoints_are_bit_identical_and_interior_points_agree() {
-        use vstack_pdn::FaultSet;
+        use vstack_pdn::{FaultSet, SolveScratch};
         use vstack_sparse::SolveMethod;
 
         // Paper fidelity with 4 layers is above the PDN's AMG threshold,
@@ -248,7 +248,14 @@ mod tests {
                     .map(|&x| {
                         // What `pdn.solve` runs, plus the report.
                         let loads = scenario.interleaved_loads(x);
-                        let fresh = pdn.solve_faulted(&loads, &FaultSet::new(), None).unwrap();
+                        let fresh = pdn
+                            .solve_faulted_scratch(
+                                &loads,
+                                &FaultSet::new(),
+                                None,
+                                &mut SolveScratch::new(),
+                            )
+                            .unwrap();
                         assert_eq!(fresh.report.method, SolveMethod::CgAmgMixed);
                         let sol = fresh.solution;
                         (!sol.has_overload()).then(|| sol.efficiency())

@@ -4,11 +4,33 @@
 
 use vstack_pdn::solution::PdnSolution;
 use vstack_pdn::{
-    FaultSet, FaultedSolution, PdnError, PdnParams, RegularPdn, StackLoads, TsvTopology, VstackPdn,
+    FaultSet, FaultedSolution, Pdn, PdnError, PdnParams, SolveScratch, StackLoads, Stacking,
+    TsvTopology,
 };
 use vstack_power::workload::ImbalancePattern;
 use vstack_sc::compact::ScConverter;
 use vstack_sparse::SolveError;
+
+/// Which PDN a scenario solves, under which loads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ScenarioLoad {
+    /// Regular PDN at full activity (its worst case).
+    RegularPeak,
+    /// Voltage-stacked PDN under the interleaved pattern at this
+    /// imbalance. `VoltageStacked(0.0)` is every layer at full activity,
+    /// bit for bit the regular PDN's peak loads.
+    VoltageStacked(f64),
+}
+
+impl ScenarioLoad {
+    /// `"regular"` or `"voltage-stacked"`: how studies label the topology.
+    pub fn label(self) -> &'static str {
+        match self {
+            ScenarioLoad::RegularPeak => "regular",
+            ScenarioLoad::VoltageStacked(_) => "voltage-stacked",
+        }
+    }
+}
 
 /// A complete 3D-IC power-delivery design point.
 ///
@@ -123,25 +145,45 @@ impl DesignScenario {
     }
 
     /// Builds the regular-topology PDN.
-    pub fn regular_pdn(&self) -> RegularPdn {
-        RegularPdn::new(
+    pub fn regular_pdn(&self) -> Pdn {
+        Pdn::new(
             &self.params,
             self.n_layers,
             self.topology,
             self.power_c4_fraction,
+            None,
         )
     }
 
     /// Builds the voltage-stacked PDN.
-    pub fn voltage_stacked_pdn(&self) -> VstackPdn {
-        VstackPdn::new(
+    pub fn voltage_stacked_pdn(&self) -> Pdn {
+        let stacking = Stacking {
+            converter: self.converter,
+            converters_per_core: self.converters_per_core,
+        };
+        Pdn::new(
             &self.params,
             self.n_layers,
             self.topology,
             self.power_c4_fraction,
-            self.converter,
-            self.converters_per_core,
+            Some(stacking),
         )
+    }
+
+    /// Builds the PDN `load` selects.
+    pub fn pdn(&self, load: ScenarioLoad) -> Pdn {
+        match load {
+            ScenarioLoad::RegularPeak => self.regular_pdn(),
+            ScenarioLoad::VoltageStacked(_) => self.voltage_stacked_pdn(),
+        }
+    }
+
+    /// The loads `load` selects.
+    pub fn loads(&self, load: ScenarioLoad) -> StackLoads {
+        match load {
+            ScenarioLoad::RegularPeak => self.peak_loads(),
+            ScenarioLoad::VoltageStacked(imbalance) => self.interleaved_loads(imbalance),
+        }
     }
 
     /// Loads for the interleaved high/low pattern at the given imbalance.
@@ -177,121 +219,53 @@ impl DesignScenario {
             .solve(&self.interleaved_loads(imbalance))
     }
 
-    /// Like [`DesignScenario::solve_regular_peak`], but through the
-    /// fault-aware resilient path: returns the full [`FaultedSolution`],
-    /// whose [`vstack_sparse::SolveReport`] records any escalation-ladder
-    /// fallback the solve needed, and optionally open-circuits `faults`.
+    /// Solves the PDN and loads `load` selects through the fault-aware
+    /// resilient path ([`Pdn::solve_faulted_scratch`]), with `faults`
+    /// open-circuited: the full [`FaultedSolution`], whose
+    /// [`vstack_sparse::SolveReport`] records any escalation-ladder
+    /// fallback. With no faults this is the warm-started solve the
+    /// `vstack-engine` scheduler and the thermal coupling loop drive: a
+    /// converged `guess` is returned unchanged (bit-identical voltages,
+    /// zero iterations), and `scratch` recycles the CSR pattern and Krylov
+    /// vectors across repeated solves.
     ///
     /// # Errors
     ///
     /// [`PdnError::Disconnected`] if `faults` isolate part of the grid;
     /// [`PdnError::Solve`] if the escalation ladder is exhausted.
-    pub fn solve_regular_peak_reported(
+    pub fn solve_faulted(
         &self,
+        load: ScenarioLoad,
         faults: &FaultSet,
-    ) -> Result<FaultedSolution, PdnError> {
-        self.regular_pdn()
-            .solve_faulted(&self.peak_loads(), faults, None)
-    }
-
-    /// Like [`DesignScenario::solve_voltage_stacked`], but through the
-    /// fault-aware resilient path (see
-    /// [`DesignScenario::solve_regular_peak_reported`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`DesignScenario::solve_regular_peak_reported`].
-    pub fn solve_voltage_stacked_reported(
-        &self,
-        imbalance: f64,
-        faults: &FaultSet,
-    ) -> Result<FaultedSolution, PdnError> {
-        self.voltage_stacked_pdn()
-            .solve_faulted(&self.interleaved_loads(imbalance), faults, None)
-    }
-
-    /// Warm-started, scratch-reusing variant of
-    /// [`DesignScenario::solve_regular_peak_reported`] without fault
-    /// injection — the solve entry point the `vstack-engine` batch
-    /// scheduler drives. A converged `guess` is returned unchanged
-    /// (bit-identical voltages, zero iterations); `scratch` recycles the
-    /// CSR pattern and Krylov vectors across repeated solves.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DesignScenario::solve_regular_peak_reported`].
-    pub fn solve_regular_peak_warm(
-        &self,
         guess: Option<&[f64]>,
-        scratch: &mut vstack_pdn::SolveScratch,
+        scratch: &mut SolveScratch,
     ) -> Result<FaultedSolution, PdnError> {
         let _span = vstack_obs::span!("scenario_solve");
-        self.regular_pdn()
-            .solve_warm(&self.peak_loads(), guess, scratch)
+        self.pdn(load)
+            .solve_faulted_scratch(&self.loads(load), faults, guess, scratch)
     }
 
-    /// Warm-started, scratch-reusing variant of
-    /// [`DesignScenario::solve_voltage_stacked_reported`] without fault
-    /// injection (see [`DesignScenario::solve_regular_peak_warm`]).
+    /// Sketched fault-query variant of [`DesignScenario::solve_faulted`]:
+    /// answers through the rank-k Sherman–Morrison–Woodbury fault sketch
+    /// cached in `scratch` ([`Pdn::solve_faulted_sketched`]), so a warm
+    /// sweep costs microseconds per fault set instead of a full ladder
+    /// solve. The first call (or any query the sketch refuses — structural
+    /// disconnection, over-budget rank) transparently runs the exact path,
+    /// as do closed-loop converter stacks, whose regulation loop re-stamps
+    /// the matrix. The engine's fault axis drives this entry point.
     ///
     /// # Errors
     ///
-    /// As for [`DesignScenario::solve_voltage_stacked_reported`].
-    pub fn solve_voltage_stacked_warm(
+    /// As for [`DesignScenario::solve_faulted`].
+    pub fn solve_sketched(
         &self,
-        imbalance: f64,
-        guess: Option<&[f64]>,
-        scratch: &mut vstack_pdn::SolveScratch,
-    ) -> Result<FaultedSolution, PdnError> {
-        let _span = vstack_obs::span!("scenario_solve");
-        self.voltage_stacked_pdn()
-            .solve_warm(&self.interleaved_loads(imbalance), guess, scratch)
-    }
-
-    /// Sketched fault-query variant of
-    /// [`DesignScenario::solve_regular_peak_reported`]: answers through
-    /// the rank-k Sherman–Morrison–Woodbury fault sketch cached in
-    /// `scratch`, so a warm sweep costs microseconds per fault set instead
-    /// of a full ladder solve. The first call (or any query the sketch
-    /// refuses — structural disconnection, over-budget rank) transparently
-    /// runs the exact path. Fault-map studies and the engine's fault axis
-    /// drive this entry point.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DesignScenario::solve_regular_peak_reported`].
-    pub fn solve_regular_peak_sketched(
-        &self,
+        load: ScenarioLoad,
         faults: &FaultSet,
-        scratch: &mut vstack_pdn::SolveScratch,
+        scratch: &mut SolveScratch,
     ) -> Result<FaultedSolution, PdnError> {
         let _span = vstack_obs::span!("scenario_solve");
-        self.regular_pdn()
-            .solve_faulted_sketched(&self.peak_loads(), faults, scratch)
-    }
-
-    /// Sketched fault-query variant of
-    /// [`DesignScenario::solve_voltage_stacked_reported`] (see
-    /// [`DesignScenario::solve_regular_peak_sketched`]). Closed-loop
-    /// converter scenarios always take the exact Picard path — the
-    /// regulation loop re-stamps the matrix, which a value-bound sketch
-    /// cannot follow.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DesignScenario::solve_voltage_stacked_reported`].
-    pub fn solve_voltage_stacked_sketched(
-        &self,
-        imbalance: f64,
-        faults: &FaultSet,
-        scratch: &mut vstack_pdn::SolveScratch,
-    ) -> Result<FaultedSolution, PdnError> {
-        let _span = vstack_obs::span!("scenario_solve");
-        self.voltage_stacked_pdn().solve_faulted_sketched(
-            &self.interleaved_loads(imbalance),
-            faults,
-            scratch,
-        )
+        self.pdn(load)
+            .solve_faulted_sketched(&self.loads(load), faults, scratch)
     }
 
     /// Total silicon-area overhead fraction of this scenario's V-S PDN on
@@ -318,7 +292,13 @@ mod tests {
             .tsv_topology(TsvTopology::Dense)
             .converters_per_core(8);
         assert_eq!(s.n_layers(), 4);
-        assert_eq!(s.voltage_stacked_pdn().converters_per_core(), 8);
+        assert_eq!(
+            s.voltage_stacked_pdn()
+                .stacking()
+                .unwrap()
+                .converters_per_core,
+            8
+        );
         assert_eq!(s.regular_pdn().topology(), TsvTopology::Dense);
     }
 
@@ -340,8 +320,9 @@ mod tests {
     fn reported_solve_matches_plain_solve_and_is_unrescued() {
         let s = DesignScenario::paper_baseline().layers(2).coarse_grid();
         let plain = s.solve_voltage_stacked(0.4).unwrap();
+        let load = ScenarioLoad::VoltageStacked(0.4);
         let reported = s
-            .solve_voltage_stacked_reported(0.4, &FaultSet::new())
+            .solve_faulted(load, &FaultSet::new(), None, &mut SolveScratch::new())
             .unwrap();
         assert!((plain.max_ir_drop_frac - reported.solution.max_ir_drop_frac).abs() < 1e-12);
         assert!(

@@ -10,9 +10,9 @@
 //! concurrently in this binary cannot disturb it.
 
 use proptest::prelude::*;
-use vstack::coupled::{solve_coupled, CoupledConfig, CoupledLoad};
+use vstack::coupled::{solve_coupled, CoupledConfig};
 use vstack::pdn::{SolveScratch, TsvTopology};
-use vstack::scenario::DesignScenario;
+use vstack::scenario::{DesignScenario, ScenarioLoad};
 
 fn quick_scenario(n_layers: usize) -> DesignScenario {
     let mut p = DesignScenario::paper_baseline().pdn_params().clone();
@@ -25,11 +25,11 @@ fn quick_scenario(n_layers: usize) -> DesignScenario {
 }
 
 /// The regular peak load, or the V-S load at a mid-range imbalance.
-fn load(stacked: bool) -> CoupledLoad {
+fn load(stacked: bool) -> ScenarioLoad {
     if stacked {
-        CoupledLoad::VoltageStacked(0.3)
+        ScenarioLoad::VoltageStacked(0.3)
     } else {
-        CoupledLoad::RegularPeak
+        ScenarioLoad::RegularPeak
     }
 }
 
@@ -39,7 +39,7 @@ fn load(stacked: bool) -> CoupledLoad {
 /// oracle, °C.
 fn distance_to_fixed_point(
     s: &DesignScenario,
-    load: CoupledLoad,
+    load: ScenarioLoad,
     config: &CoupledConfig,
     case: &str,
 ) -> (usize, f64) {
@@ -100,9 +100,9 @@ proptest! {
         let cool = CoupledConfig::paper_air_cooled();
         let warm = cool.ambient_c(45.0 + delta_c);
         let mut scratch = SolveScratch::new();
-        let a = solve_coupled(&s, CoupledLoad::RegularPeak, &cool, None, &mut scratch)
+        let a = solve_coupled(&s, ScenarioLoad::RegularPeak, &cool, None, &mut scratch)
             .expect("cool solve");
-        let b = solve_coupled(&s, CoupledLoad::RegularPeak, &warm, None, &mut scratch)
+        let b = solve_coupled(&s, ScenarioLoad::RegularPeak, &warm, None, &mut scratch)
             .expect("warm solve");
         prop_assert!(a.report.converged && b.report.converged);
         prop_assert!(b.report.peak_temperature_c > a.report.peak_temperature_c + delta_c * 0.5);
@@ -116,7 +116,7 @@ fn coupling_iterations_reuse_one_symbolic_factorization() {
     let s = quick_scenario(4);
     let config = CoupledConfig::paper_air_cooled();
     let mut scratch = SolveScratch::new();
-    let out = solve_coupled(&s, CoupledLoad::RegularPeak, &config, None, &mut scratch)
+    let out = solve_coupled(&s, ScenarioLoad::RegularPeak, &config, None, &mut scratch)
         .expect("coupled solve");
     assert!(out.report.converged);
     assert!(out.report.iterations >= 2);

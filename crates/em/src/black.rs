@@ -77,18 +77,6 @@ impl BlackModel {
         }
     }
 
-    /// Returns a copy with a different current-density exponent (for the
-    /// nucleation-vs-growth ablation bench).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < n ≤ 4`.
-    pub fn with_exponent(mut self, n: f64) -> Self {
-        assert!(n > 0.0 && n <= 4.0, "EM exponent out of physical range");
-        self.current_exponent = n;
-        self
-    }
-
     /// Returns a copy evaluated at a different junction temperature
     /// (kelvin) — used to couple the EM study to the thermal model.
     ///

@@ -26,8 +26,9 @@ use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use vstack::coupled::{solve_coupled, CoupledConfig, CoupledLoad};
-use vstack_pdn::{PdnError, SolveScratch};
+use vstack::coupled::{solve_coupled, CoupledConfig};
+use vstack::scenario::ScenarioLoad;
+use vstack_pdn::{FaultSet, PdnError, SolveScratch};
 use vstack_sparse::{pool, CancelToken, SolveError};
 
 use crate::cache::{CacheEntry, DiskCache, DiskLoad, LruCache};
@@ -563,6 +564,10 @@ pub fn solve_scenario_cancellable(
         PdnError::Solve(SolveError::Cancelled) => EngineError::Cancelled,
         other => EngineError::Solve(other.to_string()),
     };
+    let load = match request.kind {
+        SolveKind::Regular => ScenarioLoad::RegularPeak,
+        SolveKind::VoltageStacked => ScenarioLoad::VoltageStacked(request.imbalance),
+    };
     if request.thermal_coupling {
         let mut config = CoupledConfig::paper_air_cooled()
             .ambient_c(request.ambient_c)
@@ -570,10 +575,6 @@ pub fn solve_scenario_cancellable(
         if let Some(layer) = request.hotspot_layer {
             config = config.hotspot(layer, request.hotspot_w);
         }
-        let load = match request.kind {
-            SolveKind::Regular => CoupledLoad::RegularPeak,
-            SolveKind::VoltageStacked => CoupledLoad::VoltageStacked(request.imbalance),
-        };
         let out = solve_coupled(&scenario, load, &config, guess, &mut scratch).map_err(map_err)?;
         let voltages = out.solved.voltages.clone();
         return Ok((SolveSummary::from_coupled(&out), voltages));
@@ -583,22 +584,13 @@ pub fn solve_scenario_cancellable(
         // sketch owns the baseline warm start, so no external guess is
         // threaded. Near-singular or over-budget fault sets fall back to
         // the exact ladder inside the sketched path.
-        let faults = request.fault_set();
-        let solved = match request.kind {
-            SolveKind::Regular => scenario.solve_regular_peak_sketched(&faults, &mut scratch),
-            SolveKind::VoltageStacked => {
-                scenario.solve_voltage_stacked_sketched(request.imbalance, &faults, &mut scratch)
-            }
-        }
-        .map_err(map_err)?;
+        let solved = scenario
+            .solve_sketched(load, &request.fault_set(), &mut scratch)
+            .map_err(map_err)?;
         return Ok((SolveSummary::from_faulted(&solved), solved.voltages));
     }
-    let solved = match request.kind {
-        SolveKind::Regular => scenario.solve_regular_peak_warm(guess, &mut scratch),
-        SolveKind::VoltageStacked => {
-            scenario.solve_voltage_stacked_warm(request.imbalance, guess, &mut scratch)
-        }
-    }
-    .map_err(map_err)?;
+    let solved = scenario
+        .solve_faulted(load, &FaultSet::new(), guess, &mut scratch)
+        .map_err(map_err)?;
     Ok((SolveSummary::from_faulted(&solved), solved.voltages))
 }

@@ -309,6 +309,12 @@ impl ScenarioRequest {
                 self.layers
             ));
         }
+        if self.kind == SolveKind::VoltageStacked && self.layers < 2 {
+            return Err(format!(
+                "a voltage-stacked solve needs at least 2 layers, got {}",
+                self.layers
+            ));
+        }
         if !self.power_c4.is_finite() || self.power_c4 <= 0.0 || self.power_c4 > 1.0 {
             return Err(format!(
                 "power_c4 must be finite in (0, 1], got {}",
@@ -1047,6 +1053,18 @@ mod tests {
             big = big.fail_vdd_pad(o);
         }
         assert!(big.validate().is_err());
+    }
+
+    #[test]
+    fn one_layer_stack_is_invalid() {
+        // Stacking needs two layers to put in series; a regular PDN may
+        // have one.
+        let doc = Json::parse(r#"{"solve":"vs","layers":1,"fidelity":"quick"}"#).unwrap();
+        let err = ScenarioRequest::from_json(&doc).unwrap_err();
+        assert!(err.contains("at least 2 layers"), "{err}");
+        assert!(ScenarioRequest::voltage_stacked(1, 0.0).validate().is_err());
+        assert!(ScenarioRequest::voltage_stacked(2, 0.0).validate().is_ok());
+        assert!(ScenarioRequest::regular(1).validate().is_ok());
     }
 
     #[test]

@@ -194,16 +194,16 @@ impl SolveSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstack::coupled::{solve_coupled, CoupledConfig, CoupledLoad};
+    use vstack::coupled::{solve_coupled, CoupledConfig};
     use vstack::pdn::SolveScratch;
-    use vstack::scenario::DesignScenario;
+    use vstack::scenario::{DesignScenario, ScenarioLoad};
 
     /// A coupled solve of the quick 2-layer regular stack under `config`.
     fn coupled_run(config: &CoupledConfig) -> CoupledSolution {
         let scenario = DesignScenario::paper_baseline().coarse_grid().layers(2);
         solve_coupled(
             &scenario,
-            CoupledLoad::RegularPeak,
+            ScenarioLoad::RegularPeak,
             config,
             None,
             &mut SolveScratch::new(),

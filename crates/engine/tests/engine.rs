@@ -18,7 +18,8 @@ fn scratch_dir(name: &str) -> PathBuf {
 }
 
 /// Strategy pieces: a scenario request from integer draws (the vendored
-/// proptest has no enum strategies, so enums are picked by index).
+/// proptest has no enum strategies, so enums are picked by index). A
+/// one-layer draw stacks two layers, the fewest a valid V-S request has.
 fn request_from(
     kind: usize,
     layers: usize,
@@ -32,7 +33,7 @@ fn request_from(
     let mut req = if kind == 0 {
         ScenarioRequest::regular(layers)
     } else {
-        ScenarioRequest::voltage_stacked(layers, imbalance)
+        ScenarioRequest::voltage_stacked(layers.max(2), imbalance)
     };
     req = req
         .tsv([TsvTopology::Dense, TsvTopology::Sparse, TsvTopology::Few][tsv % 3])

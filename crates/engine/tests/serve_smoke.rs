@@ -116,6 +116,54 @@ fn serve_session_dedups_reports_errors_and_exits_cleanly() {
     assert_eq!(field(&lines[7], "shutdown"), Json::Bool(true));
 }
 
+/// A one-layer V-S request is rejected as invalid before it reaches a
+/// solver, and the session goes on answering the lines after it.
+#[test]
+fn serve_rejects_a_one_layer_stack_and_keeps_serving() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_vstack-serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn vstack-serve");
+    let input = [
+        r#"{"op":"solve","id":1,"scenario":{"solve":"vs","layers":1,"fidelity":"quick"}}"#,
+        r#"{"op":"solve","id":2,"scenario":{"solve":"regular","layers":1,"fidelity":"quick"}}"#,
+        r#"{"op":"shutdown","id":3}"#,
+    ]
+    .join("\n")
+        + "\n";
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(input.as_bytes())
+        .expect("write requests");
+
+    let output = child.wait_with_output().expect("serve must exit");
+    assert!(
+        output.status.success(),
+        "serve exited {:?}; stderr: {}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8(output.stdout).expect("utf-8 stdout");
+    let lines: Vec<Json> = stdout
+        .lines()
+        .map(|l| Json::parse(l).expect("every response line is JSON"))
+        .collect();
+    assert_eq!(lines.len(), 3, "stdout was: {stdout}");
+    let field = |v: &Json, k: &str| v.get(k).cloned().unwrap_or(Json::Null);
+    assert_eq!(field(&lines[0], "ok"), Json::Bool(false));
+    assert_eq!(
+        lines[0].get("error").and_then(|e| e.get("code")).cloned(),
+        Some(Json::Str("invalid_request".to_string()))
+    );
+    assert_eq!(field(&lines[1], "id"), Json::Num(2.0));
+    assert_eq!(field(&lines[1], "ok"), Json::Bool(true));
+    assert_eq!(field(&lines[2], "shutdown"), Json::Bool(true));
+}
+
 #[test]
 fn serve_round_trips_a_thermal_scenario() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_vstack-serve"))

@@ -6,9 +6,9 @@
 //! [`FaultSet`] is the bookkeeping for that process — it names which
 //! supply/return pads and how many TSVs per (interface, core) bundle have
 //! failed — and the fault-aware solve paths
-//! ([`crate::regular::RegularPdn::solve_faulted`],
-//! [`crate::vstacked::VstackPdn::solve_faulted`]) re-stamp the grid with
-//! the dead conductors removed.
+//! ([`crate::Pdn::solve_faulted_scratch`],
+//! [`crate::Pdn::solve_faulted_sketched`]) re-stamp the grid with the dead
+//! conductors removed (or downdate a cached baseline).
 //!
 //! Pads are identified by their **ordinal among power pads of the same
 //! net** in [`crate::c4::C4Array::pads`] order, which is stable across

@@ -7,10 +7,13 @@
 //! stack to the board; TSVs connect adjacent layers. Loads are ideal
 //! current sources derived from the `vstack-power` models.
 //!
-//! * [`regular`] builds the conventional topology (paper Fig 4a): all
-//!   layers' Vdd nets parallel-connected by TSV stacks, all ground nets
-//!   likewise, every layer's current flowing through the same pads.
-//! * [`vstacked`] builds the charge-recycled topology (paper Fig 4b):
+//! Both topologies are one [`Pdn`] type ([`model`]), whose only topology
+//! switch is an optional [`Stacking`] spec:
+//!
+//! * without it, the conventional topology ([`regular`], paper Fig 4a):
+//!   all layers' Vdd nets parallel-connected by TSV stacks, all ground
+//!   nets likewise, every layer's current flowing through the same pads.
+//! * with it, the charge-recycled topology ([`vstacked`], paper Fig 4b):
 //!   layers in series, `N·Vdd` delivered to the top layer through
 //!   dedicated through-via stacks, ground returned from the bottom layer,
 //!   and push-pull SC converters regulating every intermediate rail.
@@ -25,15 +28,23 @@
 //! # Example
 //!
 //! ```
-//! use vstack_pdn::{params::PdnParams, regular::RegularPdn, stack::StackLoads, tsv::TsvTopology};
+//! use vstack_pdn::{params::PdnParams, stack::StackLoads, tsv::TsvTopology, Pdn, Stacking};
 //! use vstack_power::workload::ImbalancePattern;
+//! use vstack_sc::compact::ScConverter;
 //!
 //! # fn main() -> Result<(), vstack_sparse::SolveError> {
 //! let params = PdnParams::paper_defaults();
-//! let pdn = RegularPdn::new(&params, 2, TsvTopology::Sparse, 0.5);
 //! let loads = StackLoads::interleaved(&params, 2, &ImbalancePattern::new(0.0));
-//! let solution = pdn.solve(&loads)?;
+//! let regular = Pdn::new(&params, 2, TsvTopology::Sparse, 0.5, None);
+//! let solution = regular.solve(&loads)?;
 //! assert!(solution.max_ir_drop_frac > 0.0 && solution.max_ir_drop_frac < 0.10);
+//!
+//! let stacking = Stacking {
+//!     converter: ScConverter::paper_28nm(),
+//!     converters_per_core: 4,
+//! };
+//! let stacked = Pdn::new(&params, 2, TsvTopology::Few, 0.25, Some(stacking));
+//! assert!(stacked.solve(&loads)?.max_ir_drop_frac < 0.10);
 //! # Ok(())
 //! # }
 //! ```
@@ -44,6 +55,7 @@
 pub mod c4;
 pub mod error;
 pub mod fault;
+pub mod model;
 pub mod network;
 pub mod params;
 pub mod regular;
@@ -56,12 +68,12 @@ pub mod vstacked;
 
 pub use error::PdnError;
 pub use fault::{FaultSet, FaultedSolution, TsvGroupCurrent};
+pub use model::Pdn;
 pub use network::SolveScratch;
 pub use params::PdnParams;
-pub use regular::RegularPdn;
 pub use sketch::FaultSketch;
 pub use solution::{ConductorCurrents, PdnSolution};
 pub use stack::StackLoads;
 pub use transient::{PdnTransientConfig, StepResponse};
 pub use tsv::TsvTopology;
-pub use vstacked::{ConverterReference, VstackPdn};
+pub use vstacked::Stacking;

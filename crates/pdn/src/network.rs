@@ -441,7 +441,7 @@ impl NetworkBuilder {
 
     /// Relative residual `‖b − A·v‖₂ / ‖b‖₂` every accepted PDN answer
     /// meets: the escalation ladder's tolerance, and the guard on
-    /// superposed sweep points ([`crate::VstackPdn::solve_load_sweep`]).
+    /// superposed sweep points ([`crate::Pdn::solve_load_sweep`]).
     pub(crate) const TOLERANCE: f64 = 1e-9;
 
     /// `‖b − A·v‖₂ / ‖b‖₂` of `v` against this stamping, summed straight

@@ -7,9 +7,8 @@
 //! barrier and idle)? The PDN's response is set by the on-chip decoupling
 //! capacitance against the converter/package source impedance.
 //!
-//! Both PDN topologies implement a backward-Euler step response
-//! ([`crate::VstackPdn::solve_transient_step`],
-//! [`crate::RegularPdn::solve_transient_step`]): the network starts from
+//! Both PDN topologies share one backward-Euler step response
+//! ([`crate::Pdn::solve_transient_step`]): the network starts from
 //! the DC solution of the *before* loads, the loads switch to *after* at
 //! `t = 0`, and per-layer decap (between each layer's local supply and
 //! return nets) carries the charge while the rails re-settle. The system

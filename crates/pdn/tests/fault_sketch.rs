@@ -1,7 +1,7 @@
 //! Sketch-vs-exact agreement for the rank-k fault sketch.
 //!
 //! `solve_faulted_sketched` must be indistinguishable from the exact
-//! ladder path (`solve_faulted`) up to the SMW residual tolerance, on both
+//! ladder path (`solve_faulted_scratch`) up to the SMW residual tolerance, on both
 //! topologies, across random fault sets — including the paths where the
 //! sketch *refuses* (structural disconnection, over-budget queries) and
 //! falls back. The thread-count sweep pins the bit-identity contract: the
@@ -19,8 +19,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use vstack_pdn::sketch::SKETCH_BUDGET;
 use vstack_pdn::{
-    FaultSet, FaultedSolution, PdnError, PdnParams, RegularPdn, SolveScratch, StackLoads,
-    TsvTopology, VstackPdn,
+    FaultSet, FaultedSolution, Pdn, PdnError, PdnParams, SolveScratch, StackLoads, Stacking,
+    TsvTopology,
 };
 use vstack_sc::compact::ScConverter;
 use vstack_sparse::pool::{with_pool, ThreadPool};
@@ -31,15 +31,22 @@ fn quick_params() -> PdnParams {
     p
 }
 
-fn vs_pdn(p: &PdnParams, layers: usize) -> VstackPdn {
-    VstackPdn::new(
-        p,
-        layers,
-        TsvTopology::Few,
-        0.25,
-        ScConverter::paper_28nm(),
-        4,
-    )
+fn vs_pdn(p: &PdnParams, layers: usize) -> Pdn {
+    stack(p, layers, ScConverter::paper_28nm())
+}
+
+/// A Few-TSV, 25%-power-C4 stack of `converter`, 4 cells per core.
+fn stack(p: &PdnParams, layers: usize, converter: ScConverter) -> Pdn {
+    let stacking = Stacking {
+        converter,
+        converters_per_core: 4,
+    };
+    Pdn::new(p, layers, TsvTopology::Few, 0.25, Some(stacking))
+}
+
+/// The exact ladder solve of `faults` on a fresh scratch.
+fn exact(pdn: &Pdn, loads: &StackLoads, faults: &FaultSet) -> Result<FaultedSolution, PdnError> {
+    pdn.solve_faulted_scratch(loads, faults, None, &mut SolveScratch::new())
 }
 
 /// Worst per-node voltage disagreement, relative to the vector's scale.
@@ -88,7 +95,7 @@ proptest! {
         picks in prop::collection::vec((0u32..3, 0usize..64, 0usize..64), 1..5),
     ) {
         let p = quick_params();
-        let pdn = RegularPdn::new(&p, 2, TsvTopology::Few, 0.5);
+        let pdn = Pdn::new(&p, 2, TsvTopology::Few, 0.5, None);
         let loads = StackLoads::from_activities(&p, &acts);
         let faults = random_faults(
             pdn.c4().vdd_count(),
@@ -106,7 +113,7 @@ proptest! {
         let sketched = pdn
             .solve_faulted_sketched(&loads, &faults, &mut scratch)
             .expect("sketched");
-        let exact = pdn.solve_faulted(&loads, &faults, None).expect("exact");
+        let exact = exact(&pdn, &loads, &faults).expect("exact");
         prop_assert_eq!(sketched.report.operator, "smw", "expected SMW answer");
         let rel = rel_inf_diff(&sketched.voltages, &exact.voltages);
         prop_assert!(rel < 1e-8, "voltage disagreement {rel}");
@@ -143,7 +150,7 @@ proptest! {
         let sketched = pdn
             .solve_faulted_sketched(&loads, &faults, &mut scratch)
             .expect("sketched");
-        let exact = pdn.solve_faulted(&loads, &faults, None).expect("exact");
+        let exact = exact(&pdn, &loads, &faults).expect("exact");
         prop_assert_eq!(sketched.report.operator, "smw", "expected SMW answer");
         let rel = rel_inf_diff(&sketched.voltages, &exact.voltages);
         prop_assert!(rel < 1e-8, "voltage disagreement {rel}");
@@ -159,7 +166,7 @@ fn first_query_builds_at_the_query_and_replays_the_baseline() {
     // the first answer is an exact replay, and the warm second query with
     // one extra fault goes through SMW.
     let p = quick_params();
-    let pdn = RegularPdn::new(&p, 2, TsvTopology::Few, 0.5);
+    let pdn = Pdn::new(&p, 2, TsvTopology::Few, 0.5, None);
     let loads = StackLoads::uniform_peak(&p, 2);
     let mut faults = FaultSet::new();
     faults.fail_vdd_pad(0);
@@ -171,15 +178,15 @@ fn first_query_builds_at_the_query_and_replays_the_baseline() {
         first.report.operator, "smw",
         "first call replays the baseline solve"
     );
-    let exact = pdn.solve_faulted(&loads, &faults, None).unwrap();
-    assert!(rel_inf_diff(&first.voltages, &exact.voltages) < 1e-8);
+    let exact1 = exact(&pdn, &loads, &faults).unwrap();
+    assert!(rel_inf_diff(&first.voltages, &exact1.voltages) < 1e-8);
 
     faults.fail_gnd_pad(3);
     let second = pdn
         .solve_faulted_sketched(&loads, &faults, &mut scratch)
         .unwrap();
     assert_eq!(second.report.operator, "smw");
-    let exact2 = pdn.solve_faulted(&loads, &faults, None).unwrap();
+    let exact2 = exact(&pdn, &loads, &faults).unwrap();
     assert!(rel_inf_diff(&second.voltages, &exact2.voltages) < 1e-8);
 }
 
@@ -189,7 +196,7 @@ fn healing_a_fault_rebases_instead_of_lying() {
     // answered by downdates; the planner rebases onto the empty baseline
     // and still returns the exact answer.
     let p = quick_params();
-    let pdn = RegularPdn::new(&p, 2, TsvTopology::Few, 0.5);
+    let pdn = Pdn::new(&p, 2, TsvTopology::Few, 0.5, None);
     let loads = StackLoads::uniform_peak(&p, 2);
     let mut scratch = SolveScratch::new();
     let mut faults = FaultSet::new();
@@ -203,7 +210,7 @@ fn healing_a_fault_rebases_instead_of_lying() {
     let sketched = pdn
         .solve_faulted_sketched(&loads, &healed, &mut scratch)
         .unwrap();
-    let exact = pdn.solve_faulted(&loads, &healed, None).unwrap();
+    let exact = exact(&pdn, &loads, &healed).unwrap();
     assert!(rel_inf_diff(&sketched.voltages, &exact.voltages) < 1e-8);
 }
 
@@ -213,7 +220,7 @@ fn disconnection_is_reported_not_approximated() {
     // the sketched entry point exactly like the exact path — via the SMW
     // near-singular guard (within budget) or the rebase build (beyond).
     let p = quick_params();
-    let pdn = RegularPdn::new(&p, 1, TsvTopology::Sparse, 0.5);
+    let pdn = Pdn::new(&p, 1, TsvTopology::Sparse, 0.5, None);
     let loads = StackLoads::uniform_peak(&p, 1);
     let mut scratch = SolveScratch::new();
     pdn.solve_faulted_sketched(&loads, &FaultSet::new(), &mut scratch)
@@ -234,7 +241,7 @@ fn disconnection_is_reported_not_approximated() {
 #[test]
 fn severed_interface_disconnects_through_the_sketch_too() {
     let p = quick_params();
-    let pdn = RegularPdn::new(&p, 2, TsvTopology::Few, 0.5);
+    let pdn = Pdn::new(&p, 2, TsvTopology::Few, 0.5, None);
     let loads = StackLoads::uniform_peak(&p, 2);
     let mut scratch = SolveScratch::new();
     pdn.solve_faulted_sketched(&loads, &FaultSet::new(), &mut scratch)
@@ -255,14 +262,7 @@ fn severed_interface_disconnects_through_the_sketch_too() {
 #[test]
 fn closed_loop_stacks_fall_back_to_picard() {
     let p = quick_params();
-    let pdn = VstackPdn::new(
-        &p,
-        3,
-        TsvTopology::Few,
-        0.25,
-        ScConverter::paper_28nm_closed_loop(),
-        4,
-    );
+    let pdn = stack(&p, 3, ScConverter::paper_28nm_closed_loop());
     let loads = StackLoads::uniform_peak(&p, 3);
     let mut faults = FaultSet::new();
     faults.fail_vdd_pad(0);
@@ -270,7 +270,7 @@ fn closed_loop_stacks_fall_back_to_picard() {
     let sketched = pdn
         .solve_faulted_sketched(&loads, &faults, &mut scratch)
         .unwrap();
-    let exact = pdn.solve_faulted(&loads, &faults, None).unwrap();
+    let exact = exact(&pdn, &loads, &faults).unwrap();
     assert_ne!(sketched.report.operator, "smw");
     assert_eq!(sketched.voltages, exact.voltages);
 }
@@ -279,7 +279,7 @@ fn closed_loop_stacks_fall_back_to_picard() {
 fn load_change_invalidates_the_fingerprint() {
     // A different load vector must not be answered from the old sketch.
     let p = quick_params();
-    let pdn = RegularPdn::new(&p, 2, TsvTopology::Few, 0.5);
+    let pdn = Pdn::new(&p, 2, TsvTopology::Few, 0.5, None);
     let mut scratch = SolveScratch::new();
     let loads_a = StackLoads::uniform_peak(&p, 2);
     let loads_b = StackLoads::from_activities(&p, &[0.4, 0.9]);
@@ -290,7 +290,7 @@ fn load_change_invalidates_the_fingerprint() {
     let sketched = pdn
         .solve_faulted_sketched(&loads_b, &faults, &mut scratch)
         .unwrap();
-    let exact = pdn.solve_faulted(&loads_b, &faults, None).unwrap();
+    let exact = exact(&pdn, &loads_b, &faults).unwrap();
     assert!(rel_inf_diff(&sketched.voltages, &exact.voltages) < 1e-8);
 }
 
@@ -299,7 +299,7 @@ fn sketched_answers_are_bit_identical_across_thread_counts() {
     // Build + query entirely inside pools of 1, 2 and 4 contexts: the
     // answers (baseline replay AND SMW-updated) must match bit for bit.
     let p = quick_params();
-    let pdn = RegularPdn::new(&p, 2, TsvTopology::Few, 0.5);
+    let pdn = Pdn::new(&p, 2, TsvTopology::Few, 0.5, None);
     let loads = StackLoads::uniform_peak(&p, 2);
     let mut faults = FaultSet::new();
     faults.fail_vdd_pad(1);
@@ -329,66 +329,35 @@ fn sketched_answers_are_bit_identical_across_thread_counts() {
 
 const MAP_LAYERS: usize = 8;
 
-/// One quick 8-layer topology under test.
-enum MapCase {
-    Regular(RegularPdn),
-    Stacked(VstackPdn),
+/// Both quick 8-layer topologies under test, with their labels.
+fn map_pdns() -> [(&'static str, Pdn); 2] {
+    let p = quick_params();
+    [
+        (
+            "regular",
+            Pdn::new(&p, MAP_LAYERS, TsvTopology::Few, 0.25, None),
+        ),
+        ("voltage-stacked", vs_pdn(&p, MAP_LAYERS)),
+    ]
 }
 
-impl MapCase {
-    fn both() -> [MapCase; 2] {
-        let p = quick_params();
-        [
-            MapCase::Regular(RegularPdn::new(&p, MAP_LAYERS, TsvTopology::Few, 0.25)),
-            MapCase::Stacked(vs_pdn(&p, MAP_LAYERS)),
-        ]
-    }
+/// `faults` through the sketch cached in `scratch`, at peak loads.
+fn sketched(
+    pdn: &Pdn,
+    faults: &FaultSet,
+    scratch: &mut SolveScratch,
+) -> Result<FaultedSolution, PdnError> {
+    let loads = StackLoads::uniform_peak(&quick_params(), MAP_LAYERS);
+    pdn.solve_faulted_sketched(&loads, faults, scratch)
+}
 
-    fn label(&self) -> &'static str {
-        match self {
-            MapCase::Regular(_) => "regular",
-            MapCase::Stacked(_) => "voltage-stacked",
-        }
-    }
-
-    fn sketched(
-        &self,
-        faults: &FaultSet,
-        scratch: &mut SolveScratch,
-    ) -> Result<FaultedSolution, PdnError> {
-        let loads = StackLoads::uniform_peak(&quick_params(), MAP_LAYERS);
-        match self {
-            MapCase::Regular(pdn) => pdn.solve_faulted_sketched(&loads, faults, scratch),
-            MapCase::Stacked(pdn) => pdn.solve_faulted_sketched(&loads, faults, scratch),
-        }
-    }
-
-    /// The exact ladder solve of `faults` at the sketch's 1e-11 build
-    /// tolerance: a one-shot query on a fresh scratch, which solves the
-    /// faulted network itself and uses no SMW column.
-    fn exact(&self, faults: &FaultSet) -> FaultedSolution {
-        let exact = self
-            .sketched(faults, &mut SolveScratch::new())
-            .expect("exact");
-        assert_ne!(exact.report.operator, "smw");
-        exact
-    }
-
-    /// `(vdd, gnd)` power-pad counts and TSVs per bundle.
-    fn elements(&self) -> (usize, usize, usize) {
-        match self {
-            MapCase::Regular(pdn) => (
-                pdn.c4().vdd_count(),
-                pdn.c4().gnd_count(),
-                TsvTopology::Few.vdd_tsvs_per_core(),
-            ),
-            MapCase::Stacked(pdn) => (
-                pdn.c4().vdd_count(),
-                pdn.c4().gnd_count(),
-                TsvTopology::Few.tsvs_per_core(),
-            ),
-        }
-    }
+/// The exact ladder solve of `faults` at the sketch's 1e-11 build
+/// tolerance: a one-shot query on a fresh scratch, which solves the
+/// faulted network itself and uses no SMW column.
+fn exact_at_build_tolerance(pdn: &Pdn, faults: &FaultSet) -> FaultedSolution {
+    let exact = sketched(pdn, faults, &mut SolveScratch::new()).expect("exact");
+    assert_ne!(exact.report.operator, "smw");
+    exact
 }
 
 /// Opens one fault element in a fault set.
@@ -396,9 +365,13 @@ type Element = Box<dyn Fn(&mut FaultSet)>;
 
 /// Every single-element fault set of a quick 8-layer map, then pairs of
 /// them stepping through the list.
-fn map_queries(case: &MapCase) -> Vec<FaultSet> {
+fn map_queries(pdn: &Pdn) -> Vec<FaultSet> {
     let cores = quick_params().floorplan().core_count();
-    let (vdd, gnd, per_bundle) = case.elements();
+    let (vdd, gnd, per_bundle) = (
+        pdn.c4().vdd_count(),
+        pdn.c4().gnd_count(),
+        pdn.tsvs_per_bundle(),
+    );
     let mut elements: Vec<Element> = Vec::new();
     for ord in 0..vdd {
         elements.push(Box::new(move |f| f.fail_vdd_pad(ord)));
@@ -428,39 +401,29 @@ fn map_queries(case: &MapCase) -> Vec<FaultSet> {
 
 #[test]
 fn quick_eight_layer_maps_factor_once_and_cap_ready_columns() {
-    for case in MapCase::both() {
+    for (label, pdn) in map_pdns() {
         let mut scratch = SolveScratch::new();
-        case.sketched(&FaultSet::new(), &mut scratch)
-            .expect("healthy");
-        let queries = map_queries(&case);
+        sketched(&pdn, &FaultSet::new(), &mut scratch).expect("healthy");
+        let queries = map_queries(&pdn);
         for (i, faults) in queries.iter().enumerate() {
-            let sketched = case.sketched(faults, &mut scratch).expect("sketched");
-            assert_eq!(
-                sketched.report.operator,
-                "smw",
-                "{}: query {i}",
-                case.label()
-            );
+            let sketched = sketched(&pdn, faults, &mut scratch).expect("sketched");
+            assert_eq!(sketched.report.operator, "smw", "{}: query {i}", label);
             let sk = scratch.fault_sketch().expect("sketch kept in the scratch");
             assert!(
                 sk.ready_columns() <= SKETCH_BUDGET,
                 "{}: {} ready columns after query {i}",
-                case.label(),
+                label,
                 sk.ready_columns()
             );
             if i % 61 == 0 {
-                let exact = case.exact(faults);
+                let exact = exact_at_build_tolerance(&pdn, faults);
                 let rel = rel_inf_diff(&sketched.voltages, &exact.voltages);
-                assert!(rel <= 1e-9, "{}: query {i} off by {rel}", case.label());
+                assert!(rel <= 1e-9, "{}: query {i} off by {rel}", label);
             }
         }
         let sk = scratch.fault_sketch().unwrap();
-        assert!(
-            sk.base_faults().is_empty(),
-            "{}: the sketch rebased",
-            case.label()
-        );
-        assert_eq!(sk.factorizations(), 1, "{}", case.label());
+        assert!(sk.base_faults().is_empty(), "{}: the sketch rebased", label);
+        assert_eq!(sk.factorizations(), 1, "{}", label);
     }
 }
 
@@ -469,13 +432,13 @@ fn one_shot_faulted_query_never_factors() {
     // A serving engine answers each faulted request on a fresh scratch:
     // the sketch is built at the requested fault set and replays its
     // baseline, so no column — and no factorization — is ever needed.
-    for case in MapCase::both() {
-        let faults = map_queries(&case).pop().expect("a pair query");
+    for (label, pdn) in map_pdns() {
+        let faults = map_queries(&pdn).pop().expect("a pair query");
         let mut scratch = SolveScratch::new();
-        let answer = case.sketched(&faults, &mut scratch).expect("one-shot");
-        assert_ne!(answer.report.operator, "smw", "{}", case.label());
+        let answer = sketched(&pdn, &faults, &mut scratch).expect("one-shot");
+        assert_ne!(answer.report.operator, "smw", "{}", label);
         let sk = scratch.fault_sketch().expect("sketch built");
-        assert_eq!(sk.factorizations(), 0, "{}", case.label());
-        assert_eq!(sk.ready_columns(), 0, "{}", case.label());
+        assert_eq!(sk.factorizations(), 0, "{}", label);
+        assert_eq!(sk.ready_columns(), 0, "{}", label);
     }
 }

@@ -8,9 +8,7 @@
 //! start another single-test file instead.
 
 use vstack_obs::metrics::global;
-use vstack_pdn::{
-    FaultSet, PdnParams, RegularPdn, SolveScratch, StackLoads, TsvTopology, VstackPdn,
-};
+use vstack_pdn::{FaultSet, Pdn, PdnParams, SolveScratch, StackLoads, Stacking, TsvTopology};
 use vstack_sc::compact::ScConverter;
 
 #[test]
@@ -18,7 +16,7 @@ fn fault_sketch_counters_move_in_lock_step_with_the_query_path() {
     let m = global();
     let mut p = PdnParams::paper_defaults();
     p.grid_refinement = 1;
-    let pdn = RegularPdn::new(&p, 2, TsvTopology::Few, 0.5);
+    let pdn = Pdn::new(&p, 2, TsvTopology::Few, 0.5, None);
     let loads = StackLoads::uniform_peak(&p, 2);
     let mut scratch = SolveScratch::new();
 
@@ -100,14 +98,11 @@ fn fault_sketch_counters_move_in_lock_step_with_the_query_path() {
     // A closed-loop stack cannot be sketched (the Picard loop re-stamps
     // the matrix): the dispatch itself is a fallback.
     let before = (m.fault_sketch_fallbacks.get(), m.fault_sketch_hits.get());
-    let closed = VstackPdn::new(
-        &p,
-        3,
-        TsvTopology::Few,
-        0.25,
-        ScConverter::paper_28nm_closed_loop(),
-        4,
-    );
+    let stacking = Stacking {
+        converter: ScConverter::paper_28nm_closed_loop(),
+        converters_per_core: 4,
+    };
+    let closed = Pdn::new(&p, 3, TsvTopology::Few, 0.25, Some(stacking));
     let loads3 = StackLoads::uniform_peak(&p, 3);
     let mut cl_faults = FaultSet::new();
     cl_faults.fail_vdd_pad(0);

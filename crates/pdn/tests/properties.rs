@@ -2,13 +2,24 @@
 //! linearity that must hold for any load scenario.
 
 use proptest::prelude::*;
-use vstack_pdn::{FaultSet, PdnError, PdnParams, RegularPdn, StackLoads, TsvTopology, VstackPdn};
+use vstack_pdn::{
+    FaultSet, Pdn, PdnError, PdnParams, SolveScratch, StackLoads, Stacking, TsvTopology,
+};
 use vstack_sc::compact::ScConverter;
 
 fn quick_params() -> PdnParams {
     let mut p = PdnParams::paper_defaults();
     p.grid_refinement = 1;
     p
+}
+
+/// A Few-TSV, 25%-power-C4 stack of the paper's open-loop converter.
+fn stack(p: &PdnParams, layers: usize, per_core: usize) -> Pdn {
+    let stacking = Stacking {
+        converter: ScConverter::paper_28nm(),
+        converters_per_core: per_core,
+    };
+    Pdn::new(p, layers, TsvTopology::Few, 0.25, Some(stacking))
 }
 
 /// Random per-layer activities in [0, 1].
@@ -24,7 +35,7 @@ proptest! {
     #[test]
     fn regular_pad_current_conservation(acts in activities(3)) {
         let p = quick_params();
-        let pdn = RegularPdn::new(&p, 3, TsvTopology::Sparse, 0.5);
+        let pdn = Pdn::new(&p, 3, TsvTopology::Sparse, 0.5, None);
         let loads = StackLoads::from_activities(&p, &acts);
         let sol = pdn.solve(&loads).expect("solvable");
         let pad_sum: f64 = sol.vdd_c4.groups().iter().map(|g| g.current_a * g.count).sum();
@@ -41,7 +52,7 @@ proptest! {
         // Scale activities so both points stay within [0, 1]. Use idle
         // leakage-free comparison via explicit currents.
         let p = quick_params();
-        let pdn = RegularPdn::new(&p, 2, TsvTopology::Sparse, 0.5);
+        let pdn = Pdn::new(&p, 2, TsvTopology::Sparse, 0.5, None);
         let base: Vec<Vec<f64>> = (0..2)
             .map(|l| vec![0.1 + 0.3 * acts[l % acts.len()]; 16])
             .collect();
@@ -65,9 +76,7 @@ proptest! {
     #[test]
     fn vs_energy_and_current_envelope(acts in activities(4)) {
         let p = quick_params();
-        let pdn = VstackPdn::new(
-            &p, 4, TsvTopology::Few, 0.25, ScConverter::paper_28nm(), 4,
-        );
+        let pdn = stack(&p, 4, 4);
         let loads = StackLoads::from_activities(&p, &acts);
         let sol = pdn.solve(&loads).expect("solvable");
         let input: f64 = sol.vdd_c4.groups().iter().map(|g| g.current_a * g.count).sum();
@@ -85,9 +94,7 @@ proptest! {
     #[test]
     fn vs_noise_monotone_and_parity_bounded(x in 0.1..0.7f64, dx in 0.05..0.3f64) {
         let p = quick_params();
-        let pdn = VstackPdn::new(
-            &p, 4, TsvTopology::Few, 0.25, ScConverter::paper_28nm(), 8,
-        );
+        let pdn = stack(&p, 4, 8);
         let lo = StackLoads::from_activities(&p, &[1.0, 1.0 - x, 1.0, 1.0 - x]);
         let hi = StackLoads::from_activities(
             &p,
@@ -121,24 +128,18 @@ proptest! {
         let (vdd_side, stacked) = (vdd_side == 1, stacked == 1);
         let p = quick_params();
         let loads = StackLoads::from_activities(&p, &acts);
-        let mut faults = FaultSet::new();
-        let result = if stacked {
-            let pdn = VstackPdn::new(&p, 2, TsvTopology::Few, 0.25, ScConverter::paper_28nm(), 4);
-            if vdd_side {
-                faults.fail_vdd_pad(victim % pdn.c4().vdd_count());
-            } else {
-                faults.fail_gnd_pad(victim % pdn.c4().gnd_count());
-            }
-            pdn.solve_faulted(&loads, &faults, None)
+        let pdn = if stacked {
+            stack(&p, 2, 4)
         } else {
-            let pdn = RegularPdn::new(&p, 2, TsvTopology::Few, 0.25);
-            if vdd_side {
-                faults.fail_vdd_pad(victim % pdn.c4().vdd_count());
-            } else {
-                faults.fail_gnd_pad(victim % pdn.c4().gnd_count());
-            }
-            pdn.solve_faulted(&loads, &faults, None)
+            Pdn::new(&p, 2, TsvTopology::Few, 0.25, None)
         };
+        let mut faults = FaultSet::new();
+        if vdd_side {
+            faults.fail_vdd_pad(victim % pdn.c4().vdd_count());
+        } else {
+            faults.fail_gnd_pad(victim % pdn.c4().gnd_count());
+        }
+        let result = pdn.solve_faulted_scratch(&loads, &faults, None, &mut SolveScratch::new());
         match result {
             Ok(sol) => {
                 prop_assert!(sol.solution.max_ir_drop_frac.is_finite());
@@ -157,9 +158,7 @@ proptest! {
     #[test]
     fn vs_balanced_is_always_quiet(a in 0.1..1.0f64) {
         let p = quick_params();
-        let pdn = VstackPdn::new(
-            &p, 4, TsvTopology::Few, 0.25, ScConverter::paper_28nm(), 4,
-        );
+        let pdn = stack(&p, 4, 4);
         let loads = StackLoads::from_activities(&p, &[a, a, a, a]);
         let sol = pdn.solve(&loads).expect("solve");
         prop_assert!(sol.max_ir_drop_frac < 0.02, "got {}", sol.max_ir_drop_frac);

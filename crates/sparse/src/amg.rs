@@ -141,8 +141,8 @@ struct Scratch {
 /// A built multigrid hierarchy: a frozen, reusable preconditioner.
 ///
 /// Built once per sparsity pattern (and values), then applied as `z ≈
-/// A⁻¹ r` inside CG. [`crate::pdn`]-style callers cache it across
-/// re-solves; CG converges against whatever the *current* matrix is, the
+/// A⁻¹ r` inside CG. Callers that re-solve one sparsity pattern (the PDN
+/// crate's `SolveScratch`) cache it across re-solves; CG converges against whatever the *current* matrix is, the
 /// hierarchy only has to stay SPD to keep CG sound.
 ///
 /// The type is `Send` but not `Sync` (scratch buffers use a [`RefCell`]);

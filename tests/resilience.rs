@@ -2,12 +2,10 @@
 //! fault injection through the scenario layer, and the wearout loop's
 //! terminal states, exercised end to end across the workspace crates.
 
-use vstack::experiments::ext_wearout::{
-    regular_wearout, vs_wearout, WearoutConfig, WearoutOutcome,
-};
+use vstack::experiments::ext_wearout::{wearout, WearoutConfig, WearoutOutcome};
 use vstack::experiments::Fidelity;
-use vstack::pdn::{FaultSet, PdnError};
-use vstack::scenario::DesignScenario;
+use vstack::pdn::{FaultSet, PdnError, SolveScratch};
+use vstack::scenario::{DesignScenario, ScenarioLoad};
 use vstack::sparse::robust::FallbackStep;
 use vstack::sparse::{
     solve_robust, CsrMatrix, Lead, RobustOptions, SolveError, SolveMethod, SolveWorkspace,
@@ -60,7 +58,12 @@ fn escalation_ladder_reports_its_fallback_trail() {
 fn healthy_scenario_solve_is_unrescued() {
     let s = DesignScenario::paper_baseline().layers(2).coarse_grid();
     let sol = s
-        .solve_regular_peak_reported(&FaultSet::new())
+        .solve_faulted(
+            ScenarioLoad::RegularPeak,
+            &FaultSet::new(),
+            None,
+            &mut SolveScratch::new(),
+        )
         .expect("healthy");
     assert!(!sol.report.was_rescued(), "trail: {}", sol.report.trail());
     assert!(sol.report.relative_residual <= 1e-8);
@@ -80,7 +83,12 @@ fn killing_every_pad_reports_disconnected() {
     for ord in 0..pdn.c4().gnd_count() {
         faults.fail_gnd_pad(ord);
     }
-    match s.solve_regular_peak_reported(&faults) {
+    match s.solve_faulted(
+        ScenarioLoad::RegularPeak,
+        &faults,
+        None,
+        &mut SolveScratch::new(),
+    ) {
         Err(PdnError::Disconnected { floating_nodes, .. }) => {
             assert!(floating_nodes > 0);
         }
@@ -99,8 +107,8 @@ fn wearout_loop_terminates_cleanly_on_both_topologies() {
         max_rounds: 6,
         ..WearoutConfig::default()
     };
-    let reg = regular_wearout(&cfg, 4).expect("regular curve");
-    let vs = vs_wearout(&cfg, 4).expect("v-s curve");
+    let reg = wearout(&cfg, ScenarioLoad::RegularPeak, 4).expect("regular curve");
+    let vs = wearout(&cfg, ScenarioLoad::VoltageStacked(0.0), 4).expect("v-s curve");
     for curve in [&reg, &vs] {
         assert!(
             curve.points.len() >= 2,
