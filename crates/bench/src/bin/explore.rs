@@ -203,13 +203,12 @@ fn print_cache_summary(engine: &Engine) {
     let s = engine.stats();
     println!();
     println!(
-        "engine: {} request(s) — {} hit(s) ({} memory, {} disk, {} dedup), \
+        "engine: {} request(s) — {} hit(s) ({} memory, {} disk), \
          {} warm solve(s), {} cold solve(s); hit rate {:.0}%",
         s.requests,
         s.hits(),
         s.memory_hits,
         s.disk_hits,
-        s.deduped,
         s.warm_solves,
         s.cold_solves,
         100.0 * s.hit_rate(),
@@ -250,12 +249,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if args.topology != "vs" {
                 return Err("--sweep requires --topology vs".into());
             }
-            let requests: Vec<ScenarioRequest> = (0..points)
-                .map(|i| {
-                    let x = args.imbalance * i as f64 / (points - 1) as f64;
-                    request_for(&args, x)
-                })
-                .collect::<Result<_, _>>()?;
             println!(
                 "V-S imbalance sweep: {} points over 0–{:.0}%, {} layers, {}",
                 points,
@@ -264,8 +257,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 args.tsv.name(),
             );
             println!("  imbalance   max IR    mean IR   efficiency   outcome");
-            for (req, result) in requests.iter().zip(engine.query_batch(&requests)) {
-                let result = result.map_err(|e| e.to_string())?;
+            for i in 0..points {
+                let req = request_for(&args, args.imbalance * i as f64 / (points - 1) as f64)?;
+                let result = engine.query(&req).map_err(|e| e.to_string())?;
                 let s = &result.summary;
                 println!(
                     "  {:>7.1}%   {:>6.2}%   {:>6.2}%   {:>8.1}%   {}{}",

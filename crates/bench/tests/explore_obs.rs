@@ -83,12 +83,12 @@ fn repeated_sweeps_yield_identical_canonical_snapshots() {
         }
         names.insert(span.get("name").and_then(Json::as_str).unwrap().to_string());
     }
-    for expected in ["engine_batch", "scenario_solve", "pdn_solve", "cg_solve"] {
+    for expected in ["engine_query", "scenario_solve", "pdn_solve", "cg_solve"] {
         assert!(names.contains(expected), "no {expected} span in {names:?}");
     }
 
     // Collapsed stacks: `frame;frame <self_us>` lines, flamegraph-ready,
-    // rooted at the engine batch.
+    // rooted at the engine query.
     let folded = std::fs::read_to_string(trace_a.with_extension("ndjson.folded"))
         .expect("read folded stacks");
     for line in folded.lines() {
@@ -97,8 +97,8 @@ fn repeated_sweeps_yield_identical_canonical_snapshots() {
         value.parse::<u64>().expect("folded value is integer µs");
     }
     assert!(
-        folded.lines().any(|l| l.starts_with("engine_batch;")),
-        "folded output must nest under engine_batch:\n{folded}"
+        folded.lines().any(|l| l.starts_with("engine_query;")),
+        "folded output must nest under engine_query:\n{folded}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

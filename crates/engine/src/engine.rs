@@ -1,21 +1,15 @@
-//! The query engine: cache lookup, in-batch deduplication, warm-start
-//! donor selection and the deterministic batch scheduler.
+//! The query engine: answers one request at a time on the calling
+//! thread — validate, canonicalize, answer from the memory tier, then the
+//! disk tier, else solve (seeded from the nearest cached neighbour) and
+//! cache the result.
 //!
 //! # Determinism
 //!
-//! A batch's outcome depends only on the requests and the cache state at
-//! entry:
-//!
-//! * Requests are canonicalized and grouped by fingerprint in
-//!   first-occurrence order; duplicate requests join their group instead
-//!   of solving again.
-//! * Warm-start donors are snapshotted from the memory cache *before* any
-//!   solve is dispatched, so a donor choice can never depend on the
-//!   completion order of sibling solves.
-//! * The solves run over [`vstack_sparse::pool`] workers via `par_map`,
-//!   which preserves submission order in its results; each job owns a
-//!   fresh [`SolveScratch`], so no floating-point state is shared across
-//!   jobs.
+//! A query's outcome depends only on the request and the cache state at
+//! entry: canonicalization is pure, the donor is the nearest compatible
+//! cached entry with the fingerprint as tie-break, and each solve owns a
+//! fresh [`SolveScratch`]. Concurrent callers (the daemon's shards) each
+//! own an engine, so nothing is shared between solves.
 //!
 //! Re-solving a scenario warm-started from its own cached voltages is
 //! bit-identical to the cold solve: the guess already satisfies the
@@ -29,10 +23,9 @@ use std::time::Instant;
 use vstack::coupled::{solve_coupled, CoupledConfig};
 use vstack::scenario::ScenarioLoad;
 use vstack_pdn::{FaultSet, PdnError, SolveScratch};
-use vstack_sparse::{pool, CancelToken, SolveError};
+use vstack_sparse::{CancelToken, SolveError};
 
 use crate::cache::{CacheEntry, DiskCache, DiskLoad, LruCache};
-use crate::json::Json;
 use crate::request::{ScenarioRequest, SolveKind};
 use crate::summary::SolveSummary;
 
@@ -64,8 +57,6 @@ pub enum Outcome {
     HitMemory,
     /// Served from the on-disk tier.
     HitDisk,
-    /// Duplicate of another request in the same batch; shared its solve.
-    Deduped,
     /// Solved, seeded from a cached neighbour's voltages.
     Warm,
     /// Solved from scratch.
@@ -73,10 +64,10 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    /// Protocol label: duplicates and both cache tiers all count as hits.
+    /// Protocol label: both cache tiers count as hits.
     pub fn label(self) -> &'static str {
         match self {
-            Outcome::HitMemory | Outcome::HitDisk | Outcome::Deduped => "hit",
+            Outcome::HitMemory | Outcome::HitDisk => "hit",
             Outcome::Warm => "warm",
             Outcome::Cold => "cold",
         }
@@ -87,7 +78,6 @@ impl Outcome {
         match self {
             Outcome::HitMemory => Some("memory"),
             Outcome::HitDisk => Some("disk"),
-            Outcome::Deduped => Some("dedup"),
             Outcome::Warm | Outcome::Cold => None,
         }
     }
@@ -96,7 +86,7 @@ impl Outcome {
 /// Monotonic service counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Requests accepted (valid scenarios, including duplicates).
+    /// Requests accepted (valid scenarios).
     pub requests: u64,
     /// Requests rejected at validation/parse time.
     pub invalid: u64,
@@ -104,8 +94,6 @@ pub struct EngineStats {
     pub memory_hits: u64,
     /// Served from the disk tier.
     pub disk_hits: u64,
-    /// Batch duplicates that piggybacked on a sibling's solve.
-    pub deduped: u64,
     /// Solves seeded from a cached neighbour.
     pub warm_solves: u64,
     /// Solves from scratch.
@@ -120,8 +108,7 @@ pub struct EngineStats {
     /// their f32 mirrors, Jacobi inverse diagonals) across all solves; 0
     /// when setup was cached.
     pub solver_setup_us: u64,
-    /// Wall-clock spent inside solves, microseconds (per-job, so parallel
-    /// batches sum to more than elapsed time).
+    /// Wall-clock spent inside solves, microseconds.
     pub solve_time_us: u64,
     /// Solves whose accepted rung used the mixed-precision f32 V-cycle
     /// (`solver_path` ends with `"mixed"`).
@@ -136,7 +123,7 @@ impl EngineStats {
 
     /// Requests answered without a new solve.
     pub fn hits(&self) -> u64 {
-        self.memory_hits + self.disk_hits + self.deduped
+        self.memory_hits + self.disk_hits
     }
 
     /// Fraction of accepted requests answered without a new solve.
@@ -146,36 +133,6 @@ impl EngineStats {
         } else {
             self.hits() as f64 / self.requests as f64
         }
-    }
-
-    /// Serializes the counters for the `stats` protocol op. The engine
-    /// protocol [`crate::SCHEMA_VERSION`] is stamped at the top level so
-    /// clients can detect incompatible servers from `stats` alone, not
-    /// just from cached result files.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "schema_version",
-                Json::Num(f64::from(crate::SCHEMA_VERSION)),
-            ),
-            ("requests", Json::Num(self.requests as f64)),
-            ("invalid", Json::Num(self.invalid as f64)),
-            ("memory_hits", Json::Num(self.memory_hits as f64)),
-            ("disk_hits", Json::Num(self.disk_hits as f64)),
-            ("deduped", Json::Num(self.deduped as f64)),
-            ("warm_solves", Json::Num(self.warm_solves as f64)),
-            ("cold_solves", Json::Num(self.cold_solves as f64)),
-            ("schema_rejects", Json::Num(self.schema_rejects as f64)),
-            ("corrupt_rejects", Json::Num(self.corrupt_rejects as f64)),
-            (
-                "solver_iterations",
-                Json::Num(self.solver_iterations as f64),
-            ),
-            ("solver_setup_us", Json::Num(self.solver_setup_us as f64)),
-            ("solve_time_us", Json::Num(self.solve_time_us as f64)),
-            ("mixed_solves", Json::Num(self.mixed_solves as f64)),
-            ("hit_rate", Json::Num(self.hit_rate())),
-        ])
     }
 }
 
@@ -217,8 +174,8 @@ impl core::fmt::Display for EngineError {
     }
 }
 
-/// The scenario-query engine. Single-threaded interface; parallelism
-/// lives inside [`Engine::query_batch`].
+/// The scenario-query engine: one request at a time on the calling
+/// thread.
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
@@ -227,8 +184,8 @@ pub struct Engine {
     /// Fingerprints solved since the last flush, oldest first.
     dirty: Vec<u64>,
     stats: EngineStats,
-    /// Cancellation token cloned into every solve dispatched by
-    /// [`Engine::query_batch`]; defaults to the never-firing token.
+    /// Cancellation token threaded into every solve; defaults to the
+    /// never-firing token.
     cancel: CancelToken,
 }
 
@@ -266,192 +223,99 @@ impl Engine {
         self.cancel = cancel;
     }
 
-    /// Serves one request (a batch of one).
+    /// Serves one request: validate, canonicalize, answer from the memory
+    /// tier, then the disk tier, else solve — seeded from the nearest
+    /// cached neighbour when warm starts are on — and cache the result.
+    /// Every counter is mirrored into the global obs registry as it
+    /// moves, so the `metrics` verb sees what [`Engine::stats`] does.
     ///
     /// # Errors
     ///
     /// See [`EngineError`].
     pub fn query(&mut self, request: &ScenarioRequest) -> Result<QueryResult, EngineError> {
-        self.query_batch(std::slice::from_ref(request))
-            .pop()
-            .expect("batch of one yields one result")
-    }
-
-    /// Serves a batch: validates, deduplicates by fingerprint, answers
-    /// from the cache tiers, and solves the remainder in parallel with
-    /// warm starts. Results are positionally aligned with `requests`.
-    pub fn query_batch(
-        &mut self,
-        requests: &[ScenarioRequest],
-    ) -> Vec<Result<QueryResult, EngineError>> {
-        let _span = vstack_obs::span!("engine_batch");
-        let batch_timer = Instant::now();
-        let stats_before = self.stats;
-        // Phase 1: validate + canonicalize, group duplicates.
-        let mut results: Vec<Option<Result<QueryResult, EngineError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        // Unique fingerprints in first-occurrence order, each with its
-        // canonical request and the indices that requested it.
-        let mut groups: Vec<(u64, ScenarioRequest, Vec<usize>)> = Vec::new();
-        for (i, raw) in requests.iter().enumerate() {
-            if let Err(e) = raw.validate() {
-                self.stats.invalid += 1;
-                results[i] = Some(Err(EngineError::Invalid(e)));
-                continue;
-            }
-            self.stats.requests += 1;
-            let canonical = raw.canonical();
-            let fp = canonical.fingerprint();
-            match groups.iter_mut().find(|(g, _, _)| *g == fp) {
-                Some((_, _, members)) => members.push(i),
-                None => groups.push((fp, canonical, vec![i])),
-            }
-        }
-
-        // Phase 2: answer groups from the cache tiers.
-        let mut jobs: Vec<(u64, ScenarioRequest, Option<Vec<f64>>)> = Vec::new();
-        let mut group_outcome: Vec<Option<(Outcome, SolveSummary, u64)>> =
-            (0..groups.len()).map(|_| None).collect();
-        for (g, (fp, request, _)) in groups.iter().enumerate() {
-            if let Some(entry) = self.lru.get(*fp) {
-                group_outcome[g] = Some((Outcome::HitMemory, entry.summary.clone(), 0));
-                continue;
-            }
-            if let Some(disk) = &self.disk {
-                match disk.load(*fp) {
-                    DiskLoad::Hit(entry) => {
-                        group_outcome[g] = Some((Outcome::HitDisk, entry.summary.clone(), 0));
-                        self.lru.insert(*fp, *entry);
-                        continue;
-                    }
-                    DiskLoad::SchemaMismatch => self.stats.schema_rejects += 1,
-                    DiskLoad::Corrupt(_) => self.stats.corrupt_rejects += 1,
-                    DiskLoad::Missing => {}
-                }
-            }
-            let guess = if self.config.warm_start {
-                self.nearest_donor(request)
-            } else {
-                None
-            };
-            jobs.push((*fp, request.clone(), guess));
-        }
-
-        // Phase 3: solve the misses in parallel, submission order preserved.
-        // (fingerprint, warm-started?, solve result, elapsed microseconds)
-        type SolvedJob = (
-            u64,
-            bool,
-            Result<(SolveSummary, Vec<f64>), EngineError>,
-            u64,
-        );
-        let queue_depth = jobs.len() as u64;
-        let cancel = self.cancel.clone();
-        // Thread-locals don't cross the pool: capture the caller's trace
-        // id here and re-publish it inside each worker closure so spans
-        // recorded in the solver ladder stay tagged with the request.
-        let trace_id = vstack_obs::trace::current_trace();
-        let solved: Vec<SolvedJob> = pool::par_map(jobs, |(fp, request, guess)| {
-            let _trace = vstack_obs::trace::trace_scope(trace_id);
-            let started = Instant::now();
-            let warm = guess.is_some();
-            let outcome = solve_scenario_cancellable(&request, guess.as_deref(), &cancel);
-            let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            (fp, warm, outcome, micros)
-        });
-
-        // Phase 4: install results, account stats, fill per-index slots.
-        for (fp, warm, outcome, micros) in solved {
-            let g = groups
-                .iter()
-                .position(|(gfp, _, _)| *gfp == fp)
-                .expect("solved job came from a group");
-            match outcome {
-                Ok((summary, voltages)) => {
-                    self.stats.solver_iterations += summary.solver_iterations as u64;
-                    self.stats.solver_setup_us += summary.solver_setup_us;
-                    self.stats.solve_time_us += micros;
-                    if summary.solver_path.ends_with("mixed") {
-                        self.stats.mixed_solves += 1;
-                    }
-                    let kind = if warm { Outcome::Warm } else { Outcome::Cold };
-                    self.lru.insert(
-                        fp,
-                        CacheEntry {
-                            request: groups[g].1.clone(),
-                            summary: summary.clone(),
-                            voltages: Some(voltages),
-                        },
-                    );
-                    if self.disk.is_some() && !self.dirty.contains(&fp) {
-                        self.dirty.push(fp);
-                    }
-                    group_outcome[g] = Some((kind, summary, micros));
-                }
-                Err(e) => {
-                    for &i in &groups[g].2 {
-                        results[i] = Some(Err(e.clone()));
-                    }
-                }
-            }
-        }
-        for (g, (fp, _, members)) in groups.iter().enumerate() {
-            let Some((outcome, summary, micros)) = &group_outcome[g] else {
-                continue; // solve failed; error already distributed
-            };
-            for (k, &i) in members.iter().enumerate() {
-                let o = match (k, outcome) {
-                    (0, o) => *o,
-                    (_, Outcome::Warm | Outcome::Cold) => Outcome::Deduped,
-                    (_, o) => *o,
-                };
-                match o {
-                    Outcome::HitMemory => self.stats.memory_hits += 1,
-                    Outcome::HitDisk if k == 0 => self.stats.disk_hits += 1,
-                    Outcome::HitDisk => self.stats.memory_hits += 1,
-                    Outcome::Deduped => self.stats.deduped += 1,
-                    Outcome::Warm => self.stats.warm_solves += 1,
-                    Outcome::Cold => self.stats.cold_solves += 1,
-                }
-                results[i] = Some(Ok(QueryResult {
-                    fingerprint: *fp,
-                    outcome: o,
-                    summary: summary.clone(),
-                    latency_us: if k == 0 { *micros } else { 0 },
-                }));
-            }
-        }
-        let out: Vec<Result<QueryResult, EngineError>> = results
-            .into_iter()
-            .map(|r| r.expect("every request slot is filled"))
-            .collect();
-
-        // Mirror this batch's stat deltas into the global obs registry, so
-        // the `metrics` verb and `--metrics-out` see the same counters as
-        // the engine's own `stats` op.
-        let after = &self.stats;
+        let _span = vstack_obs::span!("engine_query");
         let m = vstack_obs::metrics::global();
-        m.engine_requests
-            .add(after.requests - stats_before.requests);
-        m.engine_invalid.add(after.invalid - stats_before.invalid);
-        m.engine_memory_hits
-            .add(after.memory_hits - stats_before.memory_hits);
-        m.engine_disk_hits
-            .add(after.disk_hits - stats_before.disk_hits);
-        m.engine_deduped.add(after.deduped - stats_before.deduped);
-        m.engine_warm_solves
-            .add(after.warm_solves - stats_before.warm_solves);
-        m.engine_cold_solves
-            .add(after.cold_solves - stats_before.cold_solves);
-        m.engine_schema_rejects
-            .add(after.schema_rejects - stats_before.schema_rejects);
-        m.engine_corrupt_rejects
-            .add(after.corrupt_rejects - stats_before.corrupt_rejects);
-        m.engine_batch_size.observe(requests.len() as u64);
-        m.engine_queue_depth.observe(queue_depth);
-        m.engine_batch_us
-            .observe(batch_timer.elapsed().as_micros() as u64);
-        out
+        if let Err(e) = request.validate() {
+            self.stats.invalid += 1;
+            m.engine_invalid.inc();
+            return Err(EngineError::Invalid(e));
+        }
+        self.stats.requests += 1;
+        m.engine_requests.inc();
+        let request = request.canonical();
+        let fingerprint = request.fingerprint();
+        let hit = |outcome, summary| QueryResult {
+            fingerprint,
+            outcome,
+            summary,
+            latency_us: 0,
+        };
+        if let Some(entry) = self.lru.get(fingerprint) {
+            self.stats.memory_hits += 1;
+            m.engine_memory_hits.inc();
+            return Ok(hit(Outcome::HitMemory, entry.summary.clone()));
+        }
+        if let Some(disk) = &self.disk {
+            match disk.load(fingerprint) {
+                DiskLoad::Hit(entry) => {
+                    self.stats.disk_hits += 1;
+                    m.engine_disk_hits.inc();
+                    let summary = entry.summary.clone();
+                    self.lru.insert(fingerprint, *entry);
+                    return Ok(hit(Outcome::HitDisk, summary));
+                }
+                DiskLoad::SchemaMismatch => {
+                    self.stats.schema_rejects += 1;
+                    m.engine_schema_rejects.inc();
+                }
+                DiskLoad::Corrupt(_) => {
+                    self.stats.corrupt_rejects += 1;
+                    m.engine_corrupt_rejects.inc();
+                }
+                DiskLoad::Missing => {}
+            }
+        }
+        let guess = if self.config.warm_start {
+            self.nearest_donor(&request)
+        } else {
+            None
+        };
+        let started = Instant::now();
+        let (summary, voltages) =
+            solve_scenario_cancellable(&request, guess.as_deref(), &self.cancel)?;
+        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.stats.solver_iterations += summary.solver_iterations as u64;
+        self.stats.solver_setup_us += summary.solver_setup_us;
+        self.stats.solve_time_us += micros;
+        if summary.solver_path.ends_with("mixed") {
+            self.stats.mixed_solves += 1;
+        }
+        let outcome = if guess.is_some() {
+            self.stats.warm_solves += 1;
+            m.engine_warm_solves.inc();
+            Outcome::Warm
+        } else {
+            self.stats.cold_solves += 1;
+            m.engine_cold_solves.inc();
+            Outcome::Cold
+        };
+        self.lru.insert(
+            fingerprint,
+            CacheEntry {
+                request,
+                summary: summary.clone(),
+                voltages: Some(voltages),
+            },
+        );
+        if self.disk.is_some() && !self.dirty.contains(&fingerprint) {
+            self.dirty.push(fingerprint);
+        }
+        Ok(QueryResult {
+            fingerprint,
+            outcome,
+            summary,
+            latency_us: micros,
+        })
     }
 
     /// Writes every solve since the last flush to the disk tier. Returns

@@ -11,15 +11,18 @@
 //! * [`cache`] — a bounded in-memory LRU (which also retains node
 //!   voltages for warm starts) over an optional on-disk store stamped
 //!   with [`SCHEMA_VERSION`].
-//! * [`engine`] — the deterministic batch scheduler: deduplicates
-//!   identical in-flight requests, answers from the cache tiers, and
-//!   solves the rest over the `vstack_sparse::pool` workers, seeding each
-//!   solve from the nearest cached neighbour.
+//! * [`engine`] — answers one request at a time on the calling thread:
+//!   from the cache tiers, else by a solve seeded from the nearest cached
+//!   neighbour.
+//! * [`server`] — the serving daemon: fingerprint-sharded engines behind
+//!   bounded admission queues, with cross-request dedup, deadlines, panic
+//!   containment and graceful drain, reached over stdin/stdout, TCP or a
+//!   Unix socket.
 //! * [`json`] — the std-only JSON tree the wire protocol and disk store
 //!   use (the workspace carries no serde).
 //!
-//! The `vstack-serve` binary in this crate speaks newline-delimited JSON
-//! over stdin/stdout on top of [`engine::Engine`].
+//! The `vstack-serve` binary in this crate runs that daemon, speaking
+//! newline-delimited JSON over stdin/stdout by default.
 //!
 //! # Quickstart
 //!
@@ -67,7 +70,14 @@
 /// fault sketch. As with the thermal axis the fingerprint domain stays
 /// pinned: fault fields hash only when a fault is present, so every
 /// unfaulted request keeps its byte-identical fingerprint.
-pub const SCHEMA_VERSION: u32 = 6;
+///
+/// Version 7 is the one-pipeline release: stdin became a connection of
+/// the serving daemon, so its `stats` op answers the daemon's object
+/// (serving counters; the engine's request, hit and solve counters are in
+/// `metrics`), a `batch` duplicate carries its leader's outcome instead
+/// of `"source":"dedup"`, and the stdin disk cache moved to the
+/// daemon's `shard-NN/` segments. Fingerprints do not move.
+pub const SCHEMA_VERSION: u32 = 7;
 
 pub mod cache;
 pub mod engine;

@@ -162,7 +162,8 @@ const MAX_TSVS_PER_FAULT: usize = 4096;
 pub const FINGERPRINT_DOMAIN: u32 = 4;
 
 /// Largest accepted layer count; above this the dense stamping cost stops
-/// being a "query" and the batch path would starve its peers.
+/// being a "query" and one solve would starve the requests queued behind
+/// it on its shard.
 const MAX_LAYERS: usize = 64;
 const MAX_CONVERTERS: usize = 64;
 

@@ -1,16 +1,24 @@
-//! The socket daemon: listener, connection threads, deadline enforcement
-//! and graceful drain on top of the [`ShardPool`].
+//! The serving daemon: transports, connection loops, deadline
+//! enforcement and graceful drain on top of the [`ShardPool`].
 //!
 //! # Threading model
 //!
-//! One accept thread turns connections into one thread each; connection
-//! threads parse NDJSON requests, run admission control via
-//! [`ShardPool::submit`], and *wait with a bounded timeout* for the
-//! shard's reply. Nothing in a connection thread ever blocks without a
-//! bound:
+//! Every request reaches the pool through one connection loop, whatever
+//! the transport: a TCP or Unix-socket listener hands each accepted
+//! stream to a thread of its own, and [`Bind::Stdio`] makes the process's
+//! stdin/stdout the daemon's one connection. A connection reads one
+//! NDJSON request line, runs admission control via [`ShardPool::submit`],
+//! *waits with a bounded timeout* for the shard's reply and writes it
+//! before reading the next line. Nothing in a connection thread ever
+//! blocks without a bound:
 //!
 //! * socket reads poll with a short timeout so the drain flag is noticed
-//!   on idle connections;
+//!   on idle connections (the stdin thread is detached instead and ends
+//!   with the process);
+//! * a request line is read as bytes and capped at [`MAX_LINE`]: an
+//!   overlong line is answered `invalid_request` and discarded up to its
+//!   newline, a non-UTF-8 line `parse_error`, and the connection keeps
+//!   serving;
 //! * reply waits use `recv_timeout` capped at the request deadline plus a
 //!   small grace window, so a wedged (or deliberately slowed) solve turns
 //!   into a `deadline_exceeded` response rather than a hung client.
@@ -22,12 +30,15 @@
 //!
 //! # Shutdown
 //!
-//! [`Daemon::shutdown`] (triggered by the owner, typically after SIGTERM,
-//! or by a client's `shutdown` op): set the drain flag, nudge the
-//! listener awake with a self-connection, stop accepting, then stop the
-//! pool — which finishes (drain) or sheds (fast stop) queued jobs and
-//! flushes every disk-cache segment before returning. The final metrics
-//! snapshot is returned to the caller.
+//! A client's `shutdown` op — or, on stdio, EOF or a failed stdout
+//! write — latches a request the owner observes with
+//! [`Daemon::wait_shutdown_requested`]. [`Daemon::shutdown`] (called by
+//! the owner, typically after that or SIGTERM) sets the drain flag, nudges
+//! the listener awake with a self-connection, stops accepting, then stops
+//! the pool — which finishes (drain) or sheds (fast stop) queued jobs and
+//! flushes every disk-cache segment — and waits until every admitted
+//! request's reply has been written, each for at most its deadline plus
+//! the reply grace. The final metrics snapshot is returned to the caller.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -63,7 +74,12 @@ const REPLY_GRACE: Duration = Duration::from_millis(500);
 /// connection takes to notice the drain flag.
 const READ_POLL: Duration = Duration::from_millis(250);
 
-/// Where the daemon listens.
+/// Longest request line a connection buffers, in bytes (newline
+/// excluded). The largest line the repository's own clients send — a
+/// 32-item `batch` — is a few KB.
+pub const MAX_LINE: usize = 1 << 20;
+
+/// Where the daemon takes its connections from.
 #[derive(Debug, Clone)]
 pub enum Bind {
     /// TCP address, e.g. `127.0.0.1:7077` (port 0 picks a free port).
@@ -71,6 +87,9 @@ pub enum Bind {
     /// Unix-domain socket path (a stale file there is replaced).
     #[cfg(unix)]
     Unix(PathBuf),
+    /// The process's stdin/stdout as the one connection. EOF on stdin or
+    /// a failed stdout write latches shutdown, as a `shutdown` op does.
+    Stdio,
 }
 
 /// Daemon construction options.
@@ -110,11 +129,66 @@ struct Shared {
     pool: ShardPool,
     /// Set once shutdown begins; connection and accept loops exit on it.
     draining: AtomicBool,
-    /// Latched by a client `shutdown` op for the owner to observe.
+    /// Latched by a `shutdown` op (or stdio EOF) for the owner to observe.
     shutdown_requested: Mutex<bool>,
     shutdown_signal: Condvar,
+    /// Replies owed to admitted requests: how many are unwritten, and the
+    /// latest instant any of them is still due (deadline + grace).
+    owed: Mutex<(usize, Instant)>,
+    owed_written: Condvar,
     default_deadline_ms: u64,
     max_deadline_ms: u64,
+}
+
+impl Shared {
+    /// Latches the shutdown request the owner polls for.
+    fn request_shutdown(&self) {
+        *self.shutdown_requested.lock().expect("shutdown flag lock") = true;
+        self.shutdown_signal.notify_all();
+    }
+
+    /// Records a reply owed to a request admitted under `deadline`; the
+    /// debt is paid when the returned guard drops, after the write.
+    fn owe_reply(self: &Arc<Self>, deadline: Instant) -> OwedReply {
+        let mut owed = self.owed.lock().expect("owed replies lock");
+        owed.0 += 1;
+        owed.1 = owed.1.max(deadline + REPLY_GRACE);
+        OwedReply(Arc::clone(self))
+    }
+
+    /// Blocks until every owed reply is written, or until the latest of
+    /// them is past due.
+    fn await_owed_replies(&self) {
+        let mut owed = self.owed.lock().expect("owed replies lock");
+        while owed.0 > 0 {
+            let Some(wait) = owed.1.checked_duration_since(Instant::now()) else {
+                log_warn!("serve", "{} reply(ies) unwritten at shutdown", owed.0);
+                return;
+            };
+            owed = self
+                .owed_written
+                .wait_timeout(owed, wait)
+                .expect("owed replies lock")
+                .0;
+        }
+    }
+}
+
+/// One admitted request's unwritten reply (see [`Shared::owe_reply`]).
+struct OwedReply(Arc<Shared>);
+
+impl Drop for OwedReply {
+    fn drop(&mut self) {
+        // A decrement leaves the count valid even under a poisoned lock,
+        // and a drop must not panic.
+        let mut owed = self
+            .0
+            .owed
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        owed.0 -= 1;
+        self.0.owed_written.notify_all();
+    }
 }
 
 /// A running daemon. Dropping it without calling [`Daemon::shutdown`]
@@ -129,7 +203,8 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Binds the endpoint, starts the shard pool and the accept thread.
+    /// Starts the shard pool, then binds the endpoint and starts the
+    /// accept thread — or, for [`Bind::Stdio`], the stdio connection.
     ///
     /// # Errors
     ///
@@ -141,16 +216,42 @@ impl Daemon {
             draining: AtomicBool::new(false),
             shutdown_requested: Mutex::new(false),
             shutdown_signal: Condvar::new(),
+            owed: Mutex::new((0, Instant::now())),
+            owed_written: Condvar::new(),
             default_deadline_ms: config.default_deadline_ms.max(1),
             max_deadline_ms: config.max_deadline_ms.max(1),
         });
-        let (listener, tcp_addr) = Listener::bind(&config.bind)?;
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("vstack-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared))
-                .map_err(io::Error::other)?
+        let (accept, tcp_addr) = match &config.bind {
+            Bind::Tcp(addr) => {
+                let listener = TcpListener::bind(addr)?;
+                let local = listener.local_addr()?;
+                let accept = spawn_accept(Listener::Tcp(listener), &shared)?;
+                log_info!("serve", "listening on tcp {local}");
+                (Some(accept), Some(local))
+            }
+            #[cfg(unix)]
+            Bind::Unix(path) => {
+                // A stale socket file from a previous run would fail the
+                // bind; replacing it is the conventional daemon behavior.
+                let _ = std::fs::remove_file(path);
+                let accept = spawn_accept(Listener::Unix(UnixListener::bind(path)?), &shared)?;
+                log_info!("serve", "listening on unix {}", path.display());
+                (Some(accept), None)
+            }
+            Bind::Stdio => {
+                vstack_obs::metrics::global().serve_connections.inc();
+                let shared = Arc::clone(&shared);
+                // Detached on purpose: it sits in a blocking stdin read and
+                // ends with the process; shutdown never joins it.
+                thread::Builder::new()
+                    .name("vstack-stdio".to_string())
+                    .spawn(move || {
+                        handle_conn(io::stdin(), io::stdout(), &shared);
+                        shared.request_shutdown();
+                    })?;
+                log_info!("serve", "serving stdin/stdout");
+                (None, None)
+            }
         };
         let telemetry_writer = match &config.telemetry_out {
             Some(path) => {
@@ -166,32 +267,24 @@ impl Daemon {
             }
             None => None,
         };
-        match &config.bind {
-            Bind::Tcp(_) => log_info!(
-                "serve",
-                "listening on tcp {}",
-                tcp_addr.expect("tcp bind resolves an address")
-            ),
-            #[cfg(unix)]
-            Bind::Unix(path) => log_info!("serve", "listening on unix {}", path.display()),
-        }
         Ok(Daemon {
             shared,
-            accept: Mutex::new(Some(accept)),
+            accept: Mutex::new(accept),
             telemetry_writer: Mutex::new(telemetry_writer),
             bind: config.bind,
             tcp_addr,
         })
     }
 
-    /// The resolved TCP listening address (`None` for Unix binds).
+    /// The resolved TCP listening address (`None` for other binds).
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
         self.tcp_addr
     }
 
-    /// Blocks until a client `shutdown` op arrives or `timeout` passes;
-    /// true when shutdown was requested. Owners typically loop on this
-    /// with a short timeout, interleaving their own signal checks.
+    /// Blocks until a shutdown is requested (a client `shutdown` op, or
+    /// stdio EOF) or `timeout` passes; true when it was. Owners typically
+    /// loop on this with a short timeout, interleaving their own signal
+    /// checks.
     pub fn wait_shutdown_requested(&self, timeout: Duration) -> bool {
         let guard = self
             .shared
@@ -208,7 +301,9 @@ impl Daemon {
 
     /// Stops the daemon: stop accepting, then stop the pool (finishing
     /// queued work when `drain`, shedding it otherwise) and flush every
-    /// cache segment. Returns the final obs metrics snapshot. Idempotent.
+    /// cache segment, then wait for every admitted request's reply to be
+    /// written (each for at most its deadline plus the reply grace).
+    /// Returns the final obs metrics snapshot. Idempotent.
     pub fn shutdown(&self, drain: bool) -> String {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.nudge_listener();
@@ -225,6 +320,7 @@ impl Daemon {
             let _ = handle.join();
         }
         self.shared.pool.shutdown(drain);
+        self.shared.await_owed_replies();
         #[cfg(unix)]
         if let Bind::Unix(path) = &self.bind {
             let _ = std::fs::remove_file(path);
@@ -247,95 +343,46 @@ impl Daemon {
             Bind::Unix(path) => {
                 let _ = UnixStream::connect(path);
             }
+            Bind::Stdio => {}
         }
     }
 }
 
-/// The listener half of the [`Bind`] abstraction.
+/// A bound socket listener.
 enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
     Unix(UnixListener),
 }
 
+/// One accepted connection's read and write halves.
+type Halves = (Box<dyn Read + Send>, Box<dyn Write + Send>);
+
 impl Listener {
-    fn bind(bind: &Bind) -> io::Result<(Listener, Option<SocketAddr>)> {
-        match bind {
-            Bind::Tcp(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                let local = listener.local_addr()?;
-                Ok((Listener::Tcp(listener), Some(local)))
+    /// Accepts one connection, its reads polling at [`READ_POLL`].
+    fn accept(&self) -> io::Result<Halves> {
+        match self {
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                s.set_read_timeout(Some(READ_POLL))?;
+                Ok((Box::new(s.try_clone()?), Box::new(s)))
             }
             #[cfg(unix)]
-            Bind::Unix(path) => {
-                // A stale socket file from a previous run would fail the
-                // bind; replacing it is the conventional daemon behavior.
-                let _ = std::fs::remove_file(path);
-                Ok((Listener::Unix(UnixListener::bind(path)?), None))
+            Listener::Unix(l) => {
+                let (s, _) = l.accept()?;
+                s.set_read_timeout(Some(READ_POLL))?;
+                Ok((Box::new(s.try_clone()?), Box::new(s)))
             }
         }
     }
-
-    fn accept(&self) -> io::Result<Conn> {
-        match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-            #[cfg(unix)]
-            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-        }
-    }
 }
 
-/// The stream half: one accepted connection, TCP or Unix.
-enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-        }
-    }
-
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(timeout),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(timeout),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-        }
-    }
+/// Starts the accept thread over `listener`.
+fn spawn_accept(listener: Listener, shared: &Arc<Shared>) -> io::Result<thread::JoinHandle<()>> {
+    let shared = Arc::clone(shared);
+    thread::Builder::new()
+        .name("vstack-accept".to_string())
+        .spawn(move || accept_loop(&listener, &shared))
 }
 
 /// Accepts until the drain flag is set. Connection threads are detached:
@@ -343,52 +390,142 @@ impl Write for Conn {
 /// talk to outlives them through the `Arc`.
 fn accept_loop(listener: &Listener, shared: &Arc<Shared>) {
     loop {
-        match listener.accept() {
-            Ok(conn) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    break;
-                }
+        let accepted = listener.accept();
+        if shared.draining.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            Ok((reader, writer)) => {
                 vstack_obs::metrics::global().serve_connections.inc();
                 let shared = Arc::clone(shared);
                 let spawned = thread::Builder::new()
                     .name("vstack-conn".to_string())
-                    .spawn(move || handle_conn(conn, &shared));
+                    .spawn(move || handle_conn(reader, writer, &shared));
                 if let Err(e) = spawned {
                     log_warn!("serve", "connection thread spawn failed: {e}");
                 }
             }
-            Err(e) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                log_warn!("serve", "accept failed: {e}");
+            Err(e) => log_warn!("serve", "accept failed: {e}"),
+        }
+    }
+}
+
+/// What the next request line turned out to be.
+enum Line {
+    /// A whole line, newline stripped.
+    Bytes(Vec<u8>),
+    /// A line longer than [`MAX_LINE`], now discarded through its newline.
+    Overlong,
+    /// End of stream.
+    Eof,
+}
+
+/// Splits a byte stream into request lines of at most [`MAX_LINE`]
+/// bytes. A read timeout can surface mid-line; the bytes read so far stay
+/// buffered here, so the next call resumes the same line.
+struct LineReader<R> {
+    inner: BufReader<R>,
+    line: Vec<u8>,
+    /// The current line outgrew [`MAX_LINE`]; its bytes are dropped up to
+    /// the next newline.
+    overlong: bool,
+}
+
+impl<R: Read> LineReader<R> {
+    fn new(inner: R) -> Self {
+        LineReader {
+            inner: BufReader::new(inner),
+            line: Vec::new(),
+            overlong: false,
+        }
+    }
+
+    /// The next line. A final line without a newline still counts.
+    ///
+    /// # Errors
+    ///
+    /// Read errors, including the poll timeouts of socket reads.
+    fn next(&mut self) -> io::Result<Line> {
+        loop {
+            let buf = match self.inner.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let (chunk, used, ended) = match buf.iter().position(|&b| b == b'\n') {
+                Some(i) => (&buf[..i], i + 1, true),
+                None if buf.is_empty() => (buf, 0, true),
+                None => (buf, buf.len(), false),
+            };
+            if !self.overlong && self.line.len() + chunk.len() > MAX_LINE {
+                self.overlong = true;
+                self.line = Vec::new();
+            }
+            if !self.overlong {
+                self.line.extend_from_slice(chunk);
+            }
+            let eof = used == 0;
+            self.inner.consume(used);
+            if ended {
+                return Ok(if std::mem::take(&mut self.overlong) {
+                    Line::Overlong
+                } else if eof && self.line.is_empty() {
+                    Line::Eof
+                } else {
+                    Line::Bytes(std::mem::take(&mut self.line))
+                });
             }
         }
     }
 }
 
-/// Serves one connection: NDJSON request per line, one (or per batch
-/// item, several) NDJSON response line(s) back.
-fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
-    if conn.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    let reader = match conn.try_clone() {
-        Ok(clone) => clone,
-        Err(e) => {
-            log_warn!("serve", "connection clone failed: {e}");
-            return;
+/// One request line's answer.
+struct Answer {
+    /// Response lines, in order.
+    lines: Vec<Json>,
+    /// A `shutdown` op: once `lines` are written, latch the shutdown
+    /// request and close the connection.
+    shutdown: bool,
+    /// Held until `lines` are written, for requests admitted to the pool.
+    _owed: Option<OwedReply>,
+}
+
+impl Answer {
+    fn lines(lines: Vec<Json>) -> Answer {
+        Answer {
+            lines,
+            shutdown: false,
+            _owed: None,
         }
-    };
-    let mut reader = BufReader::new(reader);
-    let mut writer = conn;
-    let mut line = String::new();
+    }
+
+    fn one(line: Json) -> Answer {
+        Answer::lines(vec![line])
+    }
+}
+
+/// Serves one connection: one NDJSON request per line, one (or per batch
+/// item, several) NDJSON response line(s) back, until EOF, a read or
+/// write failure, the drain flag or a `shutdown` op.
+fn handle_conn(reader: impl Read, mut writer: impl Write, shared: &Arc<Shared>) {
+    let mut lines = LineReader::new(reader);
     loop {
-        // A timeout can surface mid-line; the bytes read so far stay in
-        // `line`, so the next pass keeps appending — don't clear on poll.
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
+        let answer = match lines.next() {
+            Ok(Line::Bytes(bytes)) => match std::str::from_utf8(&bytes) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => handle_request(text, shared),
+                Err(e) => Answer::one(error_response(
+                    None,
+                    code::PARSE_ERROR,
+                    &format!("request line is not valid UTF-8: {e}"),
+                )),
+            },
+            Ok(Line::Overlong) => Answer::one(error_response(
+                None,
+                code::INVALID_REQUEST,
+                &format!("request line exceeds the {MAX_LINE}-byte limit; discarded"),
+            )),
+            Ok(Line::Eof) => break,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -401,56 +538,44 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
                 continue;
             }
             Err(_) => break,
-        }
-        let text = std::mem::take(&mut line);
-        if text.trim().is_empty() {
-            continue;
-        }
-        let (responses, close) = handle_request(&text, shared);
-        for response in responses {
-            if writeln!(writer, "{}", response.emit())
+        };
+        let written = answer.lines.iter().all(|response| {
+            writeln!(writer, "{}", response.emit())
                 .and_then(|()| writer.flush())
-                .is_err()
-            {
-                return;
-            }
+                .is_ok()
+        });
+        if answer.shutdown {
+            // Only now, so the owner cannot stop the process before the
+            // acknowledgment is out.
+            shared.request_shutdown();
         }
-        if close {
+        if !written || answer.shutdown {
             break;
         }
     }
 }
 
-/// Dispatches one request line; returns response lines and whether the
-/// connection should close afterwards.
-fn handle_request(text: &str, shared: &Arc<Shared>) -> (Vec<Json>, bool) {
+/// Dispatches one request line.
+fn handle_request(text: &str, shared: &Arc<Shared>) -> Answer {
     let doc = match Json::parse(text) {
         Ok(d) => d,
-        Err(e) => {
-            return (
-                vec![error_response(None, code::PARSE_ERROR, &e.to_string())],
-                false,
-            )
-        }
+        Err(e) => return Answer::one(error_response(None, code::PARSE_ERROR, &e.to_string())),
     };
     let id = doc.get("id").cloned();
     let Some(op) = doc.get("op").and_then(Json::as_str) else {
-        return (
-            vec![error_response(
-                id,
-                code::INVALID_REQUEST,
-                "missing \"op\" field",
-            )],
-            false,
-        );
+        return Answer::one(error_response(
+            id,
+            code::INVALID_REQUEST,
+            "missing \"op\" field",
+        ));
     };
     match op {
-        "solve" => (vec![serve_solve(&doc, id, shared)], false),
-        "batch" => (serve_batch(&doc, id, shared), false),
-        "stats" => (vec![stats_response(id, shared)], false),
-        "metrics" => (vec![metrics_response(id)], false),
-        "telemetry" => (vec![telemetry_response(id, shared)], false),
-        "flightdump" => (vec![flightdump_response(id, shared)], false),
+        "solve" => serve_solve(&doc, id, shared),
+        "batch" => serve_batch(&doc, id, shared),
+        "stats" => Answer::one(stats_response(id, shared)),
+        "metrics" => Answer::one(metrics_response(id)),
+        "telemetry" => Answer::one(telemetry_response(id, shared)),
+        "flightdump" => Answer::one(flightdump_response(id, shared)),
         "shutdown" => {
             let mut fields = vec![];
             if let Some(id) = id {
@@ -458,73 +583,73 @@ fn handle_request(text: &str, shared: &Arc<Shared>) -> (Vec<Json>, bool) {
             }
             fields.push(("ok", Json::Bool(true)));
             fields.push(("shutdown", Json::Bool(true)));
-            let mut requested = shared
-                .shutdown_requested
-                .lock()
-                .expect("shutdown flag lock");
-            *requested = true;
-            shared.shutdown_signal.notify_all();
-            (vec![Json::obj(fields)], true)
+            Answer {
+                shutdown: true,
+                ..Answer::one(Json::obj(fields))
+            }
         }
-        other => (
-            vec![error_response(
-                id,
-                code::UNKNOWN_OP,
-                &format!("unknown op \"{other}\""),
-            )],
-            false,
-        ),
+        other => Answer::one(error_response(
+            id,
+            code::UNKNOWN_OP,
+            &format!("unknown op \"{other}\""),
+        )),
     }
 }
 
 /// Admission plus bounded reply wait for one `solve` op.
-fn serve_solve(doc: &Json, id: Option<Json>, shared: &Shared) -> Json {
+fn serve_solve(doc: &Json, id: Option<Json>, shared: &Arc<Shared>) -> Answer {
+    let invalid = |id, e: &str| Answer::one(error_response(id, code::INVALID_REQUEST, e));
     let Some(scenario) = doc.get("scenario") else {
-        return error_response(id, code::INVALID_REQUEST, "solve needs a \"scenario\"");
+        return invalid(id, "solve needs a \"scenario\"");
     };
     let request = match ScenarioRequest::from_json(scenario) {
         Ok(r) => r,
-        Err(e) => return error_response(id, code::INVALID_REQUEST, &e),
+        Err(e) => return invalid(id, &e),
     };
     if let Err(e) = request.validate() {
-        return error_response(id, code::INVALID_REQUEST, &e);
+        return invalid(id, &e);
     }
     let deadline_ms = match protocol::parse_deadline_ms(doc, shared.max_deadline_ms) {
         Ok(ms) => ms.unwrap_or(shared.default_deadline_ms),
-        Err(e) => return error_response(id, code::INVALID_REQUEST, &e),
+        Err(e) => return invalid(id, &e),
     };
     let deadline = Instant::now() + Duration::from_millis(deadline_ms);
+    let owed = shared.owe_reply(deadline);
     let cancel = CancelToken::with_deadline(deadline);
     let ctx = RequestCtx::mint();
     let (admission, shard) = shared.pool.submit(&request, cancel.clone(), ctx);
-    settle(
-        admission,
-        shard,
-        request.fingerprint(),
-        id,
-        deadline,
-        &cancel,
-        shared,
-        ctx,
-    )
+    Answer {
+        _owed: Some(owed),
+        ..Answer::one(settle(
+            admission,
+            shard,
+            request.fingerprint(),
+            id,
+            deadline,
+            &cancel,
+            shared,
+            ctx,
+        ))
+    }
 }
 
 /// A `batch` op: admit every parseable item up front (so siblings dedup
 /// against each other in flight), then settle them in order under one
 /// shared deadline. One response line per item, input order.
-fn serve_batch(doc: &Json, batch_id: Option<Json>, shared: &Shared) -> Vec<Json> {
+fn serve_batch(doc: &Json, batch_id: Option<Json>, shared: &Arc<Shared>) -> Answer {
     let Some(items) = doc.get("requests").and_then(Json::as_arr) else {
-        return vec![error_response(
+        return Answer::one(error_response(
             batch_id,
             code::INVALID_REQUEST,
             "batch needs a \"requests\" array",
-        )];
+        ));
     };
     let deadline_ms = match protocol::parse_deadline_ms(doc, shared.max_deadline_ms) {
         Ok(ms) => ms.unwrap_or(shared.default_deadline_ms),
-        Err(e) => return vec![error_response(batch_id, code::INVALID_REQUEST, &e)],
+        Err(e) => return Answer::one(error_response(batch_id, code::INVALID_REQUEST, &e)),
     };
     let deadline = Instant::now() + Duration::from_millis(deadline_ms);
+    let owed = shared.owe_reply(deadline);
     let cancel = CancelToken::with_deadline(deadline);
     type Pending = (
         Option<Json>,
@@ -551,7 +676,7 @@ fn serve_batch(doc: &Json, batch_id: Option<Json>, shared: &Shared) -> Vec<Json>
             }
         }
     }
-    pending
+    let lines = pending
         .into_iter()
         .map(|(id, entry)| match entry {
             Ok((admission, shard, fingerprint, ctx)) => settle(
@@ -566,7 +691,11 @@ fn serve_batch(doc: &Json, batch_id: Option<Json>, shared: &Shared) -> Vec<Json>
             ),
             Err(response) => response,
         })
-        .collect()
+        .collect();
+    Answer {
+        _owed: Some(owed),
+        ..Answer::lines(lines)
+    }
 }
 
 /// Turns an admission decision into the final response, waiting (bounded)
@@ -675,9 +804,10 @@ fn reply_telemetry(
     t
 }
 
-/// The daemon `stats` op: serving-tier counters from the global obs
-/// registry (engine counters aggregate across all shards there), stamped
-/// with the schema version like the stdin front-end's `stats`.
+/// The `stats` op: serving-tier counters from the global obs registry,
+/// led by the wire [`crate::SCHEMA_VERSION`]. The engine's request, hit
+/// and solve counters, summed over every shard, are in the `metrics`
+/// snapshot (`engine_requests`, `engine_memory_hits`, …).
 fn stats_response(id: Option<Json>, shared: &Shared) -> Json {
     let m = vstack_obs::metrics::global();
     let mut fields = vec![];

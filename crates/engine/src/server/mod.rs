@@ -1,8 +1,7 @@
-//! The hardened serving tier: a concurrent daemon over the engine.
-//!
-//! The stdin front-end (`vstack-serve` without `--listen`) is one engine
-//! on one thread; this module is what turns that into something that
-//! survives production traffic:
+//! The hardened serving tier: a concurrent daemon over the engine, and
+//! the only path a served request takes. `vstack-serve` runs it with
+//! stdin/stdout as its one connection, or behind a TCP or Unix-socket
+//! listener:
 //!
 //! * [`queue`] — the bounded, non-blocking admission queue (the load-shed
 //!   primitive);
@@ -10,9 +9,10 @@
 //!   engine (LRU + disk-cache segment), with cross-request dedup of
 //!   identical in-flight fingerprints and `catch_unwind` panic
 //!   containment;
-//! * [`daemon`] — the TCP/Unix-socket listener, per-request deadlines
-//!   (cooperatively cancelling solves between escalation-ladder rungs),
-//!   and graceful drain that flushes every cache segment;
+//! * [`daemon`] — the transports (stdio, TCP, Unix socket) and the one
+//!   connection loop behind them, per-request deadlines (cooperatively
+//!   cancelling solves between escalation-ladder rungs), and graceful
+//!   drain that flushes every cache segment;
 //! * [`protocol`] — shared NDJSON response builders and the stable error
 //!   vocabulary (`overloaded` + `retry_after_ms`, `deadline_exceeded`,
 //!   `internal`, `unavailable`);
@@ -27,7 +27,7 @@
 //!
 //! Every wait in the tier is bounded: admission never blocks, reply waits
 //! are capped by the request deadline, socket reads poll for the drain
-//! flag. An overloaded or crashing server answers structured errors; it
+//! flag, request lines are capped at [`daemon::MAX_LINE`] bytes. An overloaded or crashing server answers structured errors; it
 //! does not hang, grow without bound, or lose its disk cache.
 
 pub mod chaos;

@@ -1,5 +1,5 @@
-//! Wire-protocol response builders shared by the stdin front-end and the
-//! socket daemon.
+//! Wire-protocol response builders for the serving daemon, on every
+//! transport.
 //!
 //! Every response is a single JSON object on one line. Success carries
 //! `"ok": true`; failures carry `"ok": false` and an `"error"` object with

@@ -4,7 +4,7 @@
 //!
 //! # Trace IDs
 //!
-//! Every request entering the daemon (or the stdin front-end) gets a
+//! Every request entering the daemon, on any transport, gets a
 //! 64-bit `trace_id` minted by [`mint_trace_id`]: a splitmix64 hash of a
 //! process-unique counter seeded from wall-clock time, so IDs are unique
 //! within a process and effectively unique across processes without
@@ -158,7 +158,7 @@ impl RequestTelemetry {
     pub fn tier_for(outcome: crate::engine::Outcome) -> &'static str {
         use crate::engine::Outcome;
         match outcome {
-            Outcome::HitMemory | Outcome::Deduped => "mem",
+            Outcome::HitMemory => "mem",
             Outcome::HitDisk => "disk",
             Outcome::Warm | Outcome::Cold => "solve",
         }

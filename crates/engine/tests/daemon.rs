@@ -1,7 +1,8 @@
 //! End-to-end tests of the serving daemon over real TCP connections:
 //! solve/hit, overload shedding with `retry_after_ms`, deadline
 //! enforcement, structured error handling, graceful drain with cache
-//! flush — and SIGTERM drain of the stdin front-end.
+//! flush — and SIGTERM drain of the stdin connection, idle or with a
+//! solve in flight.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
@@ -17,6 +18,21 @@ fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vstack-daemon-{}-{name}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+/// The `*.json` cache entries under the daemon's `shard-NN/` segments.
+fn shard_entries(dir: &Path) -> Vec<PathBuf> {
+    fs::read_dir(dir)
+        .expect("cache dir exists")
+        .map(|shard| shard.expect("shard dir").path())
+        .filter(|p| {
+            p.file_name()
+                .is_some_and(|n| n.to_string_lossy().starts_with("shard-"))
+        })
+        .flat_map(|shard| fs::read_dir(shard).expect("segment"))
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect()
 }
 
 fn start(shards: usize, queue_capacity: usize, cache_dir: Option<&Path>) -> Daemon {
@@ -216,13 +232,11 @@ fn shutdown_verb_drains_and_flushes_cache() {
         snapshot.contains("vstack-obs-metrics"),
         "shutdown returns the final metrics snapshot"
     );
-    let entries: Vec<_> = fs::read_dir(&dir)
-        .expect("cache dir exists")
-        .flat_map(|shard| fs::read_dir(shard.expect("shard dir").path()).expect("segment"))
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    assert_eq!(entries.len(), 1, "drain must flush the solved entry");
+    assert_eq!(
+        shard_entries(&dir).len(),
+        1,
+        "drain must flush the solved entry"
+    );
 
     let daemon = start(2, 8, Some(&dir));
     let mut conn = connect(&daemon);
@@ -260,14 +274,33 @@ fn concurrent_identical_requests_share_one_solve() {
     daemon.shutdown(true);
 }
 
-/// SIGTERM on the stdin front-end drains gracefully: the disk cache is
-/// flushed and the process exits 0 (satellite: signals, not just EOF).
+/// A non-UTF-8 line is answered `parse_error` and the connection keeps
+/// serving the lines after it.
 #[test]
+fn tcp_non_utf8_line_is_a_parse_error_and_the_connection_lives() {
+    let daemon = start(1, 4, None);
+    let mut conn = connect(&daemon);
+    conn.get_mut()
+        .write_all(b"\xff\xfe x\n")
+        .expect("send non-UTF-8 line");
+    let stats = roundtrip(&mut conn, r#"{"op":"stats","id":2}"#, 2);
+    assert_eq!(error_code(&stats[0]), Some("parse_error"));
+    assert_eq!(stats[1].get("id"), Some(&Json::Num(2.0)));
+    assert_eq!(stats[1].get("ok"), Some(&Json::Bool(true)));
+    daemon.shutdown(true);
+}
+
+/// Spawns `vstack-serve` on stdin/stdout over a fresh cache dir and, once
+/// a `stats` round trip shows the connection loop is up, sends `request`
+/// and then SIGTERM — after reading the reply when `in_flight` is `None`,
+/// else after sleeping that long, time for the waiting loop to take the
+/// line — with stdin still open, so EOF cannot be what stops the server.
+/// Returns the reply, and the cache dir once the process has exited 0.
 #[cfg(unix)]
-fn stdin_mode_sigterm_drains_and_flushes() {
+fn stdin_sigterm(name: &str, request: &str, in_flight: Option<Duration>) -> (Json, PathBuf) {
     use std::process::{Command, Stdio};
 
-    let dir = scratch_dir("sigterm");
+    let dir = scratch_dir(name);
     let mut child = Command::new(env!("CARGO_BIN_EXE_vstack-serve"))
         .args(["--cache-dir", dir.to_str().expect("utf-8 tmp path")])
         .stdin(Stdio::piped())
@@ -275,42 +308,70 @@ fn stdin_mode_sigterm_drains_and_flushes() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn vstack-serve");
-
-    // One solved request proves the loop is up; keep stdin open so EOF
-    // cannot be the thing that stops the server.
     let mut stdin = child.stdin.take().expect("piped stdin");
-    stdin
-        .write_all(
-            format!(
-                r#"{{"op":"solve","id":1,"scenario":{}}}{}"#,
-                scenario(333),
-                "\n"
-            )
-            .as_bytes(),
-        )
-        .expect("write request");
-    stdin.flush().expect("flush stdin");
     let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
     let mut response = String::new();
-    stdout.read_line(&mut response).expect("read response");
-    assert_eq!(
-        Json::parse(&response).expect("json").get("ok"),
-        Some(&Json::Bool(true))
-    );
-
+    writeln!(stdin, r#"{{"op":"stats"}}"#).expect("write stats");
+    stdout.read_line(&mut response).expect("read stats");
+    response.clear();
+    writeln!(stdin, "{request}").expect("write request");
+    stdin.flush().expect("flush stdin");
+    match in_flight {
+        Some(delay) => std::thread::sleep(delay),
+        None => {
+            stdout.read_line(&mut response).expect("read response");
+        }
+    }
     let term = Command::new("kill")
         .args(["-TERM", &child.id().to_string()])
         .status()
         .expect("send SIGTERM");
     assert!(term.success());
-
+    if in_flight.is_some() {
+        stdout.read_line(&mut response).expect("read response");
+    }
     let status = child.wait().expect("serve exits");
     assert!(status.success(), "SIGTERM must drain to exit 0");
     drop(stdin);
-    let entries: Vec<_> = fs::read_dir(&dir)
-        .expect("cache dir exists")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    assert_eq!(entries.len(), 1, "drain must flush the solved entry");
+    (Json::parse(&response).expect("reply is JSON"), dir)
+}
+
+/// SIGTERM on the stdin front-end drains gracefully: the disk cache is
+/// flushed into the daemon's shard segments and the process exits 0.
+#[test]
+#[cfg(unix)]
+fn stdin_mode_sigterm_drains_and_flushes() {
+    let request = format!(r#"{{"op":"solve","id":1,"scenario":{}}}"#, scenario(333));
+    let (reply, dir) = stdin_sigterm("sigterm", &request, None);
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(
+        shard_entries(&dir).len(),
+        1,
+        "drain must flush the solved entry"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// SIGTERM while a paper-fidelity stdin solve is still running (a
+/// thermally coupled 16-layer stack, seconds of work unoptimized): the
+/// drain finishes the solve, writes its reply, flushes its entry and
+/// exits 0.
+#[test]
+#[cfg(unix)]
+fn stdin_sigterm_with_a_solve_in_flight_answers_it_and_flushes() {
+    let request = r#"{"op":"solve","id":1,"scenario":{"solve":"regular","layers":16,"thermal_coupling":true}}"#;
+    let (reply, dir) = stdin_sigterm(
+        "sigterm-inflight",
+        request,
+        Some(Duration::from_millis(300)),
+    );
+    assert_eq!(reply.get("id"), Some(&Json::Num(1.0)));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "reply: {reply:?}");
+    assert_eq!(reply.get("outcome").and_then(Json::as_str), Some("cold"));
+    assert_eq!(
+        shard_entries(&dir).len(),
+        1,
+        "drain must flush the solved entry"
+    );
+    let _ = fs::remove_dir_all(&dir);
 }

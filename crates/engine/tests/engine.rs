@@ -1,6 +1,7 @@
 //! Integration tests for the query engine: codec round-trips, fingerprint
-//! stability, cache-tier behaviour, dedup accounting and the warm-start
-//! bit-identity guarantee.
+//! stability, cache-tier behaviour and the warm-start bit-identity
+//! guarantee. Duplicate requests are deduplicated by the serving daemon,
+//! not the engine (`serve_smoke.rs`).
 
 use std::fs;
 use std::path::PathBuf;
@@ -109,30 +110,6 @@ proptest! {
 /// A cheap scenario the solver finishes in milliseconds.
 fn quick_vs(imbalance: f64) -> ScenarioRequest {
     ScenarioRequest::voltage_stacked(2, imbalance).quick()
-}
-
-#[test]
-fn duplicate_batch_solves_exactly_once() {
-    let mut engine = Engine::new(EngineConfig::default()).unwrap();
-    let batch = vec![quick_vs(0.4); 5];
-    let results = engine.query_batch(&batch);
-    assert_eq!(results.len(), 5);
-    let outcomes: Vec<Outcome> = results
-        .iter()
-        .map(|r| r.as_ref().unwrap().outcome)
-        .collect();
-    assert_eq!(outcomes[0], Outcome::Cold);
-    assert!(outcomes[1..].iter().all(|o| *o == Outcome::Deduped));
-    let stats = engine.stats();
-    assert_eq!(stats.solves(), 1, "N duplicates must perform one solve");
-    assert_eq!(stats.cold_solves, 1);
-    assert_eq!(stats.deduped, 4);
-    assert_eq!(stats.requests, 5);
-    // Every duplicate got the identical summary.
-    let first = &results[0].as_ref().unwrap().summary;
-    for r in &results[1..] {
-        assert_eq!(&r.as_ref().unwrap().summary, first);
-    }
 }
 
 #[test]

@@ -62,7 +62,7 @@ pub const MAX_BUCKETS: usize = 16;
 pub const ITERATION_EDGES: &[u64] = &[1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000];
 /// Bucket edges for microsecond durations (10 µs … 10 s).
 pub const US_EDGES: &[u64] = &[10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
-/// Bucket edges for batch/queue sizes.
+/// Bucket edges for queue depths.
 pub const SIZE_EDGES: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
 /// Bucket edges for per-iteration temperature deltas in milli-kelvin
 /// (1 mK … 100 K), the convergence trajectory of the coupling loop.
@@ -432,7 +432,7 @@ pub struct Metrics {
     pub fault_sketch_fallbacks: Counter,
 
     // -- engine ------------------------------------------------------------
-    /// Requests received by `query_batch`.
+    /// Valid requests received by `Engine::query`.
     pub engine_requests: Counter,
     /// Requests rejected by validation.
     pub engine_invalid: Counter,
@@ -440,7 +440,10 @@ pub struct Metrics {
     pub engine_memory_hits: Counter,
     /// Requests served from the on-disk cache.
     pub engine_disk_hits: Counter,
-    /// Duplicate requests coalesced within a batch.
+    /// Always 0: the engine answers one request at a time, and the
+    /// daemon counts its cross-request dedup in `serve_dedup_joins`. Kept
+    /// registered because the `e2e` benchmark (`layers.rs`) reads it by
+    /// name.
     pub engine_deduped: Counter,
     /// Solves warm-started from a neighbouring cached solution.
     pub engine_warm_solves: Counter,
@@ -484,16 +487,10 @@ pub struct Metrics {
     pub solver_iterations_hist: Histogram,
     /// V-cycles (== preconditioned iterations) per AMG-preconditioned solve.
     pub amg_vcycles_per_solve: Histogram,
-    /// Requests per `query_batch` call.
-    pub engine_batch_size: Histogram,
-    /// Deduplicated solve jobs per batch (scheduler queue depth).
-    pub engine_queue_depth: Histogram,
     /// Per-solve iteration-loop wall-time (µs).
     pub solve_us_hist: Histogram,
     /// Per-solve preconditioner setup wall-time (µs).
     pub setup_us_hist: Histogram,
-    /// Per-batch end-to-end wall-time (µs).
-    pub engine_batch_us: Histogram,
     /// Shard queue depth observed at each admission decision.
     pub serve_queue_depth: Histogram,
     /// End-to-end request latency inside the daemon (µs), admission to
@@ -558,11 +555,8 @@ impl Metrics {
             serve_cache_quarantined: Counter::new(),
             solver_iterations_hist: Histogram::new(ITERATION_EDGES),
             amg_vcycles_per_solve: Histogram::new(ITERATION_EDGES),
-            engine_batch_size: Histogram::new(SIZE_EDGES),
-            engine_queue_depth: Histogram::new(SIZE_EDGES),
             solve_us_hist: Histogram::new(US_EDGES),
             setup_us_hist: Histogram::new(US_EDGES),
-            engine_batch_us: Histogram::new(US_EDGES),
             serve_queue_depth: Histogram::new(SIZE_EDGES),
             serve_request_us: Histogram::new(US_EDGES),
             coupling_delta_t_mk: Histogram::new(DELTA_T_MK_EDGES),
@@ -627,11 +621,8 @@ impl Metrics {
         vec![
             ("solver_iterations_hist", &self.solver_iterations_hist),
             ("amg_vcycles_per_solve", &self.amg_vcycles_per_solve),
-            ("engine_batch_size", &self.engine_batch_size),
-            ("engine_queue_depth", &self.engine_queue_depth),
             ("solve_us_hist", &self.solve_us_hist),
             ("setup_us_hist", &self.setup_us_hist),
-            ("engine_batch_us", &self.engine_batch_us),
             ("serve_queue_depth", &self.serve_queue_depth),
             ("serve_request_us", &self.serve_request_us),
             ("coupling_delta_t_mk", &self.coupling_delta_t_mk),
@@ -740,7 +731,7 @@ mod tests {
         let b = Metrics::new();
         for m in [&a, &b] {
             m.engine_requests.add(3);
-            m.engine_batch_size.observe(3);
+            m.serve_queue_depth.observe(3);
         }
         assert_eq!(a.snapshot_json(), b.snapshot_json());
     }

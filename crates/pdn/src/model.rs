@@ -701,7 +701,11 @@ impl Pdn {
 
         // Initial state: DC under the pre-step loads.
         let no_faults = FaultSet::new();
-        let v0 = self.stamp(before, &no_faults, &cells.g).nb.solve(None)?;
+        let (v0, _) = self
+            .stamp(before, &no_faults, &cells.g)
+            .nb
+            .solve(None, &mut SolveScratch::new())
+            .map_err(PdnError::into_solve_error)?;
 
         // Post-step system plus the backward-Euler decap companion
         // conductances C/Δt between each layer's local supply/return pair.
@@ -785,7 +789,7 @@ impl Pdn {
         scratch: &mut SolveScratch,
     ) -> Result<FaultedSolution, PdnError> {
         let stamped = self.stamp(loads, faults, &cells.g);
-        let (v, report) = stamped.nb.solve_scratch(guess, scratch)?;
+        let (v, report) = stamped.nb.solve(guess, scratch)?;
         Ok(self.extract(
             loads,
             v,

@@ -4,8 +4,8 @@
 
 use vstack_sparse::vecops::norm2;
 use vstack_sparse::{
-    solve_robust, CancelToken, CsrMatrix, Lead, RobustOptions, SolveError, SolveReport,
-    SolveWorkspace, TripletMatrix,
+    solve_robust, CancelToken, CsrMatrix, Lead, RobustOptions, SolveReport, SolveWorkspace,
+    TripletMatrix,
 };
 
 use crate::error::PdnError;
@@ -76,7 +76,7 @@ impl GridSpec {
 /// leaving explicit zeros). `SolveScratch` caches the last solve's symbolic
 /// CSR structure and the iterative solver's working vectors so re-solves
 /// skip both the symbolic triplet→CSR rebuild and the per-call vector
-/// allocations. Feed it to [`NetworkBuilder::solve_scratch`]; a pattern
+/// allocations. Feed it to [`NetworkBuilder::solve`]; a pattern
 /// change (different unknowns or new structural nonzeros) is detected and
 /// handled by falling back to a full rebuild, so reuse is always safe.
 ///
@@ -238,27 +238,12 @@ impl NetworkBuilder {
         self.rhs[a] += amps;
     }
 
-    /// The SC-converter stamp: an ideal `(V_top + V_bottom)/2` source
-    /// behind series conductance `g = 1/R_SERIES` driving node `out`.
-    ///
-    /// Norton analysis gives the symmetric rank-1 PSD contribution
-    /// `g·u·uᵀ` with `u = (+1, −½, −½)` over `(out, top, bottom)`, which
-    /// keeps the overall system SPD (see crate docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is not finite and positive, or the three nodes are
-    /// not distinct.
-    pub fn converter(&mut self, out: usize, top: usize, bottom: usize, g: f64) {
-        self.converter_with_ratio(out, top, bottom, g, 0.5);
-    }
-
-    /// Generalized converter stamp: an ideal source
+    /// The SC-converter stamp: an ideal source
     /// `V_ideal = α·V_top + (1−α)·V_bottom` behind conductance `g`
     /// driving `out`, drawing the α/(1−α) split of its output current from
-    /// the sensed rails (power-conserving). Used with `α = r/N` to model
-    /// the multi-output **ladder** SC whose rail-r output references the
-    /// stack boundaries.
+    /// the sensed rails (power-conserving). `α = ½` is the 2:1 converter
+    /// between adjacent rails; `α = r/N` models the multi-output **ladder**
+    /// SC whose rail-r output references the stack boundaries.
     ///
     /// The stamp is `g·u·uᵀ` with `u = (+1, −α, −(1−α))` — rank-1 PSD for
     /// any `α`, so the system stays SPD.
@@ -318,22 +303,6 @@ impl NetworkBuilder {
         }
     }
 
-    /// Solves the assembled system through the escalation ladder,
-    /// discarding the [`SolveReport`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SolveError`] from the solver. A structurally
-    /// disconnected network (possible after fault injection) surfaces as
-    /// [`SolveError::NotConverged`] here; use
-    /// [`NetworkBuilder::solve_reported`] to receive the structured
-    /// [`PdnError::Disconnected`] instead.
-    pub fn solve(&self, guess: Option<&[f64]>) -> Result<Vec<f64>, SolveError> {
-        self.solve_reported(guess)
-            .map(|(v, _)| v)
-            .map_err(PdnError::into_solve_error)
-    }
-
     /// Solves the assembled system and reports how.
     ///
     /// Two robustness layers sit in front of the numerics:
@@ -358,32 +327,21 @@ impl NetworkBuilder {
     ///   dominate on large many-layer grids, falling back to f64 CG+AMG →
     ///   CG+Jacobi → BiCGSTAB → Tikhonov-shifted CG on numerical trouble.
     ///
+    /// `scratch` carries state across solves: when it holds a pattern
+    /// from a previous solve whose sparsity covers the current stamping
+    /// (always true across fault injections on one topology, which only
+    /// remove conductors), the triplets are re-stamped onto the cached
+    /// structure instead of running the full symbolic sort/compact. A
+    /// dimension change or [`vstack_sparse::SolveError::PatternMismatch`]
+    /// falls back to a fresh build, so any scratch can be used with any
+    /// network. The Krylov working vectors are likewise recycled between
+    /// calls; a [`SolveScratch::new`] scratch gives a one-off solve.
+    ///
     /// # Errors
     ///
     /// [`PdnError::Disconnected`] for floating subgrids, otherwise any
-    /// [`SolveError`] the exhausted ladder reports.
-    pub fn solve_reported(
-        &self,
-        guess: Option<&[f64]>,
-    ) -> Result<(Vec<f64>, SolveReport), PdnError> {
-        self.solve_scratch(guess, &mut SolveScratch::new())
-    }
-
-    /// [`NetworkBuilder::solve_reported`] with reusable cross-solve state.
-    ///
-    /// When `scratch` holds a pattern from a previous solve whose sparsity
-    /// covers the current stamping (always true across fault injections on
-    /// one topology, which only remove conductors), the triplets are
-    /// re-stamped onto the cached structure instead of running the full
-    /// symbolic sort/compact. A dimension change or
-    /// [`SolveError::PatternMismatch`] falls back to a fresh build, so any
-    /// scratch can be used with any network. The Krylov working vectors are
-    /// likewise recycled between calls.
-    ///
-    /// # Errors
-    ///
-    /// As for [`NetworkBuilder::solve_reported`].
-    pub fn solve_scratch(
+    /// [`vstack_sparse::SolveError`] the exhausted ladder reports.
+    pub fn solve(
         &self,
         guess: Option<&[f64]>,
         scratch: &mut SolveScratch,
@@ -430,7 +388,7 @@ impl NetworkBuilder {
         result
     }
 
-    /// Node count at or above which [`NetworkBuilder::solve_reported`]
+    /// Node count at or above which [`NetworkBuilder::solve`]
     /// leads the escalation ladder with the AMG rung. Below it, single-
     /// level Jacobi wins: multigrid setup costs a few SpMV-equivalents
     /// that small systems never amortize. At paper fidelity
@@ -726,7 +684,7 @@ pub(crate) mod tests {
         nb.conductance_to_rail(0, 1.0, 1.0);
         nb.conductance(0, 1, 1.0);
         nb.conductance_to_rail(1, 1.0, 0.0);
-        let (v, report) = nb.solve_reported(None).unwrap();
+        let (v, report) = nb.solve(None, &mut SolveScratch::new()).unwrap();
         assert!((v[0] - 2.0 / 3.0).abs() < 1e-8);
         assert!(!report.was_rescued(), "trail: {}", report.trail());
     }
@@ -753,8 +711,8 @@ pub(crate) mod tests {
         let mut scratch = SolveScratch::new();
         for (g01, tie1) in [(1.0, true), (0.25, false), (4.0, true)] {
             let nb = build(g01, tie1);
-            let (fresh, fresh_rep) = nb.solve_reported(None).unwrap();
-            let (reused, reused_rep) = nb.solve_scratch(None, &mut scratch).unwrap();
+            let (fresh, fresh_rep) = nb.solve(None, &mut SolveScratch::new()).unwrap();
+            let (reused, reused_rep) = nb.solve(None, &mut scratch).unwrap();
             assert_eq!(fresh, reused, "g01={g01}");
             assert_eq!(fresh_rep.trail(), reused_rep.trail());
         }
@@ -771,15 +729,15 @@ pub(crate) mod tests {
         nb3.conductance(0, 1, 1.0);
         nb3.conductance(1, 2, 1.0);
         nb3.conductance_to_rail(2, 1.0, 0.0);
-        let (v3, _) = nb3.solve_scratch(None, &mut scratch).unwrap();
+        let (v3, _) = nb3.solve(None, &mut scratch).unwrap();
         assert_eq!(v3.len(), 3);
 
         let mut nb2 = NetworkBuilder::new(2);
         nb2.conductance_to_rail(0, 1.0, 1.0);
         nb2.conductance(0, 1, 1.0);
         nb2.conductance_to_rail(1, 1.0, 0.0);
-        let (v2, _) = nb2.solve_scratch(None, &mut scratch).unwrap();
-        let v2_fresh = nb2.solve(None).unwrap();
+        let (v2, _) = nb2.solve(None, &mut scratch).unwrap();
+        let (v2_fresh, _) = nb2.solve(None, &mut SolveScratch::new()).unwrap();
         assert_eq!(v2, v2_fresh);
 
         // Same dimension, new structural edge (0–2): PatternMismatch path.
@@ -788,9 +746,9 @@ pub(crate) mod tests {
         nb3b.conductance(0, 2, 1.0);
         nb3b.conductance_to_rail(2, 1.0, 0.0);
         nb3b.conductance_to_rail(1, 1.0, 0.5);
-        let (_, _) = nb3.solve_scratch(None, &mut scratch).unwrap();
-        let (vb, _) = nb3b.solve_scratch(None, &mut scratch).unwrap();
-        let vb_fresh = nb3b.solve(None).unwrap();
+        let (_, _) = nb3.solve(None, &mut scratch).unwrap();
+        let (vb, _) = nb3b.solve(None, &mut scratch).unwrap();
+        let (vb_fresh, _) = nb3b.solve(None, &mut SolveScratch::new()).unwrap();
         assert_eq!(vb, vb_fresh);
     }
 
@@ -801,7 +759,7 @@ pub(crate) mod tests {
         nb.conductance_to_rail(0, 1.0, 1.0);
         nb.conductance(0, 1, 1.0);
         nb.conductance(2, 3, 1.0);
-        let err = nb.solve_reported(None).unwrap_err();
+        let err = nb.solve(None, &mut SolveScratch::new()).unwrap_err();
         match err {
             crate::error::PdnError::Disconnected {
                 floating_nodes,
@@ -812,10 +770,10 @@ pub(crate) mod tests {
             }
             other => panic!("expected Disconnected, got {other:?}"),
         }
-        // The legacy entry point degrades it to a SolveError, not a panic.
-        let legacy = nb.solve(None).unwrap_err();
+        // Callers that speak SolveError (the transient step) see it
+        // degraded to NotConverged, not a panic.
         assert!(matches!(
-            legacy,
+            err.into_solve_error(),
             vstack_sparse::SolveError::NotConverged { .. }
         ));
     }
@@ -824,7 +782,7 @@ pub(crate) mod tests {
     fn fully_floating_network_is_disconnected() {
         let mut nb = NetworkBuilder::new(2);
         nb.conductance(0, 1, 1.0);
-        let err = nb.solve_reported(None).unwrap_err();
+        let err = nb.solve(None, &mut SolveScratch::new()).unwrap_err();
         assert!(matches!(
             err,
             crate::error::PdnError::Disconnected {
@@ -842,8 +800,8 @@ pub(crate) mod tests {
         let mut nb = NetworkBuilder::new(3);
         nb.conductance_to_rail(1, 1e3, 2.0);
         nb.conductance_to_rail(2, 1e3, 0.0);
-        nb.converter(0, 1, 2, 1.0);
-        let (v, _) = nb.solve_reported(None).unwrap();
+        nb.converter_with_ratio(0, 1, 2, 1.0, 0.5);
+        let (v, _) = nb.solve(None, &mut SolveScratch::new()).unwrap();
         assert!((v[0] - 1.0).abs() < 1e-6, "converter midpoint: {}", v[0]);
     }
 
@@ -854,7 +812,7 @@ pub(crate) mod tests {
         nb.conductance_to_rail(0, 1.0, 1.0);
         nb.conductance(0, 1, 1.0);
         nb.conductance_to_rail(1, 1.0, 0.0);
-        let v = nb.solve(None).unwrap();
+        let (v, _) = nb.solve(None, &mut SolveScratch::new()).unwrap();
         assert!((v[0] - 2.0 / 3.0).abs() < 1e-8);
         assert!((v[1] - 1.0 / 3.0).abs() < 1e-8);
     }
@@ -866,10 +824,10 @@ pub(crate) mod tests {
         let mut nb = NetworkBuilder::new(3); // 0 = out, 1 = top, 2 = bottom
         nb.conductance_to_rail(1, 1e3, 2.0);
         nb.conductance_to_rail(2, 1e3, 0.0);
-        nb.converter(0, 1, 2, 1.0 / 0.6);
+        nb.converter_with_ratio(0, 1, 2, 1.0 / 0.6, 0.5);
         // Load drawing 50 mA out of the output node.
         nb.current(0, -0.05);
-        let v = nb.solve(None).unwrap();
+        let (v, _) = nb.solve(None, &mut SolveScratch::new()).unwrap();
         // v_out ≈ (2 + 0)/2 − 0.05·0.6 = 0.97 (minus tiny rail droop).
         assert!((v[0] - 0.97).abs() < 0.005, "v_out {}", v[0]);
     }
@@ -879,8 +837,8 @@ pub(crate) mod tests {
         let mut nb = NetworkBuilder::new(3);
         nb.conductance_to_rail(1, 1e3, 3.0);
         nb.conductance_to_rail(2, 1e3, 1.0);
-        nb.converter(0, 1, 2, 1.0 / 0.6);
-        let v = nb.solve(None).unwrap();
+        nb.converter_with_ratio(0, 1, 2, 1.0 / 0.6, 0.5);
+        let (v, _) = nb.solve(None, &mut SolveScratch::new()).unwrap();
         assert!((v[0] - 2.0).abs() < 1e-6, "v_out {}", v[0]);
     }
 
@@ -896,7 +854,7 @@ pub(crate) mod tests {
         }
         let center = g.index(g.nx / 2, g.ny / 2);
         nb.current(center, -0.1);
-        let v = nb.solve(None).unwrap();
+        let (v, _) = nb.solve(None, &mut SolveScratch::new()).unwrap();
         assert!(v[center] < 1.0);
         // The source sits on the main diagonal of a square grid, so the two
         // off-diagonal corners are mirror images.

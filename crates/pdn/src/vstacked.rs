@@ -9,8 +9,8 @@
 //! sourcing/sinking only the mismatch current between adjacent layers.
 //!
 //! Because the converter compact model stamps as a rank-1 PSD matrix (see
-//! [`crate::network::NetworkBuilder::converter`]), the whole V-S network is
-//! one SPD system solved by CG.
+//! [`crate::network::NetworkBuilder::converter_with_ratio`]), the whole
+//! V-S network is one SPD system solved by CG.
 
 use vstack_sc::compact::ScConverter;
 
