@@ -155,7 +155,7 @@ fn print_point(args: &Args, req: &ScenarioRequest, s: &SolveSummary) {
                 args.layers,
                 args.tsv.name(),
                 args.converters,
-                100.0 * req.imbalance,
+                100.0 * req.stacking.map_or(0.0, |s| s.imbalance),
                 if args.closed_loop {
                     ", closed loop"
                 } else {
@@ -258,12 +258,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             println!("  imbalance   max IR    mean IR   efficiency   outcome");
             for i in 0..points {
-                let req = request_for(&args, args.imbalance * i as f64 / (points - 1) as f64)?;
+                let imbalance = args.imbalance * i as f64 / (points - 1) as f64;
+                let req = request_for(&args, imbalance)?;
                 let result = engine.query(&req).map_err(|e| e.to_string())?;
                 let s = &result.summary;
                 println!(
                     "  {:>7.1}%   {:>6.2}%   {:>6.2}%   {:>8.1}%   {}{}",
-                    100.0 * req.imbalance,
+                    100.0 * imbalance,
                     100.0 * s.max_ir_drop_frac,
                     100.0 * s.mean_ir_drop_frac,
                     100.0 * s.efficiency,

@@ -65,20 +65,6 @@ impl Circuit {
         self.node_names.len()
     }
 
-    /// Number of elements added so far.
-    pub fn element_count(&self) -> usize {
-        self.elements.len()
-    }
-
-    /// Name of a node (ground is `"0"`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` does not belong to this circuit.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.0]
-    }
-
     fn push(&mut self, e: Element) -> ElementId {
         let id = ElementId(self.elements.len());
         self.elements.push(e);

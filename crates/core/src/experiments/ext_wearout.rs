@@ -151,11 +151,6 @@ impl WearoutCurve {
         self.points.last().map_or(0.0, |p| p.max_ir_drop_frac)
     }
 
-    /// Fraction of pads failed at the last surviving solve.
-    pub fn final_fraction_failed(&self) -> f64 {
-        self.points.last().map_or(0.0, |p| p.fraction_pads_failed)
-    }
-
     /// Drop increase per unit pad-fraction failed, measured end-to-end —
     /// the curve's overall steepness (lower = more graceful degradation).
     pub fn degradation_slope(&self) -> f64 {

@@ -115,30 +115,6 @@ impl DesignScenario {
         self.n_layers
     }
 
-    /// The TSV topology in use.
-    ///
-    /// Canonicalization hook: serving layers (e.g. `vstack-engine`)
-    /// fingerprint scenarios from these accessors, so every knob a setter
-    /// can change must be readable back.
-    pub fn tsv_topology_used(&self) -> TsvTopology {
-        self.topology
-    }
-
-    /// The fraction of C4 pads allocated to power delivery.
-    pub fn power_c4_fraction_used(&self) -> f64 {
-        self.power_c4_fraction
-    }
-
-    /// The number of SC converters per core (per intermediate rail).
-    pub fn converters_per_core_used(&self) -> usize {
-        self.converters_per_core
-    }
-
-    /// The modeling-grid refinement in use (1 = coarse/quick, 3 = paper).
-    pub fn grid_refinement_used(&self) -> usize {
-        self.params.grid_refinement
-    }
-
     /// The converter design in use.
     pub fn converter_design(&self) -> &ScConverter {
         &self.converter
@@ -223,11 +199,11 @@ impl DesignScenario {
     /// resilient path ([`Pdn::solve_faulted_scratch`]), with `faults`
     /// open-circuited: the full [`FaultedSolution`], whose
     /// [`vstack_sparse::SolveReport`] records any escalation-ladder
-    /// fallback. With no faults this is the warm-started solve the
-    /// `vstack-engine` scheduler and the thermal coupling loop drive: a
-    /// converged `guess` is returned unchanged (bit-identical voltages,
-    /// zero iterations), and `scratch` recycles the CSR pattern and Krylov
-    /// vectors across repeated solves.
+    /// fallback. This is the warm-started solve `vstack-engine` composes
+    /// for intact and faulted requests alike and the thermal coupling
+    /// loop drives: a converged `guess` is returned unchanged
+    /// (bit-identical voltages, zero iterations), and `scratch` recycles
+    /// the CSR pattern and Krylov vectors across repeated solves.
     ///
     /// # Errors
     ///
@@ -243,29 +219,6 @@ impl DesignScenario {
         let _span = vstack_obs::span!("scenario_solve");
         self.pdn(load)
             .solve_faulted_scratch(&self.loads(load), faults, guess, scratch)
-    }
-
-    /// Sketched fault-query variant of [`DesignScenario::solve_faulted`]:
-    /// answers through the rank-k Sherman–Morrison–Woodbury fault sketch
-    /// cached in `scratch` ([`Pdn::solve_faulted_sketched`]), so a warm
-    /// sweep costs microseconds per fault set instead of a full ladder
-    /// solve. The first call (or any query the sketch refuses — structural
-    /// disconnection, over-budget rank) transparently runs the exact path,
-    /// as do closed-loop converter stacks, whose regulation loop re-stamps
-    /// the matrix. The engine's fault axis drives this entry point.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DesignScenario::solve_faulted`].
-    pub fn solve_sketched(
-        &self,
-        load: ScenarioLoad,
-        faults: &FaultSet,
-        scratch: &mut SolveScratch,
-    ) -> Result<FaultedSolution, PdnError> {
-        let _span = vstack_obs::span!("scenario_solve");
-        self.pdn(load)
-            .solve_faulted_sketched(&self.loads(load), faults, scratch)
     }
 
     /// Total silicon-area overhead fraction of this scenario's V-S PDN on

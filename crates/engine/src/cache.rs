@@ -78,21 +78,6 @@ impl LruCache {
         }
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Looks up and promotes `fingerprint` to most-recently-used.
     pub fn get(&mut self, fingerprint: u64) -> Option<&CacheEntry> {
         let idx = self.entries.iter().position(|(fp, _)| *fp == fingerprint)?;
@@ -333,7 +318,7 @@ mod tests {
         lru.insert(fps[1], entry(reqs[1].clone()));
         assert!(lru.get(fps[0]).is_some()); // promote 0; 1 is now LRU
         lru.insert(fps[2], entry(reqs[2].clone()));
-        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.iter().count(), 2);
         assert!(lru.peek(fps[0]).is_some());
         assert!(lru.peek(fps[1]).is_none(), "LRU entry must be evicted");
         assert!(lru.peek(fps[2]).is_some());
@@ -347,6 +332,6 @@ mod tests {
         for _ in 0..10 {
             lru.insert(fp, entry(req.clone()));
         }
-        assert_eq!(lru.len(), 1);
+        assert_eq!(lru.iter().count(), 1);
     }
 }

@@ -3,6 +3,9 @@
 //! disk tier, else solve (seeded from the nearest cached neighbour) and
 //! cache the result.
 //!
+//! Every solve is composed from the request's axes in one place,
+//! [`solve_scenario_cancellable`].
+//!
 //! # Determinism
 //!
 //! A query's outcome depends only on the request and the cache state at
@@ -21,12 +24,11 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use vstack::coupled::{solve_coupled, CoupledConfig};
-use vstack::scenario::ScenarioLoad;
-use vstack_pdn::{FaultSet, PdnError, SolveScratch};
+use vstack_pdn::{PdnError, SolveScratch};
 use vstack_sparse::{CancelToken, SolveError};
 
 use crate::cache::{CacheEntry, DiskCache, DiskLoad, LruCache};
-use crate::request::{ScenarioRequest, SolveKind};
+use crate::request::ScenarioRequest;
 use crate::summary::SolveSummary;
 
 /// Engine construction options.
@@ -110,9 +112,6 @@ pub struct EngineStats {
     pub solver_setup_us: u64,
     /// Wall-clock spent inside solves, microseconds.
     pub solve_time_us: u64,
-    /// Solves whose accepted rung used the mixed-precision f32 V-cycle
-    /// (`solver_path` ends with `"mixed"`).
-    pub mixed_solves: u64,
 }
 
 impl EngineStats {
@@ -287,9 +286,6 @@ impl Engine {
         self.stats.solver_iterations += summary.solver_iterations as u64;
         self.stats.solver_setup_us += summary.solver_setup_us;
         self.stats.solve_time_us += micros;
-        if summary.solver_path.ends_with("mixed") {
-            self.stats.mixed_solves += 1;
-        }
         let outcome = if guess.is_some() {
             self.stats.warm_solves += 1;
             m.engine_warm_solves.inc();
@@ -343,45 +339,45 @@ impl Engine {
 
     /// Picks the warm-start donor for `request`: the cached entry with
     /// voltages whose scenario shares every structure-determining knob
-    /// (kind, layers, TSV topology, fidelity, converter config) and is
-    /// nearest in the continuous knobs (imbalance, power-C4), fingerprint
-    /// as the deterministic tie-break. Structure must match exactly so the
-    /// donor's voltage vector has the node count of the new system.
+    /// (stacking or not, layers, TSV topology, fidelity, converter
+    /// config, thermal coupling and hotspot layer) and is nearest in the
+    /// continuous knobs (imbalance, power-C4, ambient, sink, hotspot
+    /// power), fingerprint as the deterministic tie-break. Structure must
+    /// match exactly so the donor's voltage vector has the node count of
+    /// the new system. An absent axis reads as its default knobs.
     fn nearest_donor(&self, request: &ScenarioRequest) -> Option<Vec<f64>> {
-        // Faulted requests go through the SMW fault sketch, which manages
-        // its own baseline warm start — an external guess is unused there
-        // and would only mislabel the outcome as Warm.
-        if request.has_faults() {
+        // Only intact solutions seed, and only intact solves: a faulted
+        // entry's voltages carry the open-circuit dip an intact one lacks.
+        if !request.faults.is_empty() {
             return None;
         }
+        // Thermal coupling warps the grid resistances a donor's voltages
+        // were solved under, so a coupled scenario only borrows from
+        // scenarios on the same thermal axis.
+        let structure = |r: &ScenarioRequest| {
+            let stack = r.stacking.map(|s| (s.converters, s.closed_loop));
+            let thermal = r.thermal.map(|t| t.hotspot.map(|(layer, _)| layer));
+            (stack, r.layers, r.tsv, r.fidelity, thermal)
+        };
+        let stack = |r: &ScenarioRequest| r.stacking.unwrap_or_default();
+        let thermal = |r: &ScenarioRequest| r.thermal.unwrap_or_default();
+        let hotspot_w = |r: &ScenarioRequest| thermal(r).hotspot.map_or(0.0, |(_, w)| w);
+        let (s, t) = (stack(request), thermal(request));
         let mut best: Option<(f64, u64, &Vec<f64>)> = None;
         for (fp, entry) in self.lru.iter() {
             let Some(voltages) = &entry.voltages else {
                 continue;
             };
             let donor = &entry.request;
-            let compatible = donor.kind == request.kind
-                && donor.layers == request.layers
-                && donor.tsv == request.tsv
-                && donor.fidelity == request.fidelity
-                && donor.converters == request.converters
-                && donor.closed_loop == request.closed_loop
-                // Thermal coupling warps the grid resistances the donor's
-                // voltages were solved under, so a coupled scenario only
-                // borrows from scenarios on the same thermal axis.
-                && donor.thermal_coupling == request.thermal_coupling
-                && donor.hotspot_layer == request.hotspot_layer
-                // A faulted donor's voltages carry the open-circuit dip;
-                // only intact solutions seed intact solves.
-                && !donor.has_faults();
-            if !compatible {
+            if structure(donor) != structure(request) || !donor.faults.is_empty() {
                 continue;
             }
-            let distance = (donor.imbalance - request.imbalance).abs()
+            let (ds, dt) = (stack(donor), thermal(donor));
+            let distance = (ds.imbalance - s.imbalance).abs()
                 + (donor.power_c4 - request.power_c4).abs()
-                + (donor.ambient_c - request.ambient_c).abs() / 100.0
-                + (donor.sink_k_per_w - request.sink_k_per_w).abs()
-                + (donor.hotspot_w - request.hotspot_w).abs() / 100.0;
+                + (dt.ambient_c - t.ambient_c).abs() / 100.0
+                + (dt.sink_k_per_w - t.sink_k_per_w).abs()
+                + (hotspot_w(donor) - hotspot_w(request)).abs() / 100.0;
             let better = match &best {
                 None => true,
                 Some((d, f, _)) => distance < *d || (distance == *d && fp < *f),
@@ -395,8 +391,11 @@ impl Engine {
 }
 
 /// Performs one solve outside the cache: build the scenario, run the
-/// warm-started robust solve, summarize. Exposed so tests (and the
-/// bit-identity guarantee) can compare cold and warm paths directly.
+/// thermal–EM–IR fixed point when the request has a thermal axis, else
+/// one warm-started fault-aware ladder solve of the PDN and loads its
+/// stacking axis selects, with its fault set (empty when intact), and
+/// summarize. Exposed so tests (and the bit-identity guarantee) can
+/// compare cold and warm paths directly.
 ///
 /// # Errors
 ///
@@ -428,33 +427,20 @@ pub fn solve_scenario_cancellable(
         PdnError::Solve(SolveError::Cancelled) => EngineError::Cancelled,
         other => EngineError::Solve(other.to_string()),
     };
-    let load = match request.kind {
-        SolveKind::Regular => ScenarioLoad::RegularPeak,
-        SolveKind::VoltageStacked => ScenarioLoad::VoltageStacked(request.imbalance),
-    };
-    if request.thermal_coupling {
+    if let Some(thermal) = &request.thermal {
         let mut config = CoupledConfig::paper_air_cooled()
-            .ambient_c(request.ambient_c)
-            .sink_resistance(request.sink_k_per_w);
-        if let Some(layer) = request.hotspot_layer {
-            config = config.hotspot(layer, request.hotspot_w);
+            .ambient_c(thermal.ambient_c)
+            .sink_resistance(thermal.sink_k_per_w);
+        if let Some((layer, watts)) = thermal.hotspot {
+            config = config.hotspot(layer, watts);
         }
-        let out = solve_coupled(&scenario, load, &config, guess, &mut scratch).map_err(map_err)?;
+        let out = solve_coupled(&scenario, request.load(), &config, guess, &mut scratch)
+            .map_err(map_err)?;
         let voltages = out.solved.voltages.clone();
         return Ok((SolveSummary::from_coupled(&out), voltages));
     }
-    if request.has_faults() {
-        // What-if solves route through the rank-k SMW fault sketch; the
-        // sketch owns the baseline warm start, so no external guess is
-        // threaded. Near-singular or over-budget fault sets fall back to
-        // the exact ladder inside the sketched path.
-        let solved = scenario
-            .solve_sketched(load, &request.fault_set(), &mut scratch)
-            .map_err(map_err)?;
-        return Ok((SolveSummary::from_faulted(&solved), solved.voltages));
-    }
     let solved = scenario
-        .solve_faulted(load, &FaultSet::new(), guess, &mut scratch)
+        .solve_faulted(request.load(), &request.faults, guess, &mut scratch)
         .map_err(map_err)?;
     Ok((SolveSummary::from_faulted(&solved), solved.voltages))
 }

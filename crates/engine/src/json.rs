@@ -237,9 +237,20 @@ fn parse_literal(
     word: &str,
     value: Json,
 ) -> Result<Json, JsonError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
+    let rest = &bytes[*pos..];
+    if rest.starts_with(word.as_bytes()) {
         *pos += word.len();
-        Ok(value)
+        return Ok(value);
+    }
+    // A truncated literal (`tru}`) names the word it was spelling; a
+    // token that departs from it (`this`) is an unexpected character.
+    let matched = rest
+        .iter()
+        .zip(word.bytes())
+        .take_while(|(a, b)| **a == *b)
+        .count();
+    if rest.get(matched).is_some_and(u8::is_ascii_alphanumeric) {
+        Err(err(*pos + matched, "unexpected character"))
     } else {
         Err(err(*pos, &format!("expected '{word}'")))
     }
@@ -458,6 +469,22 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn a_word_that_is_not_a_literal_is_an_unexpected_character() {
+        let e = Json::parse("this is not json").unwrap_err().to_string();
+        assert_eq!(e, "unexpected character at byte 1");
+        let e = Json::parse("{\"a\":nope}").unwrap_err().to_string();
+        assert_eq!(e, "unexpected character at byte 6");
+    }
+
+    #[test]
+    fn a_truncated_literal_names_the_literal() {
+        let e = Json::parse("{\"a\":tru}").unwrap_err().to_string();
+        assert_eq!(e, "expected 'true' at byte 5");
+        let e = Json::parse("fals").unwrap_err().to_string();
+        assert_eq!(e, "expected 'false' at byte 0");
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! repeated-query workload, and this crate owns the query lifecycle that
 //! amortizes it.
 //!
-//! * [`request`] — the canonical, versioned [`request::ScenarioRequest`]
-//!   with a deterministic 64-bit content fingerprint, stable under JSON
-//!   field ordering and float formatting.
+//! * [`request`] — the canonical, versioned [`request::ScenarioRequest`]:
+//!   base knobs plus a stacking, a thermal and a fault axis, each owning
+//!   its range checks, fingerprint tags and JSON fields, with a
+//!   deterministic 64-bit content fingerprint, stable under JSON field
+//!   ordering and float formatting.
 //! * [`cache`] — a bounded in-memory LRU (which also retains node
 //!   voltages for warm starts) over an optional on-disk store stamped
 //!   with [`SCHEMA_VERSION`].
 //! * [`engine`] — answers one request at a time on the calling thread:
-//!   from the cache tiers, else by a solve seeded from the nearest cached
-//!   neighbour.
+//!   from the cache tiers, else by one solve composed from the request's
+//!   axes, seeded from the nearest cached neighbour.
 //! * [`server`] — the serving daemon: fingerprint-sharded engines behind
 //!   bounded admission queues, with cross-request dedup, deadlines, panic
 //!   containment and graceful drain, reached over stdin/stdout, TCP or a
@@ -69,7 +71,12 @@
 /// `failed_tsvs`), answered through the rank-k Sherman–Morrison–Woodbury
 /// fault sketch. As with the thermal axis the fingerprint domain stays
 /// pinned: fault fields hash only when a fault is present, so every
-/// unfaulted request keeps its byte-identical fingerprint.
+/// unfaulted request keeps its byte-identical fingerprint. Served faults
+/// have since moved from the sketch to the escalation ladder, one
+/// fault-aware solve like an intact request's (each served solve owns a
+/// fresh scratch, which a sketch would not outlive); requests,
+/// fingerprints and summary layout did not change, so the version did
+/// not move.
 ///
 /// Version 7 is the one-pipeline release: stdin became a connection of
 /// the serving daemon, so its `stats` op answers the daemon's object
@@ -87,5 +94,5 @@ pub mod server;
 pub mod summary;
 
 pub use engine::{Engine, EngineConfig, EngineStats, Outcome, QueryResult};
-pub use request::{ScenarioRequest, SolveKind};
+pub use request::{ScenarioRequest, StackAxis, ThermalAxis};
 pub use summary::SolveSummary;

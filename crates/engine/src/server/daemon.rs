@@ -596,19 +596,33 @@ fn handle_request(text: &str, shared: &Arc<Shared>) -> Answer {
     }
 }
 
+/// The request named by a `solve` op or a `batch` item (`what`, in the
+/// error): [`ScenarioRequest::from_json`] has already validated it.
+fn scenario(item: &Json, what: &str) -> Result<ScenarioRequest, String> {
+    let scenario = item
+        .get("scenario")
+        .ok_or_else(|| format!("{what} needs a \"scenario\""))?;
+    ScenarioRequest::from_json(scenario)
+}
+
+/// An admitted request: the admission decision, its home shard, the
+/// fingerprint the pool routed and deduplicated on, and its trace context.
+type Ticket = (Admission, usize, u64, RequestCtx);
+
+/// Per-item admission, shared by `solve` and `batch`.
+fn admit(request: &ScenarioRequest, cancel: &CancelToken, shared: &Shared) -> Ticket {
+    let ctx = RequestCtx::mint();
+    let (admission, shard, fingerprint) = shared.pool.submit(request, cancel.clone(), ctx);
+    (admission, shard, fingerprint, ctx)
+}
+
 /// Admission plus bounded reply wait for one `solve` op.
 fn serve_solve(doc: &Json, id: Option<Json>, shared: &Arc<Shared>) -> Answer {
     let invalid = |id, e: &str| Answer::one(error_response(id, code::INVALID_REQUEST, e));
-    let Some(scenario) = doc.get("scenario") else {
-        return invalid(id, "solve needs a \"scenario\"");
-    };
-    let request = match ScenarioRequest::from_json(scenario) {
+    let request = match scenario(doc, "solve") {
         Ok(r) => r,
         Err(e) => return invalid(id, &e),
     };
-    if let Err(e) = request.validate() {
-        return invalid(id, &e);
-    }
     let deadline_ms = match protocol::parse_deadline_ms(doc, shared.max_deadline_ms) {
         Ok(ms) => ms.unwrap_or(shared.default_deadline_ms),
         Err(e) => return invalid(id, &e),
@@ -616,20 +630,10 @@ fn serve_solve(doc: &Json, id: Option<Json>, shared: &Arc<Shared>) -> Answer {
     let deadline = Instant::now() + Duration::from_millis(deadline_ms);
     let owed = shared.owe_reply(deadline);
     let cancel = CancelToken::with_deadline(deadline);
-    let ctx = RequestCtx::mint();
-    let (admission, shard) = shared.pool.submit(&request, cancel.clone(), ctx);
+    let ticket = admit(&request, &cancel, shared);
     Answer {
         _owed: Some(owed),
-        ..Answer::one(settle(
-            admission,
-            shard,
-            request.fingerprint(),
-            id,
-            deadline,
-            &cancel,
-            shared,
-            ctx,
-        ))
+        ..Answer::one(settle(ticket, id, deadline, &cancel, shared))
     }
 }
 
@@ -651,45 +655,18 @@ fn serve_batch(doc: &Json, batch_id: Option<Json>, shared: &Arc<Shared>) -> Answ
     let deadline = Instant::now() + Duration::from_millis(deadline_ms);
     let owed = shared.owe_reply(deadline);
     let cancel = CancelToken::with_deadline(deadline);
-    type Pending = (
-        Option<Json>,
-        Result<(Admission, usize, u64, RequestCtx), Json>,
-    );
-    let mut pending: Vec<Pending> = Vec::new();
-    for item in items {
-        let id = item.get("id").cloned();
-        let request = match item.get("scenario") {
-            Some(s) => ScenarioRequest::from_json(s).and_then(|r| r.validate().map(|()| r)),
-            None => Err("batch item needs a \"scenario\"".to_string()),
-        };
-        match request {
-            Ok(request) => {
-                let ctx = RequestCtx::mint();
-                let (admission, shard) = shared.pool.submit(&request, cancel.clone(), ctx);
-                pending.push((id, Ok((admission, shard, request.fingerprint(), ctx))));
-            }
-            Err(e) => {
-                pending.push((
-                    id.clone(),
-                    Err(error_response(id, code::INVALID_REQUEST, &e)),
-                ));
-            }
-        }
-    }
+    let pending: Vec<(Option<Json>, Result<Ticket, String>)> = items
+        .iter()
+        .map(|item| {
+            let ticket = scenario(item, "batch item").map(|r| admit(&r, &cancel, shared));
+            (item.get("id").cloned(), ticket)
+        })
+        .collect();
     let lines = pending
         .into_iter()
-        .map(|(id, entry)| match entry {
-            Ok((admission, shard, fingerprint, ctx)) => settle(
-                admission,
-                shard,
-                fingerprint,
-                id,
-                deadline,
-                &cancel,
-                shared,
-                ctx,
-            ),
-            Err(response) => response,
+        .map(|(id, ticket)| match ticket {
+            Ok(ticket) => settle(ticket, id, deadline, &cancel, shared),
+            Err(e) => error_response(id, code::INVALID_REQUEST, &e),
         })
         .collect();
     Answer {
@@ -702,16 +679,12 @@ fn serve_batch(doc: &Json, batch_id: Option<Json>, shared: &Arc<Shared>) -> Answ
 /// for the shard when the request was admitted or joined. Every response
 /// — success or failure — carries an additive `telemetry` block with the
 /// caller's own trace ID.
-#[allow(clippy::too_many_arguments)]
 fn settle(
-    admission: Admission,
-    shard: usize,
-    fingerprint: u64,
+    (admission, shard, fingerprint, ctx): Ticket,
     id: Option<Json>,
     deadline: Instant,
     cancel: &CancelToken,
     shared: &Shared,
-    ctx: RequestCtx,
 ) -> Json {
     let m = vstack_obs::metrics::global();
     let own_wall_us = || u64::try_from(ctx.admitted.elapsed().as_micros()).unwrap_or(u64::MAX);

@@ -211,15 +211,16 @@ impl ShardPool {
     /// Routes `request` to its home shard and runs admission control.
     /// Never blocks on a full queue. The request is canonicalized here so
     /// routing and dedup agree with the engine's own fingerprint domain;
-    /// callers should have validated it already. Returns the decision and
+    /// callers should have validated it already. Returns the decision,
     /// the home-shard index (meaningful even for shed requests, so the
-    /// caller can attribute the rejection in its reply telemetry).
+    /// caller can attribute the rejection in its reply telemetry) and the
+    /// fingerprint it routed on.
     pub fn submit(
         &self,
         request: &ScenarioRequest,
         cancel: CancelToken,
         ctx: RequestCtx,
-    ) -> (Admission, usize) {
+    ) -> (Admission, usize, u64) {
         let m = vstack_obs::metrics::global();
         let request = request.canonical();
         let fingerprint = request.fingerprint();
@@ -234,7 +235,7 @@ impl ShardPool {
             entry.push(tx);
             m.serve_dedup_joins.inc();
             self.telemetry.shard(shard_idx).note_admission(false);
-            return (Admission::Joined(rx), shard_idx);
+            return (Admission::Joined(rx), shard_idx, fingerprint);
         }
         let job = Job {
             fingerprint,
@@ -264,7 +265,7 @@ impl ShardPool {
             }
             Err(PushError::Closed(_)) => Admission::Closed,
         };
-        (admission, shard_idx)
+        (admission, shard_idx, fingerprint)
     }
 
     /// Stops the pool. With `drain`, queued jobs are finished before the
@@ -475,7 +476,7 @@ mod tests {
         let req = quick_request(2);
         let ctx = RequestCtx::mint();
         let rx = match pool.submit(&req, CancelToken::never(), ctx) {
-            (Admission::Queued(rx), _) => rx,
+            (Admission::Queued(rx), ..) => rx,
             _ => panic!("first submission must queue"),
         };
         match rx.recv_timeout(Duration::from_secs(60)).unwrap() {
@@ -506,7 +507,7 @@ mod tests {
         let req = quick_request(2);
         let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         let rx = match pool.submit(&req, expired, RequestCtx::mint()) {
-            (Admission::Queued(rx), _) => rx,
+            (Admission::Queued(rx), ..) => rx,
             _ => panic!("must queue"),
         };
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {

@@ -41,9 +41,7 @@ pub struct SolveSummary {
     pub solver_trail: String,
     /// Operator and precision of the accepted rung, `"<operator>+<precision>"`
     /// — e.g. `"csr+mixed"` for the mixed-precision hot path, `"csr+f64"`
-    /// for the pure-f64 rungs. Optional-additive on the wire: summaries
-    /// cached before this field existed parse as `"csr+f64"`, keeping the
-    /// schema version unchanged.
+    /// for the pure-f64 rungs.
     pub solver_path: String,
     /// Thermal–EM–IR fixed-point iterations behind this result; 0 for a
     /// plain uncoupled solve. Optional-additive on the wire (absent ⇒ 0),
@@ -150,6 +148,11 @@ impl SolveSummary {
                 .and_then(Json::as_usize)
                 .ok_or_else(|| format!("summary field \"{key}\" missing or not an integer"))
         };
+        let string = |key: &str| -> Result<String, String> {
+            let text = value.get(key).and_then(Json::as_str);
+            text.map(str::to_string)
+                .ok_or_else(|| format!("summary field \"{key}\" missing or not a string"))
+        };
         Ok(SolveSummary {
             max_ir_drop_frac: num("max_ir_drop_frac")?,
             mean_ir_drop_frac: num("mean_ir_drop_frac")?,
@@ -160,18 +163,8 @@ impl SolveSummary {
             overloaded_converters: int("overloaded_converters")?,
             solver_iterations: int("solver_iterations")?,
             solver_setup_us: int("solver_setup_us")? as u64,
-            solver_trail: value
-                .get("solver_trail")
-                .and_then(Json::as_str)
-                .ok_or("summary field \"solver_trail\" missing or not a string")?
-                .to_string(),
-            // Additive field: absent in summaries cached by older builds,
-            // which all ran the classic CSR/f64 path.
-            solver_path: value
-                .get("solver_path")
-                .and_then(Json::as_str)
-                .unwrap_or("csr+f64")
-                .to_string(),
+            solver_trail: string("solver_trail")?,
+            solver_path: string("solver_path")?,
             // Additive coupling block: absent for every uncoupled solve
             // (and every pre-thermal cached summary) ⇒ the uncoupled
             // identity values.
@@ -251,14 +244,6 @@ mod tests {
         };
         let back = SolveSummary::from_json(&Json::parse(&s.to_json().emit()).unwrap()).unwrap();
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn solver_path_defaults_for_old_cached_summaries() {
-        let mut doc = s_obj();
-        doc.retain(|(k, _)| k != "solver_path");
-        let s = SolveSummary::from_json(&Json::Obj(doc)).unwrap();
-        assert_eq!(s.solver_path, "csr+f64");
     }
 
     #[test]

@@ -149,13 +149,6 @@ impl ScConverter {
         self.r_series(self.f_nom)
     }
 
-    /// Effective series resistance at a given load current, honouring the
-    /// control policy (closed-loop raises `R_SSL` at light load).
-    pub fn r_series_at(&self, i_load: f64) -> f64 {
-        let f = self.control.frequency(self.f_nom, i_load, self.i_rated);
-        self.r_series(f)
-    }
-
     /// Whether `i_load` exceeds the converter's rating. The paper's Fig 6
     /// skips design points that overload any converter.
     pub fn is_overloaded(&self, i_load: f64) -> bool {
