@@ -54,8 +54,8 @@ use vstack::experiments::fig6::ir_drop_study;
 use vstack::experiments::Fidelity;
 use vstack::sparse::pool::{with_pool, ThreadPool};
 use vstack::sparse::{
-    solve_robust, AmgHierarchy, AmgOptions, CsrMatrix, Lead, RobustOptions, RobustSolved,
-    SmwSketch, SmwUpdate, SolveWorkspace, TripletMatrix,
+    solve_robust, AmgHierarchy, CsrMatrix, Lead, RobustOptions, RobustSolved, SmwSketch, SmwUpdate,
+    SolveWorkspace, TripletMatrix,
 };
 
 /// 2-D grid Laplacian with Dirichlet stamps on `rails`, sized like one
@@ -281,7 +281,9 @@ fn bench_scaling(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
             g.sample_size(s.scaling_samples);
             g.bench_function(format!("amg_setup/g{grid}"), |bch| {
                 bch.iter(|| {
-                    black_box(AmgHierarchy::build(&a, &AmgOptions::default()).expect("amg setup"))
+                    black_box(
+                        AmgHierarchy::build(&a, &mut SolveWorkspace::new()).expect("amg setup"),
+                    )
                 })
             });
             g.finish();

@@ -686,95 +686,58 @@ fn settle(
     cancel: &CancelToken,
     shared: &Shared,
 ) -> Json {
-    let m = vstack_obs::metrics::global();
-    let own_wall_us = || u64::try_from(ctx.admitted.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let unserved = |outcome| RequestTelemetry::new(ctx.trace_id, shard, fingerprint, outcome);
     let (rx, joined) = match admission {
         Admission::Queued(rx) => (rx, false),
         Admission::Joined(rx) => (rx, true),
         Admission::Shed { retry_after_ms } => {
-            let t = RequestTelemetry::unserved(ctx.trace_id, shard);
-            return attach_telemetry(overloaded_response(id, retry_after_ms), &t);
+            let reply = overloaded_response(id, retry_after_ms);
+            return attach_telemetry(reply, &unserved(FlightOutcome::Shed));
         }
         Admission::Closed => {
-            let t = RequestTelemetry::unserved(ctx.trace_id, shard);
-            return attach_telemetry(
-                error_response(id, code::UNAVAILABLE, "server is shutting down"),
-                &t,
-            );
+            let reply = error_response(id, code::UNAVAILABLE, "server is shutting down");
+            return attach_telemetry(reply, &unserved(FlightOutcome::Drained));
         }
     };
     let wait = deadline + REPLY_GRACE - Instant::now();
-    match rx.recv_timeout(wait) {
-        Ok(ShardOutcome::Done(result, worker_t)) => {
-            let t = reply_telemetry(&worker_t, joined, shard, ctx, own_wall_us());
-            let reply = match result {
-                Ok(result) => ok_response(id, &result),
-                Err(e) => engine_error_response(id, &e),
-            };
-            attach_telemetry(reply, &t)
+    let Ok(outcome) = rx.recv_timeout(wait) else {
+        // The solve outlived deadline + grace (it will abandon itself
+        // at the ladder's next cancellation poll) or its worker died.
+        // Either way the client gets a bounded, structured answer.
+        cancel.cancel();
+        vstack_obs::metrics::global().serve_deadline_exceeded.inc();
+        let t = RequestTelemetry {
+            queue_wait_us: ctx.elapsed_us(),
+            ..unserved(FlightOutcome::DeadlineMiss)
+        };
+        shared.pool.telemetry().record_request(&t);
+        let message = "deadline passed before the solve finished";
+        return attach_telemetry(error_response(id, code::DEADLINE_EXCEEDED, message), &t);
+    };
+    let (reply, mut t) = match outcome {
+        ShardOutcome::Done(Ok(result), t) => (ok_response(id, &result), t),
+        ShardOutcome::Done(Err(e), t) => (engine_error_response(id, &e), t),
+        ShardOutcome::Panicked(t) => {
+            let message = "request crashed its worker (contained); see server logs";
+            (error_response(id, code::INTERNAL, message), t)
         }
-        Ok(ShardOutcome::Panicked(worker_t)) => {
-            let t = reply_telemetry(&worker_t, joined, shard, ctx, own_wall_us());
-            attach_telemetry(
-                error_response(
-                    id,
-                    code::INTERNAL,
-                    "request crashed its worker (contained); see server logs",
-                ),
-                &t,
-            )
+        ShardOutcome::Drained(t) => {
+            let message = "shed during server drain";
+            (error_response(id, code::UNAVAILABLE, message), t)
         }
-        Ok(ShardOutcome::Drained) => {
-            let mut t = RequestTelemetry::unserved(ctx.trace_id, shard);
-            t.queue_wait_us = own_wall_us();
-            attach_telemetry(
-                error_response(id, code::UNAVAILABLE, "shed during server drain"),
-                &t,
-            )
-        }
-        Err(_) => {
-            // The solve outlived deadline + grace (it will abandon itself
-            // at the ladder's next cancellation poll) or its worker died.
-            // Either way the client gets a bounded, structured answer.
-            cancel.cancel();
-            m.serve_deadline_exceeded.inc();
-            let mut t = RequestTelemetry::unserved(ctx.trace_id, shard);
-            t.queue_wait_us = own_wall_us();
-            let telemetry = shared.pool.telemetry();
-            telemetry.record_request(&t, fingerprint, FlightOutcome::DeadlineMiss);
-            telemetry.maybe_dump("deadline_miss", ctx.trace_id);
-            attach_telemetry(
-                error_response(
-                    id,
-                    code::DEADLINE_EXCEEDED,
-                    "deadline passed before the solve finished",
-                ),
-                &t,
-            )
-        }
-    }
-}
-
-/// The telemetry block for a settled reply: the worker's phase breakdown
-/// re-stamped with the *caller's* trace ID. A dedup joiner inherits the
-/// leader's provenance (cache tier, solver path) but its phase timings
-/// are clamped to the joiner's own wall clock — the leader started
-/// earlier, so its raw timings could exceed what this caller observed.
-fn reply_telemetry(
-    worker: &RequestTelemetry,
-    joined: bool,
-    shard: usize,
-    ctx: RequestCtx,
-    own_wall_us: u64,
-) -> RequestTelemetry {
-    let mut t = worker.clone();
+    };
+    // The worker's record, re-stamped with the *caller's* trace ID. A
+    // dedup joiner inherits the leader's provenance (cache tier, solver
+    // path, outcome) but its phase timings are clamped to the joiner's own
+    // wall clock — the leader started earlier, so its raw timings could
+    // exceed what this caller observed.
     t.trace_id = ctx.trace_id;
-    t.shard = shard;
     if joined {
+        let own_wall_us = ctx.elapsed_us();
         t.solve_us = t.solve_us.min(own_wall_us);
         t.queue_wait_us = own_wall_us - t.solve_us;
     }
-    t
+    attach_telemetry(reply, &t)
 }
 
 /// The `stats` op: serving-tier counters from the global obs registry,

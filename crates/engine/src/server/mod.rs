@@ -17,10 +17,11 @@
 //!   vocabulary (`overloaded` + `retry_after_ms`, `deadline_exceeded`,
 //!   `internal`, `unavailable`);
 //! * [`telemetry`] — request-scoped observability: trace-ID minting, the
-//!   per-request context threaded through the queue, rolling per-shard
-//!   SLO histograms behind the `telemetry` verb, and the always-on
-//!   flight recorder that dumps the last 512 requests on panic, deadline
-//!   miss, or shed spike;
+//!   per-request context threaded through the queue, and the one record
+//!   each request leaves ([`RequestTelemetry`]). The reply's `telemetry`
+//!   block, the rolling per-shard SLO histograms behind the `telemetry`
+//!   verb, and the always-on flight recorder (the last 512 requests per
+//!   shard, dumped on panic, deadline miss, or shed spike) all read it;
 //! * [`chaos`] — feature-gated fault injection (torn cache writes, worker
 //!   panics, slow solves) for the chaos test harness; compiled out by
 //!   default.

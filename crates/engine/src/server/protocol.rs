@@ -10,7 +10,7 @@
 use crate::engine::{EngineError, QueryResult};
 use crate::json::Json;
 use crate::request::ScenarioRequest;
-use crate::server::telemetry::{format_trace_id, RequestTelemetry};
+use crate::server::telemetry::RequestTelemetry;
 
 /// Stable error codes the serving tier emits.
 pub mod code {
@@ -52,24 +52,12 @@ pub fn ok_response(id: Option<Json>, result: &QueryResult) -> Json {
     Json::obj(fields)
 }
 
-/// Serializes a request's phase telemetry for the wire `telemetry` block.
-pub fn telemetry_block(t: &RequestTelemetry) -> Json {
-    Json::obj(vec![
-        ("trace_id", Json::Str(format_trace_id(t.trace_id))),
-        ("queue_wait_us", Json::Num(t.queue_wait_us as f64)),
-        ("cache_tier", Json::Str(t.cache_tier.to_string())),
-        ("solver_path", Json::Str(t.solver_path.clone())),
-        ("solve_us", Json::Num(t.solve_us as f64)),
-        ("shard", Json::Num(t.shard as f64)),
-    ])
-}
-
-/// Appends the `telemetry` block as the *last* field of a response, so
-/// every legacy field keeps its byte position (the byte-identity tests
-/// pin the prefix).
+/// Appends the request's `telemetry` block ([`RequestTelemetry::to_json`])
+/// as the *last* field of a response, so every legacy field keeps its
+/// byte position (the byte-identity tests pin the prefix).
 pub fn attach_telemetry(mut response: Json, t: &RequestTelemetry) -> Json {
     if let Json::Obj(fields) = &mut response {
-        fields.push(("telemetry".to_string(), telemetry_block(t)));
+        fields.push(("telemetry".to_string(), t.to_json()));
     }
     response
 }

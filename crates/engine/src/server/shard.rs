@@ -68,10 +68,9 @@ pub struct ShardConfig {
     /// Where flight-recorder dumps land; `None` disables dumping (the
     /// in-memory ring still records).
     pub flight_dir: Option<PathBuf>,
-    /// SLO latency threshold for the windowed histograms, microseconds.
+    /// SLO latency threshold for the windowed histograms, microseconds
+    /// (judged at [`crate::server::telemetry::SLO_TARGET`]).
     pub slo_us: u64,
-    /// SLO availability target in (0, 1), e.g. `0.999`.
-    pub slo_target: f64,
 }
 
 impl Default for ShardConfig {
@@ -84,14 +83,13 @@ impl Default for ShardConfig {
             warm_start: true,
             flight_dir: None,
             slo_us: 250_000,
-            slo_target: 0.999,
         }
     }
 }
 
-/// Terminal reply for one admitted or joined request. `Done` and
-/// `Panicked` carry the worker-measured phase telemetry of the job that
-/// ran (on a dedup join: the leader's timings).
+/// Terminal reply for one admitted or joined request. Each carries the
+/// job's one record, as the pool recorded it (on a dedup join: the
+/// leader's).
 #[derive(Debug, Clone)]
 pub enum ShardOutcome {
     /// The solve ran (or was answered from cache).
@@ -99,7 +97,7 @@ pub enum ShardOutcome {
     /// The solve panicked; the shard survived and the request did not.
     Panicked(RequestTelemetry),
     /// The job was shed from the queue during a non-draining shutdown.
-    Drained,
+    Drained(RequestTelemetry),
 }
 
 /// What admission control decided for a submission.
@@ -156,7 +154,6 @@ impl ShardPool {
         let telemetry = Arc::new(PoolTelemetry::new(
             n,
             config.slo_us,
-            config.slo_target,
             config.flight_dir.clone(),
         ));
         let mut shards = Vec::with_capacity(n);
@@ -280,12 +277,19 @@ impl ShardPool {
             if !drain {
                 for job in shard.queue.drain_now() {
                     m.serve_drained_jobs.inc();
-                    let mut t = RequestTelemetry::unserved(job.ctx.trace_id, i);
-                    t.queue_wait_us =
-                        u64::try_from(job.ctx.admitted.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    self.telemetry
-                        .record_request(&t, job.fingerprint, FlightOutcome::Drained);
-                    deliver(&shard.waiters, job.fingerprint, &ShardOutcome::Drained);
+                    let mut record = RequestTelemetry::new(
+                        job.ctx.trace_id,
+                        i,
+                        job.fingerprint,
+                        FlightOutcome::Drained,
+                    );
+                    record.queue_wait_us = job.ctx.elapsed_us();
+                    self.telemetry.record_request(&record);
+                    deliver(
+                        &shard.waiters,
+                        job.fingerprint,
+                        &ShardOutcome::Drained(record),
+                    );
                 }
             }
         }
@@ -345,62 +349,38 @@ fn worker_loop(
             Popped::TimedOut => continue,
             Popped::Drained => break,
         };
-        let queue_wait_us =
-            u64::try_from(job.ctx.admitted.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let queue_wait_us = job.ctx.elapsed_us();
         let trace = vstack_obs::trace::trace_scope(job.ctx.trace_id);
         let solve_start = Instant::now();
-        let outcome = if job.cancel.is_cancelled() {
+        // `None`: the solve panicked (and was contained).
+        let done = if job.cancel.is_cancelled() {
             // Expired while queued: don't waste a solve on it.
             m.serve_deadline_exceeded.inc();
-            None
+            Some(Err(EngineError::Cancelled))
         } else {
-            Some(run_job(&mut engine, &job))
+            run_job(&mut engine, &job)
         };
         let solve_us = u64::try_from(solve_start.elapsed().as_micros()).unwrap_or(u64::MAX);
         drop(trace);
 
-        let mut request_telemetry = RequestTelemetry {
-            trace_id: job.ctx.trace_id,
-            shard: shard_idx,
+        let outcome = match &done {
+            Some(Ok(_)) => FlightOutcome::Ok,
+            Some(Err(EngineError::Cancelled)) => FlightOutcome::DeadlineMiss,
+            Some(Err(_)) => FlightOutcome::EngineError,
+            None => FlightOutcome::Panicked,
+        };
+        let mut record = RequestTelemetry {
             queue_wait_us,
             solve_us,
-            cache_tier: "none",
-            solver_path: String::new(),
+            ..RequestTelemetry::new(job.ctx.trace_id, shard_idx, job.fingerprint, outcome)
         };
-        let (outcome, flight) = match outcome {
-            None => (
-                ShardOutcome::Done(Err(EngineError::Cancelled), request_telemetry.clone()),
-                FlightOutcome::DeadlineMiss,
-            ),
-            Some(Ok(done)) => {
-                let flight = match &done {
-                    Ok(result) => {
-                        request_telemetry.cache_tier = RequestTelemetry::tier_for(result.outcome);
-                        request_telemetry.solver_path = result.summary.solver_path.clone();
-                        FlightOutcome::Ok
-                    }
-                    Err(EngineError::Cancelled) => FlightOutcome::DeadlineMiss,
-                    Err(_) => FlightOutcome::EngineError,
-                };
-                (ShardOutcome::Done(done, request_telemetry.clone()), flight)
-            }
-            Some(Err(())) => (
-                ShardOutcome::Panicked(request_telemetry.clone()),
-                FlightOutcome::Panicked,
-            ),
-        };
-        telemetry.record_request(&request_telemetry, job.fingerprint, flight);
-        match flight {
-            FlightOutcome::Panicked => {
-                telemetry.maybe_dump("worker_panic", job.ctx.trace_id);
-            }
-            FlightOutcome::DeadlineMiss => {
-                telemetry.maybe_dump("deadline_miss", job.ctx.trace_id);
-            }
-            _ => {}
+        if let Some(Ok(result)) = &done {
+            record.cache_tier = RequestTelemetry::tier_for(result.outcome);
+            record.solver_path = result.summary.solver_path.clone();
         }
+        telemetry.record_request(&record);
 
-        let service_us = u64::try_from(job.ctx.admitted.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let service_us = job.ctx.elapsed_us();
         m.serve_request_us.observe(service_us);
         // EWMA with 1/8 gain: smooth enough to ride out cache-hit noise,
         // fast enough to track a fidelity shift within ~a dozen requests.
@@ -411,6 +391,10 @@ fn worker_loop(
             old - old / 8 + service_us / 8
         };
         ewma_service_us.store(new, Ordering::Relaxed);
+        let outcome = match done {
+            Some(done) => ShardOutcome::Done(done, record),
+            None => ShardOutcome::Panicked(record),
+        };
         deliver(waiters, job.fingerprint, &outcome);
     }
     // Queue drained and closed: make the disk segment durable before the
@@ -421,8 +405,8 @@ fn worker_loop(
 }
 
 /// Runs one job with panic containment and prompt cache persistence.
-/// `Err(())` means the solve panicked (and was contained).
-fn run_job(engine: &mut Engine, job: &Job) -> Result<Result<QueryResult, EngineError>, ()> {
+/// `None` means the solve panicked (and was contained).
+fn run_job(engine: &mut Engine, job: &Job) -> Option<Result<QueryResult, EngineError>> {
     let m = vstack_obs::metrics::global();
     let result = catch_unwind(AssertUnwindSafe(|| {
         crate::server::chaos::worker_solve_hook();
@@ -445,7 +429,7 @@ fn run_job(engine: &mut Engine, job: &Job) -> Result<Result<QueryResult, EngineE
             if matches!(done, Err(EngineError::Cancelled)) {
                 m.serve_deadline_exceeded.inc();
             }
-            Ok(done)
+            Some(done)
         }
         Err(_) => {
             m.serve_worker_panics.inc();
@@ -453,7 +437,7 @@ fn run_job(engine: &mut Engine, job: &Job) -> Result<Result<QueryResult, EngineE
                 "serve",
                 "worker solve panicked (contained); shard continues"
             );
-            Err(())
+            None
         }
     }
 }
@@ -483,17 +467,22 @@ mod tests {
             ShardOutcome::Done(Ok(result), telemetry) => {
                 assert_eq!(result.fingerprint, req.fingerprint());
                 assert_eq!(telemetry.trace_id, ctx.trace_id);
+                assert_eq!(telemetry.fingerprint, req.fingerprint());
                 assert_eq!(telemetry.cache_tier, "solve");
+                assert_eq!(telemetry.solver_path, result.summary.solver_path);
                 assert!(!telemetry.solver_path.is_empty());
                 assert!(telemetry.solve_us > 0);
+                assert_eq!(telemetry.outcome, FlightOutcome::Ok);
+                // The worker recorded the same record into its shard's
+                // black box.
+                let records: Vec<_> = (0..pool.len())
+                    .flat_map(|i| pool.telemetry().shard(i).flight.snapshot())
+                    .collect();
+                assert_eq!(records.len(), 1);
+                assert_eq!(records[0].request, telemetry);
             }
             other => panic!("unexpected outcome: {other:?}"),
         }
-        // The worker recorded the request into its shard's black box.
-        let records: usize = (0..pool.len())
-            .map(|i| pool.telemetry().shard(i).flight.snapshot().len())
-            .sum();
-        assert_eq!(records, 1);
         pool.shutdown(true);
     }
 
@@ -513,6 +502,7 @@ mod tests {
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
             ShardOutcome::Done(Err(EngineError::Cancelled), telemetry) => {
                 assert_eq!(telemetry.cache_tier, "none");
+                assert_eq!(telemetry.outcome, FlightOutcome::DeadlineMiss);
             }
             other => panic!("unexpected outcome: {other:?}"),
         }

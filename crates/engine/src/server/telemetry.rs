@@ -1,6 +1,7 @@
 //! Request-scoped telemetry for the serving tier: trace-ID minting, the
-//! per-request context carried from admission to solve, windowed SLO
-//! rollups, and the per-shard black-box flight recorder.
+//! per-request context carried from admission to solve, the one record
+//! each served request leaves, windowed SLO rollups, and the per-shard
+//! black-box flight recorder.
 //!
 //! # Trace IDs
 //!
@@ -13,6 +14,15 @@
 //! every `span!` recorded anywhere below — down to `solve_robust` in
 //! `vstack-sparse` — is tagged with it for free.
 //!
+//! # One record per request
+//!
+//! The worker, the drain and the daemon's deadline-miss path each build
+//! one [`RequestTelemetry`] per request: trace ID, shard, fingerprint,
+//! queue-wait and solve phases, cache tier, solver path and outcome.
+//! [`PoolTelemetry::record_request`] feeds the shard's three phase
+//! windows and its flight ring from it; the reply's `telemetry` block
+//! and the request's flight-dump line are both written from its fields.
+//!
 //! # Windowed SLO rollups
 //!
 //! Each shard owns three [`WindowedHistogram`]s (total wall, queue wait,
@@ -22,27 +32,30 @@
 //!
 //! # Flight recorder
 //!
-//! A per-shard ring of the last [`FLIGHT_SLOTS`] request records. Writes
-//! are lock-free (a head `fetch_add` claims a slot; a per-slot seqlock
-//! makes reads tear-evident) and always on — the ring costs a few
-//! hundred relaxed atomic stores per request. On a worker panic, a
-//! deadline miss, or a shed-rate spike the pool dumps every shard's ring
-//! to `flight-<ts>-<n>.ndjson` under the configured flight directory
-//! (debounced so a panic storm produces one dump per
+//! A per-shard ring of the last [`FLIGHT_SLOTS`] request records behind
+//! one mutex, always on. On a worker panic, a deadline miss, or a
+//! shed-rate spike the pool dumps every shard's ring to
+//! `flight-<ts_ms>-<pid>-<seq>.ndjson` under the configured flight
+//! directory (debounced so a panic storm produces one dump per
 //! [`DUMP_DEBOUNCE`], not one per panic). `{"op":"flightdump"}` forces a
-//! dump on demand.
+//! dump on demand. A dump is a `vstack-flight/1` header line, then one
+//! line per record: `idx`, `ts_us`, the reply's six `telemetry` keys,
+//! `fingerprint` and `outcome`.
 
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime};
 
 use vstack_obs::log_warn;
 use vstack_obs::metrics::{WindowRollup, WindowedHistogram};
 
 use crate::json::Json;
+use crate::request::ScenarioRequest;
 
 /// Version stamp of the `telemetry` reply block and rollup documents.
 pub const TELEMETRY_SCHEMA_VERSION: u32 = 1;
@@ -55,6 +68,12 @@ pub const FLIGHT_SCHEMA: &str = "vstack-flight/1";
 pub const FLIGHT_SLOTS: usize = 512;
 /// Minimum spacing between automatic flight dumps.
 pub const DUMP_DEBOUNCE: Duration = Duration::from_millis(1_000);
+/// SLO availability target the phase windows' burn rates are judged
+/// against.
+pub const SLO_TARGET: f64 = 0.999;
+
+/// Sequence number of the next flight dump in this process.
+static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Counter behind [`mint_trace_id`]; lazily seeded from wall-clock time.
 static TRACE_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -118,16 +137,25 @@ impl RequestCtx {
             admitted: Instant::now(),
         }
     }
+
+    /// Microseconds since admission.
+    pub fn elapsed_us(&self) -> u64 {
+        u64::try_from(self.admitted.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
 }
 
-/// Phase breakdown and provenance of one served request; attached to the
-/// NDJSON reply as the additive `telemetry` block.
-#[derive(Debug, Clone)]
+/// The one record of a served request. The reply's additive `telemetry`
+/// block ([`RequestTelemetry::to_json`]) and its flight-dump line are
+/// both written from these fields, and the shard's three phase windows
+/// observe them ([`PoolTelemetry::record_request`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestTelemetry {
     /// The reply's trace ID (the caller's own, even on a dedup join).
     pub trace_id: u64,
     /// Home shard that served (or would have served) the request.
     pub shard: usize,
+    /// The canonical scenario fingerprint the request was routed on.
+    pub fingerprint: u64,
     /// Admission → worker pickup, microseconds.
     pub queue_wait_us: u64,
     /// Worker solve wall time, microseconds (0 for shed/drained).
@@ -138,19 +166,30 @@ pub struct RequestTelemetry {
     /// Solver ladder path from the summary (for example `csr+mixed`),
     /// empty when no solve happened.
     pub solver_path: String,
+    /// How the request ended.
+    pub outcome: FlightOutcome,
 }
 
 impl RequestTelemetry {
-    /// Telemetry for a request that never reached a worker (shed, closed,
-    /// invalid): zero phase timings, no tier, no solver.
-    pub fn unserved(trace_id: u64, shard: usize) -> RequestTelemetry {
+    /// A record with zero phase timings, no cache tier and no solver
+    /// path, as a request that never reached an engine answer (shed,
+    /// closed, drained, past its deadline) leaves it; a served request's
+    /// worker fills in what it measured.
+    pub fn new(
+        trace_id: u64,
+        shard: usize,
+        fingerprint: u64,
+        outcome: FlightOutcome,
+    ) -> RequestTelemetry {
         RequestTelemetry {
             trace_id,
             shard,
+            fingerprint,
             queue_wait_us: 0,
             solve_us: 0,
             cache_tier: "none",
             solver_path: String::new(),
+            outcome,
         }
     }
 
@@ -163,9 +202,26 @@ impl RequestTelemetry {
             Outcome::Warm | Outcome::Cold => "solve",
         }
     }
+
+    /// The reply's six `telemetry` keys, in wire order.
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("trace_id", Json::Str(format_trace_id(self.trace_id))),
+            ("queue_wait_us", Json::Num(self.queue_wait_us as f64)),
+            ("cache_tier", Json::Str(self.cache_tier.to_string())),
+            ("solver_path", Json::Str(self.solver_path.clone())),
+            ("solve_us", Json::Num(self.solve_us as f64)),
+            ("shard", Json::Num(self.shard as f64)),
+        ]
+    }
+
+    /// The reply's `telemetry` block.
+    pub fn to_json(&self) -> Json {
+        Json::obj(self.fields())
+    }
 }
 
-/// Why a flight record exists / how its request ended.
+/// How a recorded request ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightOutcome {
     /// Served successfully.
@@ -176,175 +232,90 @@ pub enum FlightOutcome {
     Panicked,
     /// The deadline passed before a result was produced.
     DeadlineMiss,
-    /// Shed during drain.
+    /// Shed during drain, or refused because the pool was shutting down.
     Drained,
+    /// Shed by admission control (never reaches a flight ring).
+    Shed,
 }
 
 impl FlightOutcome {
-    fn code(self) -> u64 {
+    /// The label flight dumps carry.
+    pub fn label(self) -> &'static str {
         match self {
-            FlightOutcome::Ok => 0,
-            FlightOutcome::EngineError => 1,
-            FlightOutcome::Panicked => 2,
-            FlightOutcome::DeadlineMiss => 3,
-            FlightOutcome::Drained => 4,
-        }
-    }
-
-    fn label_of(code: u64) -> &'static str {
-        match code {
-            0 => "ok",
-            1 => "engine_error",
-            2 => "panic",
-            3 => "deadline_miss",
-            4 => "drained",
-            _ => "unknown",
+            FlightOutcome::Ok => "ok",
+            FlightOutcome::EngineError => "engine_error",
+            FlightOutcome::Panicked => "panic",
+            FlightOutcome::DeadlineMiss => "deadline_miss",
+            FlightOutcome::Drained => "drained",
+            FlightOutcome::Shed => "shed",
         }
     }
 }
 
-/// One record as read back out of the ring.
+/// One request as the flight ring holds it.
 #[derive(Debug, Clone)]
 pub struct FlightRecord {
-    /// Monotone per-ring sequence number (claim order).
+    /// Monotone per-ring sequence number (record order).
     pub idx: u64,
     /// Microseconds since the pool started.
     pub ts_us: u64,
-    /// The request's trace ID.
-    pub trace_id: u64,
-    /// The scenario fingerprint.
-    pub fingerprint: u64,
-    /// Queue-wait phase, microseconds.
-    pub queue_wait_us: u64,
-    /// Solve phase, microseconds.
-    pub solve_us: u64,
-    /// Outcome code (see [`FlightOutcome`]).
-    pub outcome: u64,
-    /// Cache-tier label.
-    pub cache_tier: &'static str,
+    /// The request's one record.
+    pub request: RequestTelemetry,
 }
 
-/// A ring slot: a seqlock (odd = write in progress) over plain atomic
-/// fields. Tier is encoded as a small integer.
-#[derive(Default)]
-struct Slot {
-    seq: AtomicU64,
-    idx: AtomicU64,
-    ts_us: AtomicU64,
-    trace_id: AtomicU64,
-    fingerprint: AtomicU64,
-    queue_wait_us: AtomicU64,
-    solve_us: AtomicU64,
-    outcome: AtomicU64,
-    tier: AtomicU64,
-}
-
-fn tier_code(tier: &str) -> u64 {
-    match tier {
-        "mem" => 0,
-        "disk" => 1,
-        "solve" => 2,
-        _ => 3,
+impl FlightRecord {
+    /// The dump line: ring position and clock, the reply's six
+    /// `telemetry` keys, then the fingerprint and the outcome.
+    fn to_json(&self) -> Json {
+        let r = &self.request;
+        let mut fields = vec![
+            ("idx", Json::Num(self.idx as f64)),
+            ("ts_us", Json::Num(self.ts_us as f64)),
+        ];
+        fields.extend(r.fields());
+        fields.extend([
+            (
+                "fingerprint",
+                Json::Str(ScenarioRequest::format_fingerprint(r.fingerprint)),
+            ),
+            ("outcome", Json::Str(r.outcome.label().to_string())),
+        ]);
+        Json::obj(fields)
     }
 }
 
-fn tier_label(code: u64) -> &'static str {
-    match code {
-        0 => "mem",
-        1 => "disk",
-        2 => "solve",
-        _ => "none",
-    }
-}
-
-/// The always-on per-shard black box: a lock-free ring of the last
-/// [`FLIGHT_SLOTS`] request records.
-///
-/// Writers claim a slot with a `fetch_add` on the head and publish
-/// through the slot's seqlock; readers ([`FlightRecorder::snapshot`])
-/// retry slots whose sequence is odd or moves underfoot. With more than
-/// one writer racing onto the *same* slot (requires `FLIGHT_SLOTS`
-/// intervening claims mid-write — vanishingly rare) a record could be
-/// assembled from both writes; the seqlock makes that tear *evident* in
-/// the common case and the data is diagnostic-only, so this is accepted
-/// rather than paying for a lock on the request path.
+/// The always-on per-shard black box: the last [`FLIGHT_SLOTS`] request
+/// records, oldest first, behind one mutex holding the next sequence
+/// number and the ring. A record is pushed whole under the lock, so a
+/// snapshot never sees a torn one; the request path already takes a
+/// window mutex per phase to observe the same record.
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    head: AtomicU64,
-    slots: Vec<Slot>,
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder::new()
-    }
+    ring: Mutex<(u64, VecDeque<FlightRecord>)>,
 }
 
 impl FlightRecorder {
-    /// An empty ring of [`FLIGHT_SLOTS`] slots.
-    pub fn new() -> FlightRecorder {
-        FlightRecorder {
-            head: AtomicU64::new(0),
-            slots: (0..FLIGHT_SLOTS).map(|_| Slot::default()).collect(),
+    /// Records one request, dropping the oldest record once the ring
+    /// holds [`FLIGHT_SLOTS`].
+    pub fn record(&self, ts_us: u64, request: &RequestTelemetry) {
+        let request = request.clone();
+        let mut ring = self.ring.lock().expect("flight ring lock");
+        let (next_idx, records) = &mut *ring;
+        if records.len() == FLIGHT_SLOTS {
+            records.pop_front();
         }
+        records.push_back(FlightRecord {
+            idx: *next_idx,
+            ts_us,
+            request,
+        });
+        *next_idx += 1;
     }
 
-    /// Records one request. Lock-free; called on the request path.
-    pub fn record(
-        &self,
-        ts_us: u64,
-        telemetry: &RequestTelemetry,
-        fingerprint: u64,
-        outcome: FlightOutcome,
-    ) {
-        let idx = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(idx % FLIGHT_SLOTS as u64) as usize];
-        slot.seq.fetch_add(1, Ordering::AcqRel); // odd: write in progress
-        slot.idx.store(idx + 1, Ordering::Relaxed); // +1 so 0 = never written
-        slot.ts_us.store(ts_us, Ordering::Relaxed);
-        slot.trace_id.store(telemetry.trace_id, Ordering::Relaxed);
-        slot.fingerprint.store(fingerprint, Ordering::Relaxed);
-        slot.queue_wait_us
-            .store(telemetry.queue_wait_us, Ordering::Relaxed);
-        slot.solve_us.store(telemetry.solve_us, Ordering::Relaxed);
-        slot.outcome.store(outcome.code(), Ordering::Relaxed);
-        slot.tier
-            .store(tier_code(telemetry.cache_tier), Ordering::Relaxed);
-        slot.seq.fetch_add(1, Ordering::AcqRel); // even: stable
-    }
-
-    /// Reads every stable record, oldest first. Slots being written
-    /// concurrently are skipped after a bounded retry.
+    /// Every record in the ring, oldest first.
     pub fn snapshot(&self) -> Vec<FlightRecord> {
-        let mut records: Vec<FlightRecord> = Vec::with_capacity(FLIGHT_SLOTS);
-        for slot in &self.slots {
-            for _ in 0..4 {
-                let seq0 = slot.seq.load(Ordering::Acquire);
-                if seq0 % 2 == 1 {
-                    std::hint::spin_loop();
-                    continue;
-                }
-                let idx = slot.idx.load(Ordering::Relaxed);
-                if idx == 0 {
-                    break; // never written
-                }
-                let rec = FlightRecord {
-                    idx: idx - 1,
-                    ts_us: slot.ts_us.load(Ordering::Relaxed),
-                    trace_id: slot.trace_id.load(Ordering::Relaxed),
-                    fingerprint: slot.fingerprint.load(Ordering::Relaxed),
-                    queue_wait_us: slot.queue_wait_us.load(Ordering::Relaxed),
-                    solve_us: slot.solve_us.load(Ordering::Relaxed),
-                    outcome: slot.outcome.load(Ordering::Relaxed),
-                    cache_tier: tier_label(slot.tier.load(Ordering::Relaxed)),
-                };
-                if slot.seq.load(Ordering::Acquire) == seq0 {
-                    records.push(rec);
-                    break;
-                }
-            }
-        }
-        records.sort_by_key(|r| r.idx);
-        records
+        let ring = self.ring.lock().expect("flight ring lock");
+        ring.1.iter().cloned().collect()
     }
 }
 
@@ -373,12 +344,12 @@ pub struct ShardTelemetry {
 }
 
 impl ShardTelemetry {
-    fn new(slo_us: u64, slo_target: f64) -> ShardTelemetry {
+    fn new(slo_us: u64) -> ShardTelemetry {
         ShardTelemetry {
-            total: WindowedHistogram::per_second_minute(slo_us, slo_target),
-            queue: WindowedHistogram::per_second_minute(slo_us, slo_target),
-            solve: WindowedHistogram::per_second_minute(slo_us, slo_target),
-            flight: FlightRecorder::new(),
+            total: WindowedHistogram::per_second_minute(slo_us, SLO_TARGET),
+            queue: WindowedHistogram::per_second_minute(slo_us, SLO_TARGET),
+            solve: WindowedHistogram::per_second_minute(slo_us, SLO_TARGET),
+            flight: FlightRecorder::default(),
             shed_ewma: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
         }
@@ -406,37 +377,28 @@ pub struct PoolTelemetry {
     shards: Vec<ShardTelemetry>,
     flight_dir: Option<PathBuf>,
     slo_us: u64,
-    slo_target: f64,
     /// Millis-since-start of the last automatic dump (debounce state).
     last_dump_ms: AtomicU64,
-    /// Suffix counter making dump filenames unique within a process.
-    dump_seq: AtomicU64,
 }
 
 impl PoolTelemetry {
-    /// Telemetry for `shards` shards judged against `slo_us` /
-    /// `slo_target`; dumps land in `flight_dir` (never dumped if `None`).
-    pub fn new(
-        shards: usize,
-        slo_us: u64,
-        slo_target: f64,
-        flight_dir: Option<PathBuf>,
-    ) -> PoolTelemetry {
+    /// Telemetry for `shards` shards judged against `slo_us` at
+    /// [`SLO_TARGET`]; dumps land in `flight_dir` (never dumped if
+    /// `None`).
+    pub fn new(shards: usize, slo_us: u64, flight_dir: Option<PathBuf>) -> PoolTelemetry {
         PoolTelemetry {
             started: Instant::now(),
             shards: (0..shards.max(1))
-                .map(|_| ShardTelemetry::new(slo_us, slo_target))
+                .map(|_| ShardTelemetry::new(slo_us))
                 .collect(),
             flight_dir,
             slo_us,
-            slo_target,
             last_dump_ms: AtomicU64::new(u64::MAX), // "never dumped"
-            dump_seq: AtomicU64::new(0),
         }
     }
 
     /// Microseconds since the pool started (the flight-record clock).
-    pub fn now_us(&self) -> u64 {
+    fn now_us(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
@@ -451,22 +413,21 @@ impl PoolTelemetry {
         &self.shards[shard]
     }
 
-    /// Records one finished (or failed) request: windows + flight ring.
-    pub fn record_request(
-        &self,
-        telemetry: &RequestTelemetry,
-        fingerprint: u64,
-        outcome: FlightOutcome,
-    ) {
-        let shard = &self.shards[telemetry.shard.min(self.shards.len() - 1)];
-        shard
-            .total
-            .observe(telemetry.queue_wait_us + telemetry.solve_us);
-        shard.queue.observe(telemetry.queue_wait_us);
-        shard.solve.observe(telemetry.solve_us);
-        shard
-            .flight
-            .record(self.now_us(), telemetry, fingerprint, outcome);
+    /// Records one finished (or failed) request: its shard's three phase
+    /// windows and flight ring all read the one record. A panic or a
+    /// deadline miss then dumps the rings ([`PoolTelemetry::maybe_dump`]).
+    pub fn record_request(&self, record: &RequestTelemetry) {
+        let shard = &self.shards[record.shard.min(self.shards.len() - 1)];
+        shard.total.observe(record.queue_wait_us + record.solve_us);
+        shard.queue.observe(record.queue_wait_us);
+        shard.solve.observe(record.solve_us);
+        shard.flight.record(self.now_us(), record);
+        let reason = match record.outcome {
+            FlightOutcome::Panicked => "worker_panic",
+            FlightOutcome::DeadlineMiss => "deadline_miss",
+            _ => return,
+        };
+        self.maybe_dump(reason, record.trace_id);
     }
 
     /// Debounced automatic dump (panic / deadline / shed spike). Returns
@@ -504,8 +465,13 @@ impl PoolTelemetry {
             .elapsed()
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        let seq = self.dump_seq.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("flight-{ts_ms}-{seq}.ndjson"));
+        // Daemons share the default flight directory, so the name carries
+        // the process id and a process-wide sequence number.
+        let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!(
+            "flight-{ts_ms}-{}-{seq}.ndjson",
+            std::process::id()
+        ));
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -515,25 +481,15 @@ impl PoolTelemetry {
             self.uptime_ms(),
             self.shards.len(),
         );
-        for (i, shard) in self.shards.iter().enumerate() {
-            for r in shard.flight.snapshot() {
-                let _ = writeln!(
-                    out,
-                    "{{\"shard\":{i},\"idx\":{},\"ts_us\":{},\"trace_id\":\"{}\",\
-                     \"fingerprint\":\"{:016x}\",\"queue_wait_us\":{},\"solve_us\":{},\
-                     \"cache_tier\":\"{}\",\"outcome\":\"{}\"}}",
-                    r.idx,
-                    r.ts_us,
-                    format_trace_id(r.trace_id),
-                    r.fingerprint,
-                    r.queue_wait_us,
-                    r.solve_us,
-                    r.cache_tier,
-                    FlightOutcome::label_of(r.outcome),
-                );
+        for shard in &self.shards {
+            for record in shard.flight.snapshot() {
+                let _ = writeln!(out, "{}", record.to_json().emit());
             }
         }
-        write_atomically(&path, &out)?;
+        // Write-then-rename, so a reader never sees a half-written dump.
+        let tmp = path.with_extension("ndjson.tmp");
+        fs::write(&tmp, &out)?;
+        fs::rename(&tmp, &path)?;
         log_warn!(
             "serve",
             "flight recorder dumped to {} (reason: {reason})",
@@ -571,7 +527,7 @@ impl PoolTelemetry {
                 "slo",
                 Json::obj(vec![
                     ("threshold_us", Json::Num(self.slo_us as f64)),
-                    ("target", Json::Num(self.slo_target)),
+                    ("target", Json::Num(SLO_TARGET)),
                 ]),
             ),
             ("shards", Json::Arr(shards)),
@@ -600,16 +556,31 @@ fn rollup_to_json(r: &WindowRollup, edges: &[u64]) -> Json {
     ])
 }
 
-/// Write-then-rename so a reader never sees a half-written dump.
-fn write_atomically(path: &Path, contents: &str) -> io::Result<()> {
-    let tmp = path.with_extension("ndjson.tmp");
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A served request whose every other field derives from `trace_id`.
+    fn record(trace_id: u64, shard: usize) -> RequestTelemetry {
+        RequestTelemetry {
+            trace_id,
+            shard,
+            fingerprint: splitmix64(trace_id),
+            queue_wait_us: trace_id % 1_000,
+            solve_us: 2 * (trace_id % 1_000),
+            cache_tier: "solve",
+            solver_path: format!("csr+{trace_id}"),
+            outcome: FlightOutcome::Ok,
+        }
+    }
+
+    /// An empty per-test directory under the system temp dir.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("vstack-flight-test-{}-{name}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
 
     #[test]
     fn minted_trace_ids_are_unique_and_nonzero() {
@@ -623,42 +594,70 @@ mod tests {
 
     #[test]
     fn flight_ring_keeps_the_last_records_in_order() {
-        let ring = FlightRecorder::new();
+        let ring = FlightRecorder::default();
         for i in 0..(FLIGHT_SLOTS as u64 + 100) {
-            let t = RequestTelemetry {
-                trace_id: i + 1,
-                shard: 0,
-                queue_wait_us: i,
-                solve_us: 2 * i,
-                cache_tier: "solve",
-                solver_path: String::new(),
-            };
-            ring.record(i, &t, 0xfeed, FlightOutcome::Ok);
+            ring.record(i, &record(i + 1, 0));
         }
         let records = ring.snapshot();
         assert_eq!(records.len(), FLIGHT_SLOTS);
         // Oldest surviving record is number 100 (0-based).
         assert_eq!(records[0].idx, 100);
-        assert_eq!(records[0].trace_id, 101);
+        assert_eq!(records[0].ts_us, 100);
+        assert_eq!(records[0].request, record(101, 0));
         let last = records.last().unwrap();
         assert_eq!(last.idx, FLIGHT_SLOTS as u64 + 99);
         assert!(records.windows(2).all(|w| w[0].idx < w[1].idx));
     }
 
+    /// Four writers record while a reader snapshots: every snapshot holds
+    /// at most `FLIGHT_SLOTS` whole records, in consecutive `idx` order,
+    /// each one consistent with its trace id.
+    #[test]
+    fn snapshots_under_concurrent_writers_hold_whole_records() {
+        const WRITERS: u64 = 4;
+        const PER_WRITER: u64 = 2_000;
+        let ring = FlightRecorder::default();
+        let finished = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(WRITERS as usize + 1);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (ring, finished, start) = (&ring, &finished, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_WRITER {
+                        ring.record(i, &record(1 + w * PER_WRITER + i, 0));
+                    }
+                    finished.fetch_add(1, Ordering::Release);
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                let mut snapshots = 0;
+                while snapshots == 0 || finished.load(Ordering::Acquire) < WRITERS {
+                    let records = ring.snapshot();
+                    assert!(records.len() <= FLIGHT_SLOTS, "{}", records.len());
+                    assert!(records.windows(2).all(|w| w[1].idx == w[0].idx + 1));
+                    for r in &records {
+                        assert_eq!(r.request, record(r.request.trace_id, 0));
+                    }
+                    snapshots += 1;
+                }
+            });
+        });
+        let records = ring.snapshot();
+        assert_eq!(records.len(), FLIGHT_SLOTS);
+        assert_eq!(records.last().unwrap().idx, WRITERS * PER_WRITER - 1);
+    }
+
     #[test]
     fn dump_writes_header_and_records() {
-        let dir = std::env::temp_dir().join(format!("vstack-flight-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let pt = PoolTelemetry::new(2, 1_000, 0.999, Some(dir.clone()));
-        let t = RequestTelemetry {
-            trace_id: 0xdead_beef,
-            shard: 1,
-            queue_wait_us: 10,
-            solve_us: 20,
+        let dir = scratch_dir("dump");
+        let pt = PoolTelemetry::new(2, 1_000, Some(dir.clone()));
+        let served = RequestTelemetry {
             cache_tier: "mem",
-            solver_path: "csr+f64".to_string(),
+            ..record(0xdead_beef, 1)
         };
-        pt.record_request(&t, 0xabc, FlightOutcome::Ok);
+        pt.record_request(&served);
         let path = pt.dump("test", 0xdead_beef).unwrap().unwrap();
         let text = fs::read_to_string(&path).unwrap();
         let mut lines = text.lines();
@@ -668,18 +667,62 @@ mod tests {
             Some(FLIGHT_SCHEMA)
         );
         assert_eq!(header.get("reason").and_then(Json::as_str), Some("test"));
-        let record = Json::parse(lines.next().unwrap()).unwrap();
+        let line = Json::parse(lines.next().unwrap()).unwrap();
+        assert!(lines.next().is_none(), "one line per record");
+        // The line carries the reply's telemetry block, key for key.
+        let Json::Obj(block) = served.to_json() else {
+            panic!("the telemetry block is an object");
+        };
+        assert_eq!(block.len(), 6);
+        for (key, value) in &block {
+            assert_eq!(line.get(key), Some(value), "{key}");
+        }
         assert_eq!(
-            record.get("trace_id").and_then(Json::as_str),
+            line.get("trace_id").and_then(Json::as_str),
             Some("00000000deadbeef")
         );
-        assert_eq!(record.get("cache_tier").and_then(Json::as_str), Some("mem"));
+        assert_eq!(
+            line.get("fingerprint").and_then(Json::as_str),
+            Some(ScenarioRequest::format_fingerprint(served.fingerprint).as_str())
+        );
+        assert_eq!(line.get("outcome").and_then(Json::as_str), Some("ok"));
+        assert_eq!(line.get("idx").and_then(Json::as_f64), Some(0.0));
+        assert!(line.get("ts_us").is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Two daemons on the default flight directory each keep their own
+    /// dump, even in the same millisecond.
+    #[test]
+    fn pools_sharing_a_directory_never_overwrite_each_other() {
+        let dir = scratch_dir("shared");
+        let pools = [1, 2].map(|trace_id| {
+            let pool = PoolTelemetry::new(1, 1_000, Some(dir.clone()));
+            pool.record_request(&record(trace_id, 0));
+            pool
+        });
+        let paths = pools.map(|pool| pool.dump("test", 0).unwrap().unwrap());
+        assert_ne!(paths[0], paths[1]);
+        let dumps = fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                let name = name.to_string_lossy();
+                name.starts_with("flight-") && name.ends_with(".ndjson")
+            })
+            .count();
+        assert_eq!(dumps, 2);
+        for (path, trace_id) in paths.iter().zip(["0000000000000001", "0000000000000002"]) {
+            let text = fs::read_to_string(path).unwrap();
+            let line = Json::parse(text.lines().nth(1).unwrap()).unwrap();
+            assert_eq!(line.get("trace_id").and_then(Json::as_str), Some(trace_id));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn shed_spike_fires_once_on_crossing() {
-        let st = ShardTelemetry::new(1_000, 0.999);
+        let st = ShardTelemetry::new(1_000);
         let mut fired = 0;
         for _ in 0..SHED_SPIKE_MIN_DECISIONS {
             if st.note_admission(false) {
@@ -697,21 +740,19 @@ mod tests {
 
     #[test]
     fn rollup_json_has_schema_and_per_shard_phases() {
-        let pt = PoolTelemetry::new(1, 1_000, 0.999, None);
-        let t = RequestTelemetry {
-            trace_id: 7,
-            shard: 0,
+        let pt = PoolTelemetry::new(1, 1_000, None);
+        pt.record_request(&RequestTelemetry {
             queue_wait_us: 100,
             solve_us: 900,
-            cache_tier: "solve",
-            solver_path: "csr+f64".to_string(),
-        };
-        pt.record_request(&t, 1, FlightOutcome::Ok);
+            ..record(7, 0)
+        });
         let doc = pt.rollup_json();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
             Some(TELEMETRY_SCHEMA)
         );
+        let slo = doc.get("slo").unwrap();
+        assert_eq!(slo.get("target").and_then(Json::as_f64), Some(0.999));
         let shards = doc.get("shards").and_then(Json::as_arr).unwrap();
         assert_eq!(shards.len(), 1);
         let total = shards[0].get("total").unwrap();

@@ -220,12 +220,21 @@ fn flightdump_verb_writes_a_parseable_dump() {
     let records: Vec<Json> = lines
         .map(|l| Json::parse(l).expect("record parses"))
         .collect();
-    assert!(
-        records
-            .iter()
-            .any(|r| r.get("trace_id").and_then(Json::as_str) == Some(trace_id.as_str())),
-        "dump must contain the served request's trace id {trace_id}"
-    );
+    let record = records
+        .iter()
+        .find(|r| r.get("trace_id").and_then(Json::as_str) == Some(trace_id.as_str()))
+        .unwrap_or_else(|| panic!("dump must contain the served request's trace id {trace_id}"));
+    // One record feeds both: the dump line repeats the reply's telemetry
+    // block on every one of its six keys.
+    let Some(Json::Obj(block)) = reply.get("telemetry") else {
+        panic!("the telemetry block is an object");
+    };
+    assert_eq!(block.len(), 6);
+    for (key, value) in block {
+        assert_eq!(record.get(key), Some(value), "dump key {key}");
+    }
+    assert_eq!(record.get("fingerprint"), reply.get("fingerprint"));
+    assert_eq!(record.get("outcome").and_then(Json::as_str), Some("ok"));
 
     daemon.shutdown(true);
     let _ = std::fs::remove_dir_all(&dir);

@@ -11,7 +11,7 @@
 //! This module implements classic *smoothed aggregation* ([Vaněk, Mandel,
 //! Brezina 1996]-style) with deliberately boring, deterministic choices:
 //!
-//! * **Strength of connection**: `|a_ij| ≥ θ·√(a_ii·a_jj)`.
+//! * **Strength of connection**: `|a_ij| ≥ θ·√(a_ii·a_jj)`, θ = 0.08.
 //! * **Aggregation**: greedy neighborhood aggregation in ascending node
 //!   order — pass 1 seeds an aggregate from each node whose strong
 //!   neighbors are all unassigned; pass 2 attaches leftovers to the
@@ -21,10 +21,10 @@
 //!   counts.
 //! * **Prolongation**: the piecewise-constant tentative operator smoothed
 //!   by one damped-Jacobi step on the strength-filtered matrix,
-//!   `P = (I − ω (Dᶠ)⁻¹ Aᶠ)·T`. `Aᶠ` drops every weak off-diagonal entry
-//!   and lumps its value into the diagonal, `dᶠ_i = a_ii + Σ_weak a_ij`,
-//!   so each row keeps its sum (a row whose lumped diagonal is not
-//!   positive and finite keeps `a_ii`). Smoothing with the unfiltered `A`
+//!   `P = (I − ω (Dᶠ)⁻¹ Aᶠ)·T`, ω = 2/3. `Aᶠ` drops every weak
+//!   off-diagonal entry and lumps its value into the diagonal,
+//!   `dᶠ_i = a_ii + Σ_weak a_ij`, so each row keeps its sum (a row whose
+//!   lumped diagonal is not positive and finite keeps `a_ii`). Smoothing with the unfiltered `A`
 //!   spreads `P` along weak couplings: on TSV-coupled stacks, whose
 //!   aggregates pair nodes vertically, every coarse operator then fills
 //!   in and the operator complexity
@@ -35,10 +35,12 @@
 //!   Laplacian) smooth exactly as with `A`.
 //! * **Coarse operators**: Galerkin triple products `Aᶜ = Pᵀ(A·P)` via
 //!   [`CsrMatrix::matmul`].
-//! * **Cycle**: a V-cycle with damped-Jacobi pre/post smoothing and a
-//!   dense Cholesky direct solve at the coarsest level. Equal pre/post
-//!   sweep counts keep the preconditioner symmetric positive definite, as
-//!   CG requires.
+//! * **Cycle**: a V-cycle with one damped-Jacobi sweep (ω = 2/3) before
+//!   and after each coarse correction and a dense Cholesky direct solve
+//!   at the coarsest level (≤ 128 unknowns). One sweep each way keeps the
+//!   preconditioner symmetric positive definite, as CG requires.
+//!
+//! These settings are fixed constants, not options.
 //!
 //! [`AmgHierarchy::apply`] is allocation-free: every per-level vector is
 //! preallocated at build time and reused via interior mutability. SpMVs go
@@ -61,55 +63,30 @@ use crate::solver::{SetupScratch, SolveWorkspace};
 use crate::vecops::norm_inf;
 use crate::{CsrMatrix, SolveError};
 
-/// Tuning knobs for [`AmgHierarchy::build`].
-///
-/// The defaults are tuned for the conductance Laplacians this crate
-/// actually solves (2-D grids stacked into 3-D PDNs, SPD, M-matrix-like
-/// with occasional rank-1 converter stamps) and should rarely need
-/// changing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AmgOptions {
-    /// Strength-of-connection threshold θ: `j` is a strong neighbor of `i`
-    /// when `|a_ij| ≥ θ·√(a_ii·a_jj)`. Smaller values aggregate more
-    /// aggressively.
-    pub strength_theta: f64,
-    /// Damping factor ω for the Jacobi pre/post smoother (2/3 is optimal
-    /// for model Laplacians).
-    pub smoother_omega: f64,
-    /// Damping factor for prolongation smoothing over the
-    /// strength-filtered matrix, `P = (I − ω (Dᶠ)⁻¹ Aᶠ)·T` (see the
-    /// [module docs](self)). `0.0` disables smoothing (plain aggregation).
-    pub prolongation_omega: f64,
-    /// Pre-smoothing sweeps per V-cycle level.
-    pub pre_sweeps: usize,
-    /// Post-smoothing sweeps per V-cycle level. Keep equal to
-    /// [`AmgOptions::pre_sweeps`] so the preconditioner stays symmetric.
-    pub post_sweeps: usize,
-    /// Hard cap on hierarchy depth; exceeded only when coarsening stalls,
-    /// which is reported as [`SolveError::CoarseningFailed`].
-    pub max_levels: usize,
-    /// Problems at or below this size are solved directly with a dense
-    /// Cholesky factorization instead of coarsening further.
-    pub direct_max: usize,
-    /// An aggregation pass must shrink the unknown count below
-    /// `ratio · n`, else coarsening is declared degenerate.
-    pub max_coarsening_ratio: f64,
-}
+// The settings are fixed: they are tuned for the conductance Laplacians
+// this crate solves (2-D grids stacked into 3-D PDNs, SPD, M-matrix-like
+// with occasional rank-1 converter stamps).
 
-impl Default for AmgOptions {
-    fn default() -> Self {
-        AmgOptions {
-            strength_theta: 0.08,
-            smoother_omega: 2.0 / 3.0,
-            prolongation_omega: 2.0 / 3.0,
-            pre_sweeps: 1,
-            post_sweeps: 1,
-            max_levels: 30,
-            direct_max: 128,
-            max_coarsening_ratio: 0.75,
-        }
-    }
-}
+/// Strength-of-connection threshold θ: `j` is a strong neighbor of `i`
+/// when `|a_ij| ≥ θ·√(a_ii·a_jj)`. Smaller values aggregate more
+/// aggressively.
+const STRENGTH_THETA: f64 = 0.08;
+/// Damping ω of the one-sweep Jacobi pre- and post-smoother (2/3 is
+/// optimal for model Laplacians). One sweep each way keeps the
+/// preconditioner symmetric.
+const SMOOTHER_OMEGA: f64 = 2.0 / 3.0;
+/// Damping of prolongation smoothing over the strength-filtered matrix,
+/// `P = (I − ω (Dᶠ)⁻¹ Aᶠ)·T` (see the [module docs](self)).
+const PROLONGATION_OMEGA: f64 = 2.0 / 3.0;
+/// Hard cap on hierarchy depth; exceeded only when coarsening stalls,
+/// which is reported as [`SolveError::CoarseningFailed`].
+const MAX_LEVELS: usize = 30;
+/// Problems at or below this size are solved directly with a dense
+/// Cholesky factorization instead of coarsening further.
+const DIRECT_MAX: usize = 128;
+/// An aggregation pass must shrink the unknown count below `ratio · n`,
+/// else coarsening is declared degenerate.
+const MAX_COARSENING_RATIO: f64 = 0.75;
 
 /// One non-coarsest level of the hierarchy.
 #[derive(Debug, Clone)]
@@ -151,12 +128,6 @@ struct Scratch {
 pub struct AmgHierarchy {
     /// Fine-level dimension.
     n: usize,
-    /// Smoother damping, copied from build options.
-    smoother_omega: f64,
-    /// Pre-smoothing sweeps.
-    pre_sweeps: usize,
-    /// Post-smoothing sweeps.
-    post_sweeps: usize,
     /// Fine-to-coarse levels, finest first. Empty when the whole problem
     /// fits the direct solver.
     levels: Vec<Level>,
@@ -171,7 +142,13 @@ impl AmgHierarchy {
     /// Builds the hierarchy for a symmetric positive-definite matrix.
     ///
     /// Setup is serial and deterministic; cost is a small constant factor
-    /// over one fine-grid SpMV per level.
+    /// over one fine-grid SpMV per level. Setup temporaries (strength-graph
+    /// diagonal, aggregation buffers, prolongator triplets) come from
+    /// `ws`, so once it has grown to the largest pattern it has seen,
+    /// re-setup is allocation-free apart from the hierarchy's own storage
+    /// (verify with [`SolveWorkspace::setup_regrowths`]). The hierarchy is
+    /// returned, not stored in `ws`, and is bit-identical whatever `ws`
+    /// held before.
     ///
     /// # Errors
     ///
@@ -183,36 +160,9 @@ impl AmgHierarchy {
     ///   the problem (e.g. no strong couplings anywhere).
     /// * [`SolveError::SingularMatrix`] — the coarsest operator is not
     ///   positive definite to working precision.
-    pub fn build(a: &CsrMatrix, options: &AmgOptions) -> Result<Self, SolveError> {
-        Self::build_scratch(a, options, &mut SetupScratch::default())
-    }
-
-    /// Like [`AmgHierarchy::build`], but setup temporaries (strength-graph
-    /// diagonal, aggregation buffers, prolongator triplets) come from the
-    /// workspace instead of fresh allocations — once the workspace has
-    /// grown to the largest pattern it has seen, re-setup is allocation-
-    /// free apart from the hierarchy's own storage (verify with
-    /// [`SolveWorkspace::setup_regrowths`]). Results are bit-identical to
-    /// [`AmgHierarchy::build`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AmgHierarchy::build`].
-    pub fn build_ws(
-        a: &CsrMatrix,
-        options: &AmgOptions,
-        ws: &mut SolveWorkspace,
-    ) -> Result<Self, SolveError> {
-        Self::build_scratch(a, options, &mut ws.setup)
-    }
-
-    pub(crate) fn build_scratch(
-        a: &CsrMatrix,
-        options: &AmgOptions,
-        scratch: &mut SetupScratch,
-    ) -> Result<Self, SolveError> {
+    pub fn build(a: &CsrMatrix, ws: &mut SolveWorkspace) -> Result<Self, SolveError> {
         let _span = vstack_obs::span!("amg_build");
-        let built = Self::build_inner(a, options, scratch);
+        let built = Self::build_inner(a, &mut ws.setup);
         match &built {
             Ok(_) => vstack_obs::metrics::global().amg_builds.inc(),
             Err(_) => vstack_obs::metrics::global().amg_build_failures.inc(),
@@ -220,11 +170,7 @@ impl AmgHierarchy {
         built
     }
 
-    fn build_inner(
-        a: &CsrMatrix,
-        options: &AmgOptions,
-        scratch: &mut SetupScratch,
-    ) -> Result<Self, SolveError> {
+    fn build_inner(a: &CsrMatrix, scratch: &mut SetupScratch) -> Result<Self, SolveError> {
         if a.rows() != a.cols() {
             return Err(SolveError::NotSquare {
                 rows: a.rows(),
@@ -233,9 +179,9 @@ impl AmgHierarchy {
         }
         let mut current = a.clone();
         let mut levels: Vec<Level> = Vec::new();
-        while current.rows() > options.direct_max {
+        while current.rows() > DIRECT_MAX {
             let n = current.rows();
-            if levels.len() + 1 >= options.max_levels {
+            if levels.len() + 1 >= MAX_LEVELS {
                 return Err(SolveError::CoarseningFailed {
                     level: levels.len(),
                     unknowns: n,
@@ -248,12 +194,11 @@ impl AmgHierarchy {
             let n_agg = aggregate_into(
                 &current,
                 &scratch.diag,
-                options.strength_theta,
                 &mut scratch.agg,
                 &mut scratch.pass,
                 &mut scratch.growths,
             );
-            if n_agg == 0 || (n_agg as f64) > options.max_coarsening_ratio * (n as f64) {
+            if n_agg == 0 || (n_agg as f64) > MAX_COARSENING_RATIO * (n as f64) {
                 return Err(SolveError::CoarseningFailed {
                     level: levels.len(),
                     unknowns: n,
@@ -265,7 +210,6 @@ impl AmgHierarchy {
                 &scratch.diag,
                 &scratch.agg,
                 n_agg,
-                options,
                 &mut scratch.trip,
                 &mut scratch.growths,
             );
@@ -288,9 +232,6 @@ impl AmgHierarchy {
         };
         Ok(AmgHierarchy {
             n: a.rows(),
-            smoother_omega: options.smoother_omega,
-            pre_sweeps: options.pre_sweeps,
-            post_sweeps: options.post_sweeps,
             levels,
             coarse,
             coarse_nnz: current.nnz(),
@@ -346,17 +287,13 @@ impl AmgHierarchy {
         }
         s.r[0].copy_from_slice(r);
         let depth = self.levels.len();
-        // Downward sweep: smooth, form the residual, restrict.
+        // Downward sweep: one damped-Jacobi sweep from zero, form the
+        // residual, restrict.
         for l in 0..depth {
             let level = &self.levels[l];
-            smooth_from_zero(
-                level,
-                &mut s.x[l],
-                &s.r[l],
-                &mut s.t[l],
-                self.smoother_omega,
-                self.pre_sweeps,
-            );
+            for ((xi, ri), di) in s.x[l].iter_mut().zip(&s.r[l]).zip(&level.inv_diag) {
+                *xi = SMOOTHER_OMEGA * di * ri;
+            }
             level.a.mul_vec_into(&s.x[l], &mut s.t[l]);
             for (ti, ri) in s.t[l].iter_mut().zip(&s.r[l]) {
                 *ti = ri - *ti;
@@ -381,46 +318,16 @@ impl AmgHierarchy {
             for (xi, ti) in s.x[l].iter_mut().zip(&s.t[l]) {
                 *xi += ti;
             }
-            for _ in 0..self.post_sweeps {
-                level.a.mul_vec_into(&s.x[l], &mut s.t[l]);
-                for ((xi, ti), (ri, di)) in s.x[l]
-                    .iter_mut()
-                    .zip(&s.t[l])
-                    .zip(s.r[l].iter().zip(&level.inv_diag))
-                {
-                    *xi += self.smoother_omega * di * (ri - ti);
-                }
+            level.a.mul_vec_into(&s.x[l], &mut s.t[l]);
+            for ((xi, ti), (ri, di)) in s.x[l]
+                .iter_mut()
+                .zip(&s.t[l])
+                .zip(s.r[l].iter().zip(&level.inv_diag))
+            {
+                *xi += SMOOTHER_OMEGA * di * (ri - ti);
             }
         }
         z.copy_from_slice(&s.x[0]);
-    }
-}
-
-/// `x ← sweeps` of damped Jacobi on `A x = r` starting from `x = 0`.
-fn smooth_from_zero(
-    level: &Level,
-    x: &mut [f64],
-    r: &[f64],
-    t: &mut [f64],
-    omega: f64,
-    sweeps: usize,
-) {
-    if sweeps == 0 {
-        x.fill(0.0);
-        return;
-    }
-    for ((xi, ri), di) in x.iter_mut().zip(r).zip(&level.inv_diag) {
-        *xi = omega * di * ri;
-    }
-    for _ in 1..sweeps {
-        level.a.mul_vec_into(x, t);
-        for ((xi, ti), (ri, di)) in x
-            .iter_mut()
-            .zip(t.iter())
-            .zip(r.iter().zip(&level.inv_diag))
-        {
-            *xi += omega * di * (ri - ti);
-        }
     }
 }
 
@@ -533,12 +440,6 @@ struct ScratchF32 {
 pub struct AmgHierarchyF32 {
     /// Fine-level dimension.
     n: usize,
-    /// Smoother damping, converted from the source hierarchy.
-    smoother_omega: f32,
-    /// Pre-smoothing sweeps.
-    pre_sweeps: usize,
-    /// Post-smoothing sweeps.
-    post_sweeps: usize,
     /// Fine-to-coarse f32 levels, finest first.
     levels: Vec<LevelF32>,
     /// Dense f64 Cholesky factor cloned from the source hierarchy.
@@ -575,9 +476,6 @@ impl AmgHierarchyF32 {
         };
         AmgHierarchyF32 {
             n: h.n,
-            smoother_omega: h.smoother_omega as f32,
-            pre_sweeps: h.pre_sweeps,
-            post_sweeps: h.post_sweeps,
             levels,
             coarse: h.coarse.clone(),
             scratch: RefCell::new(scratch),
@@ -623,17 +521,14 @@ impl AmgHierarchyF32 {
             *ri32 = (ri * inv_scale) as f32;
         }
         let depth = self.levels.len();
-        // Downward sweep: smooth, form the residual, restrict.
+        let omega = SMOOTHER_OMEGA as f32;
+        // Downward sweep: one damped-Jacobi sweep from zero, form the
+        // residual, restrict.
         for l in 0..depth {
             let level = &self.levels[l];
-            smooth_from_zero_f32(
-                level,
-                &mut s.x[l],
-                &s.r[l],
-                &mut s.t[l],
-                self.smoother_omega,
-                self.pre_sweeps,
-            );
+            for ((xi, ri), di) in s.x[l].iter_mut().zip(&s.r[l]).zip(&level.inv_diag) {
+                *xi = omega * di * ri;
+            }
             level.a.mul_vec_into(&s.x[l], &mut s.t[l]);
             for (ti, ri) in s.t[l].iter_mut().zip(&s.r[l]) {
                 *ti = ri - *ti;
@@ -665,15 +560,13 @@ impl AmgHierarchyF32 {
             for (xi, ti) in s.x[l].iter_mut().zip(&s.t[l]) {
                 *xi += ti;
             }
-            for _ in 0..self.post_sweeps {
-                level.a.mul_vec_into(&s.x[l], &mut s.t[l]);
-                for ((xi, ti), (ri, di)) in s.x[l]
-                    .iter_mut()
-                    .zip(&s.t[l])
-                    .zip(s.r[l].iter().zip(&level.inv_diag))
-                {
-                    *xi += self.smoother_omega * di * (ri - ti);
-                }
+            level.a.mul_vec_into(&s.x[l], &mut s.t[l]);
+            for ((xi, ti), (ri, di)) in s.x[l]
+                .iter_mut()
+                .zip(&s.t[l])
+                .zip(s.r[l].iter().zip(&level.inv_diag))
+            {
+                *xi += omega * di * (ri - ti);
             }
         }
         for (zi, &xi) in z.iter_mut().zip(&s.x[0]) {
@@ -684,34 +577,6 @@ impl AmgHierarchyF32 {
             // beyond f32 range). Zeroing makes the outer CG break down
             // deterministically instead of propagating NaN.
             z.fill(0.0);
-        }
-    }
-}
-
-/// `x ← sweeps` of damped Jacobi on `A x = r` in `f32`, from `x = 0`.
-fn smooth_from_zero_f32(
-    level: &LevelF32,
-    x: &mut [f32],
-    r: &[f32],
-    t: &mut [f32],
-    omega: f32,
-    sweeps: usize,
-) {
-    if sweeps == 0 {
-        x.fill(0.0);
-        return;
-    }
-    for ((xi, ri), di) in x.iter_mut().zip(r).zip(&level.inv_diag) {
-        *xi = omega * di * ri;
-    }
-    for _ in 1..sweeps {
-        level.a.mul_vec_into(x, t);
-        for ((xi, ti), (ri, di)) in x
-            .iter_mut()
-            .zip(t.iter())
-            .zip(r.iter().zip(&level.inv_diag))
-        {
-            *xi += omega * di * (ri - ti);
         }
     }
 }
@@ -757,14 +622,14 @@ fn is_strong(diag: &[f64], theta2: f64, i: usize, j: usize, v: f64) -> bool {
 fn aggregate_into(
     a: &CsrMatrix,
     diag: &[f64],
-    theta: f64,
     agg_buf: &mut Vec<usize>,
     pass1_buf: &mut Vec<usize>,
     growths: &mut u64,
 ) -> usize {
     const UNASSIGNED: usize = usize::MAX;
     let n = a.rows();
-    let strong = |i: usize, j: usize, v: f64| is_strong(diag, theta * theta, i, j, v);
+    let strong =
+        |i: usize, j: usize, v: f64| is_strong(diag, STRENGTH_THETA * STRENGTH_THETA, i, j, v);
     SetupScratch::prep(growths, agg_buf, n, UNASSIGNED);
     let agg = &mut agg_buf[..];
     let mut next = 0usize;
@@ -835,10 +700,10 @@ fn aggregate_into(
     next
 }
 
-/// Builds the (optionally smoothed) prolongator for an aggregation.
+/// Builds the smoothed prolongator for an aggregation.
 ///
 /// The tentative operator `T` maps coarse unknown `g` to 1 on every fine
-/// node in aggregate `g`. With `ω = options.prolongation_omega > 0` it is
+/// node in aggregate `g`. With `ω =` [`PROLONGATION_OMEGA`] it is
 /// smoothed into `P = (I − ω (Dᶠ)⁻¹ Aᶠ)·T` over the strength-filtered
 /// matrix (see the [module docs](self)): weak off-diagonal entries of row
 /// `i` are left out and lumped into its diagonal `dᶠ_i`, which falls back
@@ -850,14 +715,13 @@ fn prolongator(
     diag: &[f64],
     agg: &[usize],
     n_agg: usize,
-    options: &AmgOptions,
     triplets: &mut Vec<(usize, usize, f64)>,
     growths: &mut u64,
 ) -> CsrMatrix {
     let n = a.rows();
-    let omega = options.prolongation_omega;
-    let theta2 = options.strength_theta * options.strength_theta;
-    let needed = if omega == 0.0 { n } else { n + a.nnz() };
+    let omega = PROLONGATION_OMEGA;
+    let theta2 = STRENGTH_THETA * STRENGTH_THETA;
+    let needed = n + a.nnz();
     if triplets.capacity() < needed {
         *growths += 1;
         triplets.reserve(needed - triplets.len());
@@ -865,9 +729,6 @@ fn prolongator(
     triplets.clear();
     for i in 0..n {
         triplets.push((i, agg[i], 1.0));
-        if omega == 0.0 {
-            continue;
-        }
         let (cols, vals) = a.row(i);
         let mut lumped = diag[i];
         for (&j, &v) in cols.iter().zip(vals) {
@@ -944,12 +805,12 @@ mod tests {
     #[test]
     fn hierarchy_coarsens_a_grid() {
         let a = grid_laplacian(40, 20.0);
-        let h = AmgHierarchy::build(&a, &AmgOptions::default()).unwrap();
+        let h = AmgHierarchy::build(&a, &mut SolveWorkspace::new()).unwrap();
         assert!(h.num_levels() >= 2, "dims: {:?}", h.level_dims());
         let dims = h.level_dims();
         assert_eq!(dims[0], 1600);
         assert!(dims.windows(2).all(|w| w[1] < w[0]), "dims: {dims:?}");
-        assert!(*dims.last().unwrap() <= AmgOptions::default().direct_max);
+        assert!(*dims.last().unwrap() <= DIRECT_MAX);
     }
 
     #[test]
@@ -988,7 +849,7 @@ mod tests {
     #[test]
     fn tiny_problem_is_a_pure_direct_solve() {
         let a = grid_laplacian(3, 1.0); // 9 unknowns < direct_max
-        let h = AmgHierarchy::build(&a, &AmgOptions::default()).unwrap();
+        let h = AmgHierarchy::build(&a, &mut SolveWorkspace::new()).unwrap();
         assert_eq!(h.num_levels(), 1);
         let b = rhs(9);
         let mut z = vec![0.0; 9];
@@ -999,7 +860,7 @@ mod tests {
     #[test]
     fn one_by_one_grid_builds_and_applies() {
         let a = CsrMatrix::from_triplets(1, 1, &[(0, 0, 4.0)]);
-        let h = AmgHierarchy::build(&a, &AmgOptions::default()).unwrap();
+        let h = AmgHierarchy::build(&a, &mut SolveWorkspace::new()).unwrap();
         let mut z = vec![0.0];
         h.apply(&[8.0], &mut z);
         assert_eq!(z[0], 2.0);
@@ -1012,7 +873,7 @@ mod tests {
         let n = 300;
         let triplets: Vec<_> = (0..n).map(|i| (i, i, 2.0 + i as f64)).collect();
         let a = CsrMatrix::from_triplets(n, n, &triplets);
-        let err = AmgHierarchy::build(&a, &AmgOptions::default()).unwrap_err();
+        let err = AmgHierarchy::build(&a, &mut SolveWorkspace::new()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1036,7 +897,7 @@ mod tests {
             triplets.push((i + 1, i, -0.9));
         }
         let a = CsrMatrix::from_triplets(n, n, &triplets);
-        let err = AmgHierarchy::build(&a, &AmgOptions::default()).unwrap_err();
+        let err = AmgHierarchy::build(&a, &mut SolveWorkspace::new()).unwrap_err();
         assert!(
             matches!(err, SolveError::SingularDiagonal { row: 7 }),
             "{err:?}"
@@ -1047,7 +908,7 @@ mod tests {
     fn nonsquare_rejected() {
         let a = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]);
         assert!(matches!(
-            AmgHierarchy::build(&a, &AmgOptions::default()),
+            AmgHierarchy::build(&a, &mut SolveWorkspace::new()),
             Err(SolveError::NotSquare { .. })
         ));
     }
@@ -1086,7 +947,7 @@ mod tests {
             }
         }
         let a = CsrMatrix::from_triplets(n, n, &triplets);
-        if let Ok(h) = AmgHierarchy::build(&a, &AmgOptions::default()) {
+        if let Ok(h) = AmgHierarchy::build(&a, &mut SolveWorkspace::new()) {
             let b = rhs(n);
             let mut z = vec![0.0; n];
             h.apply(&b, &mut z);
@@ -1097,7 +958,7 @@ mod tests {
     #[test]
     fn apply_is_deterministic_across_repeats() {
         let a = grid_laplacian(32, 5.0);
-        let h = AmgHierarchy::build(&a, &AmgOptions::default()).unwrap();
+        let h = AmgHierarchy::build(&a, &mut SolveWorkspace::new()).unwrap();
         let b = rhs(a.rows());
         let mut z1 = vec![0.0; a.rows()];
         let mut z2 = vec![0.0; a.rows()];

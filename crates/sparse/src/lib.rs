@@ -81,7 +81,7 @@ pub mod smw;
 mod solver;
 pub mod vecops;
 
-pub use amg::{AmgHierarchy, AmgHierarchyF32, AmgOptions};
+pub use amg::{AmgHierarchy, AmgHierarchyF32};
 pub use cancel::CancelToken;
 pub use csr::CsrMatrix;
 pub use envelope::EnvelopeCholesky;

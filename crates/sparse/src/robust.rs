@@ -34,7 +34,7 @@
 
 use std::time::Instant;
 
-use crate::amg::{AmgHierarchy, AmgHierarchyF32, AmgOptions};
+use crate::amg::{AmgHierarchy, AmgHierarchyF32};
 use crate::cancel::CancelToken;
 use crate::solver::{bicgstab, cg, Precond, SolveWorkspace, Solved, MAX_ITERATIONS};
 use crate::vecops::norm2;
@@ -300,7 +300,7 @@ fn ensure_hierarchy(
         return Err(e);
     }
     let timer = Instant::now();
-    match AmgHierarchy::build_scratch(a, &AmgOptions::default(), &mut state.setup) {
+    match AmgHierarchy::build(a, state) {
         Ok(h) => {
             state.amg = Some(h);
             Ok(timer.elapsed().as_micros() as u64)

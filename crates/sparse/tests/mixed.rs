@@ -12,8 +12,8 @@
 
 use proptest::prelude::*;
 use vstack_sparse::{
-    solve_robust, AmgHierarchy, AmgOptions, CsrMatrix, Lead, RobustOptions, RobustSolved,
-    SolveMethod, SolveWorkspace, TripletMatrix,
+    solve_robust, AmgHierarchy, CsrMatrix, Lead, RobustOptions, RobustSolved, SolveMethod,
+    SolveWorkspace, TripletMatrix,
 };
 
 /// Shape of a stacked regular grid: `planes` copies of an `nx × ny`
@@ -269,10 +269,10 @@ fn amg_rebuild_is_allocation_free_on_warm_workspace() {
     let a = stacked_grid(&geo, &[3.0], &vert, &anchor, &[]);
 
     let mut ws = SolveWorkspace::new();
-    let h1 = AmgHierarchy::build_ws(&a, &AmgOptions::default(), &mut ws).expect("build");
+    let h1 = AmgHierarchy::build(&a, &mut ws).expect("build");
     let after_first = ws.setup_regrowths();
     assert!(after_first > 0, "a cold workspace must grow at least once");
-    let h2 = AmgHierarchy::build_ws(&a, &AmgOptions::default(), &mut ws).expect("rebuild");
+    let h2 = AmgHierarchy::build(&a, &mut ws).expect("rebuild");
     assert_eq!(
         ws.setup_regrowths(),
         after_first,

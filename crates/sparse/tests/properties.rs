@@ -255,7 +255,8 @@ proptest! {
 
     /// AMG-preconditioned CG converges on random grid Laplacians to the
     /// same solution Jacobi-preconditioned CG finds. 400 unknowns is past
-    /// `direct_max`, so a genuine coarse level is built and cycled.
+    /// the hierarchy's 128-unknown direct level, so a genuine coarse level
+    /// is built and cycled.
     #[test]
     fn amg_cg_agrees_with_jacobi_cg_on_grids(
         a in grid_spd(20, 0),
