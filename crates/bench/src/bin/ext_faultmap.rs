@@ -101,14 +101,9 @@ fn ndjson_record(map: &FaultMap, e: &vstack::experiments::ext_faultmap::FaultMap
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let obs = vstack_bench::obs::ObsOutputs::from_cli_args();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let ndjson_out = args
-        .iter()
-        .position(|a| a == "--ndjson-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = vstack_bench::obs::CliArgs::from_env(true);
+    let obs = args.obs();
+    let (quick, ndjson_out) = (args.quick, args.ndjson_out);
 
     let config = if quick {
         FaultMapConfig::quick()
@@ -129,7 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 writeln!(f, "{}", ndjson_record(map, e))?;
             }
         }
-        eprintln!("ndjson: wrote {path}");
+        eprintln!("ndjson: wrote {}", path.display());
     }
 
     let starved: Vec<_> = maps

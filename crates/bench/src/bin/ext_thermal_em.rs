@@ -18,14 +18,9 @@ use vstack::experiments::Fidelity;
 use vstack_bench::{heading, pct};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let obs = vstack_bench::obs::ObsOutputs::from_cli_args();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let ndjson_out = args
-        .iter()
-        .position(|a| a == "--ndjson-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = vstack_bench::obs::CliArgs::from_env(true);
+    let obs = args.obs();
+    let (quick, ndjson_out) = (args.quick, args.ndjson_out);
 
     let config = ThermalEmConfig {
         fidelity: if quick {
@@ -92,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 p.tsv_coupling_delta(),
             )?;
         }
-        eprintln!("ndjson: wrote {path}");
+        eprintln!("ndjson: wrote {}", path.display());
     }
 
     let unconverged: Vec<_> = points.iter().filter(|p| !p.converged).collect();

@@ -1,6 +1,6 @@
 //! Observability wiring shared by the figure/exploration binaries.
 //!
-//! Every binary in this crate accepts two optional flags:
+//! The figure and study binaries accept two optional flags:
 //!
 //! * `--trace-out PATH` — enable span recording for the whole run and, on
 //!   exit, write the NDJSON span log at `PATH` plus the collapsed-stack
@@ -8,9 +8,12 @@
 //! * `--metrics-out PATH` — on exit, write the process-wide metrics
 //!   snapshot (`vstack-obs-metrics` JSON) at `PATH`.
 //!
-//! The fig/table/ext binaries take no other arguments, so they pick both
-//! flags up with [`ObsOutputs::from_cli_args`]; `explore` parses its own
-//! flag set and constructs [`ObsOutputs::new`] directly.
+//! The fig/ext binaries pick both flags up with
+//! [`ObsOutputs::from_cli_args`], and `ext_faultmap` and `ext_thermal_em`,
+//! which also take `--quick` and `--ndjson-out PATH`, with
+//! [`CliArgs::from_env`]. Either rejects any other argument with a usage
+//! line and exit status 2. `explore` parses its own flag set and
+//! constructs [`ObsOutputs::new`] directly.
 
 use std::path::PathBuf;
 
@@ -88,18 +91,11 @@ impl ObsOutputs {
         }
     }
 
-    /// Scans the raw CLI arguments for `--trace-out PATH` and
-    /// `--metrics-out PATH`, ignoring everything else. Safe for the
-    /// figure binaries, which define no other flags.
+    /// Parses the process arguments of a binary whose only flags are
+    /// `--trace-out PATH` and `--metrics-out PATH` (see
+    /// [`CliArgs::from_env`], which exits on any other argument).
     pub fn from_cli_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let value_of = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .map(PathBuf::from)
-        };
-        Self::new(value_of("--trace-out"), value_of("--metrics-out"))
+        CliArgs::from_env(false).obs()
     }
 
     /// Writes the requested trace and metrics files, reporting each path
@@ -123,5 +119,140 @@ impl ObsOutputs {
             eprintln!("metrics: wrote {}", path.display());
         }
         Ok(())
+    }
+}
+
+/// The command line of a figure or study binary: `--trace-out PATH` and
+/// `--metrics-out PATH`, plus `--quick` and `--ndjson-out PATH` for the
+/// studies that have a coarse mode.
+#[derive(Debug, Default, PartialEq)]
+pub struct CliArgs {
+    /// `--trace-out PATH`: where to write the span log.
+    pub trace_out: Option<PathBuf>,
+    /// `--metrics-out PATH`: where to write the metrics snapshot.
+    pub metrics_out: Option<PathBuf>,
+    /// `--quick`: coarse fidelity.
+    pub quick: bool,
+    /// `--ndjson-out PATH`: where to write one JSON record per result.
+    pub ndjson_out: Option<PathBuf>,
+}
+
+impl CliArgs {
+    /// Parses `args` (the arguments after the program name); `study`
+    /// admits `--quick` and `--ndjson-out` as well.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first argument that is not an accepted flag,
+    /// or the flag whose value is missing.
+    pub fn parse(args: &[String], study: bool) -> Result<Self, String> {
+        let mut out = CliArgs::default();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let slot = match flag.as_str() {
+                "--trace-out" => &mut out.trace_out,
+                "--metrics-out" => &mut out.metrics_out,
+                "--ndjson-out" if study => &mut out.ndjson_out,
+                "--quick" if study => {
+                    out.quick = true;
+                    continue;
+                }
+                _ => return Err(format!("unknown argument {flag}")),
+            };
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            *slot = Some(PathBuf::from(value));
+        }
+        Ok(out)
+    }
+
+    /// Parses the process arguments as [`CliArgs::parse`] does. On an
+    /// error, prints it and a usage line to stderr and exits with
+    /// status 2.
+    pub fn from_env(study: bool) -> Self {
+        let mut argv = std::env::args();
+        let program = argv.next().unwrap_or_default();
+        let args: Vec<String> = argv.collect();
+        Self::parse(&args, study).unwrap_or_else(|e| {
+            let extra = if study {
+                " [--quick] [--ndjson-out PATH]"
+            } else {
+                ""
+            };
+            eprintln!(
+                "{program}: {e}\nusage: {program} [--trace-out PATH] [--metrics-out PATH]{extra}"
+            );
+            std::process::exit(2)
+        })
+    }
+
+    /// Arms the requested observability outputs (see [`ObsOutputs::new`]).
+    pub fn obs(&self) -> ObsOutputs {
+        ObsOutputs::new(self.trace_out.clone(), self.metrics_out.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], study: bool) -> Result<CliArgs, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        CliArgs::parse(&args, study)
+    }
+
+    #[test]
+    fn accepts_the_observability_flags_everywhere() {
+        let got = parse(
+            &["--metrics-out", "m.json", "--trace-out", "t.ndjson"],
+            false,
+        );
+        assert_eq!(
+            got,
+            Ok(CliArgs {
+                trace_out: Some("t.ndjson".into()),
+                metrics_out: Some("m.json".into()),
+                ..CliArgs::default()
+            })
+        );
+        assert_eq!(parse(&[], false), Ok(CliArgs::default()));
+    }
+
+    #[test]
+    fn study_flags_only_where_the_study_has_them() {
+        let got = parse(&["--quick", "--ndjson-out", "out.ndjson"], true);
+        assert_eq!(
+            got,
+            Ok(CliArgs {
+                quick: true,
+                ndjson_out: Some("out.ndjson".into()),
+                ..CliArgs::default()
+            })
+        );
+        assert_eq!(
+            parse(&["--quick"], false),
+            Err("unknown argument --quick".to_string())
+        );
+        assert_eq!(
+            parse(&["--ndjson-out", "x"], false),
+            Err("unknown argument --ndjson-out".to_string())
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_arguments_and_missing_values() {
+        for study in [false, true] {
+            assert_eq!(
+                parse(&["--metrics-out", "m.json", "--qiuck"], study),
+                Err("unknown argument --qiuck".to_string())
+            );
+            assert_eq!(
+                parse(&["stray"], study),
+                Err("unknown argument stray".to_string())
+            );
+            assert_eq!(
+                parse(&["--trace-out"], study),
+                Err("--trace-out needs a value".to_string())
+            );
+        }
     }
 }

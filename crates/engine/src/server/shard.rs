@@ -124,7 +124,10 @@ struct Job {
 }
 
 /// Reply channels of every request waiting on one in-flight fingerprint.
-type WaiterMap = Mutex<HashMap<u64, Vec<mpsc::Sender<ShardOutcome>>>>;
+/// Each carries exactly one outcome, so each is a one-slot channel,
+/// allocated when its request is submitted: the worker's send neither
+/// allocates nor blocks.
+type WaiterMap = Mutex<HashMap<u64, Vec<mpsc::SyncSender<ShardOutcome>>>>;
 
 struct Shard {
     queue: Arc<BoundedQueue<Job>>,
@@ -223,7 +226,7 @@ impl ShardPool {
         let fingerprint = request.fingerprint();
         let shard_idx = (fingerprint % self.shards.len() as u64) as usize;
         let shard = &self.shards[shard_idx];
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = mpsc::sync_channel(1);
         // Decide join-vs-admit-vs-shed under the waiter lock so the worker
         // (which takes the lock to deliver replies) can never observe a
         // queued job without its waiter entry.

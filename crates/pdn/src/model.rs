@@ -22,6 +22,7 @@
 
 use vstack_power::floorplan::Floorplan;
 use vstack_sc::ControlPolicy;
+use vstack_sparse::vecops::norm2;
 use vstack_sparse::{SolveError, SolveMethod, SolveReport};
 
 use crate::c4::{C4Array, PadNet};
@@ -29,6 +30,7 @@ use crate::error::PdnError;
 use crate::fault::{FaultSet, FaultedSolution, TsvGroupCurrent};
 use crate::network::{core_load_weights, core_node_map, GridSpec, NetworkBuilder, SolveScratch};
 use crate::params::PdnParams;
+use crate::sketch::PadList;
 use crate::solution::{ConductorCurrents, PdnSolution};
 use crate::stack::StackLoads;
 use crate::tsv::TsvTopology;
@@ -286,7 +288,8 @@ impl Pdn {
 
     /// Solves the network with the conductors in `faults` open-circuited,
     /// optionally warm-starting from a previous solution's
-    /// [`FaultedSolution::voltages`], with reusable cross-solve state.
+    /// [`FaultedSolution::voltages`] (without one, every node starts at
+    /// its net's nominal rail potential), with reusable cross-solve state.
     ///
     /// The dead pads and TSVs are removed at stamping time — the surviving
     /// network is re-assembled, checked for floating subgrids, and solved
@@ -500,15 +503,16 @@ impl Pdn {
     /// The first and last points are solved on the escalation ladder as
     /// [`Pdn::solve_faulted_scratch`] would solve them; every interior point
     /// reads `t` off its loads, forms that combination and keeps it only if
-    /// its relative residual against the point's own stamped system meets
-    /// the ladder's tolerance, solving the point on the ladder otherwise. A
-    /// superposed point's report says [`SolveMethod::Superposition`], zero
-    /// iterations and the measured residual. Closed-loop converters (the
-    /// matrix moves with the loads) and sweeps of fewer than three points
-    /// solve every point in order.
+    /// its relative residual `‖b − A·v‖₂ / ‖b‖₂` meets the ladder's
+    /// tolerance, solving the point on the ladder otherwise. `A` is the
+    /// matrix the endpoint solves left in `scratch`; an interior point
+    /// stamps only its own right-hand side `b`, bit for bit the one a full
+    /// stamping would assemble. A superposed point's report says
+    /// [`SolveMethod::Superposition`], zero iterations and the measured
+    /// residual. Closed-loop converters (the matrix moves with the loads)
+    /// and sweeps of fewer than three points solve every point in order.
     ///
-    /// Only the two endpoint voltage vectors outlive a point: each
-    /// interior system is stamped while its point is answered.
+    /// Only the two endpoint voltage vectors outlive a point.
     ///
     /// # Errors
     ///
@@ -542,6 +546,7 @@ impl Pdn {
         each(0, first_sol);
         let last_sol = self.solve_faulted_scratch(last, &no_faults, None, scratch)?;
         let cells = self.nominal_cells();
+        let (vdd_pads, gnd_pads) = self.alive_pads(&no_faults);
         let last_index = loads.len() - 1;
         for (i, point) in loads.iter().enumerate().take(last_index).skip(1) {
             let started = std::time::Instant::now();
@@ -551,8 +556,11 @@ impl Pdn {
                 .zip(&last_sol.voltages)
                 .map(|(a, b)| (1.0 - t) * a + t * b)
                 .collect();
-            let stamped = self.stamp(point, &no_faults, &cells.g);
-            let residual = stamped.nb.relative_residual(&v);
+            let b = self.rhs(point, &vdd_pads);
+            // Every point shares the endpoints' matrix, which the last
+            // solve left in the scratch.
+            let a = scratch.matrix().expect("the endpoint solves assembled A");
+            let residual = a.residual_norm(&v, &b) / norm2(&b);
             let sol = if residual <= NetworkBuilder::TOLERANCE {
                 let report = SolveReport {
                     method: SolveMethod::Superposition,
@@ -565,17 +573,8 @@ impl Pdn {
                     setup_us: 0,
                     solve_us: started.elapsed().as_micros() as u64,
                 };
-                self.extract(
-                    point,
-                    v,
-                    &stamped.vdd_pads,
-                    &stamped.gnd_pads,
-                    &cells,
-                    &no_faults,
-                    report,
-                )
+                self.extract(point, v, &vdd_pads, &gnd_pads, &cells, &no_faults, report)
             } else {
-                drop(stamped); // the ladder stamps its own copy
                 self.solve_faulted_scratch(point, &no_faults, None, scratch)?
             };
             each(i, sol);
@@ -779,7 +778,8 @@ impl Pdn {
     }
 
     /// Stamps and solves the network with the converter cells at `cells`
-    /// and `faults` open-circuited, from an optional warm-start `guess`.
+    /// and `faults` open-circuited, from the warm-start `guess` when there
+    /// is one and from [`Pdn::nominal_voltages`] otherwise.
     fn solve_cells(
         &self,
         loads: &StackLoads,
@@ -789,7 +789,15 @@ impl Pdn {
         scratch: &mut SolveScratch,
     ) -> Result<FaultedSolution, PdnError> {
         let stamped = self.stamp(loads, faults, &cells.g);
-        let (v, report) = stamped.nb.solve(guess, scratch)?;
+        let nominal;
+        let start = match guess {
+            Some(guess) => guess,
+            None => {
+                nominal = self.nominal_voltages();
+                &nominal
+            }
+        };
+        let (v, report) = stamped.nb.solve(Some(start), scratch)?;
         Ok(self.extract(
             loads,
             v,
@@ -799,6 +807,88 @@ impl Pdn {
             faults,
             report,
         ))
+    }
+
+    /// Every node at its net's ideal potential: `Vdd` on each supply net
+    /// and 0 V on each return net of a regular PDN; `(l + 1)·Vdd` on the
+    /// supply net and `l·Vdd` on the return net of a V-S PDN's layer `l`.
+    /// A solve given no guess starts here rather than at zero; the start
+    /// depends only on the PDN, so every answer stays a function of its
+    /// inputs alone.
+    fn nominal_voltages(&self) -> Vec<f64> {
+        let count = self.grid.count();
+        let vdd = self.params.vdd;
+        let mut v = vec![0.0; 2 * self.n_layers * count];
+        for layer in 0..self.n_layers {
+            let (supply, ret) = self.layer_nets(layer);
+            let floor = match self.stacking {
+                Some(_) => layer as f64 * vdd,
+                None => 0.0,
+            };
+            v[supply..supply + count].fill(floor + vdd);
+            v[ret..ret + count].fill(floor);
+        }
+        v
+    }
+
+    /// The Vdd and the Gnd power pads alive under `faults`, each as
+    /// `(ordinal among the pads of its net, the grid unknown it ties)`, in
+    /// C4-array order.
+    fn alive_pads(&self, faults: &FaultSet) -> (PadList, PadList) {
+        let w = &self.wiring;
+        let (mut vdd_pads, mut gnd_pads) = (Vec::new(), Vec::new());
+        let (mut vdd_ord, mut gnd_ord) = (0usize, 0usize);
+        for pad in self.c4.pads() {
+            let (i, j) = self.grid.nearest(pad.x_mm, pad.y_mm);
+            let gn = self.grid.index(i, j);
+            match pad.net {
+                PadNet::Vdd => {
+                    if !faults.vdd_pad_failed(vdd_ord) {
+                        vdd_pads.push((vdd_ord, self.node(w.vdd_pad_layer, w.supply_net, gn)));
+                    }
+                    vdd_ord += 1;
+                }
+                PadNet::Gnd => {
+                    if !faults.gnd_pad_failed(gnd_ord) {
+                        gnd_pads.push((gnd_ord, self.node(0, 1 - w.supply_net, gn)));
+                    }
+                    gnd_ord += 1;
+                }
+                PadNet::Io => {}
+            }
+        }
+        (vdd_pads, gnd_pads)
+    }
+
+    /// Calls `inject(node, amps)` for each load current source of `loads`
+    /// in stamping order: ideal sources between each layer's local supply
+    /// and return nodes, spread over the core's grid nodes.
+    fn for_each_load(&self, loads: &StackLoads, mut inject: impl FnMut(usize, f64)) {
+        for layer in 0..self.n_layers {
+            let (supply, ret) = self.layer_nets(layer);
+            for (core, nodes) in self.core_nodes.iter().enumerate() {
+                let i_core = loads.core_current(layer, core);
+                for (k, &gn) in nodes.iter().enumerate() {
+                    let i_node = i_core * self.core_weights[core][k];
+                    inject(supply + gn, -i_node);
+                    inject(ret + gn, i_node);
+                }
+            }
+        }
+    }
+
+    /// The right-hand side [`Pdn::stamp`] assembles for `loads` with these
+    /// Vdd pads alive, without the matrix: each Vdd pad's rail injection,
+    /// then the loads, summed in `stamp`'s order and so bit-equal to its
+    /// `nb.rhs()`. (Gnd pads tie to the 0 V rail and add nothing.)
+    fn rhs(&self, loads: &StackLoads, vdd_pads: &[(usize, usize)]) -> Vec<f64> {
+        let w = &self.wiring;
+        let mut b = vec![0.0; 2 * self.n_layers * self.grid.count()];
+        for &(_, node) in vdd_pads {
+            b[node] += w.g_vdd_pad * w.v_supply;
+        }
+        self.for_each_load(loads, |node, amps| b[node] += amps);
+        b
     }
 
     /// Stamps the full SPD network for one load scenario, with per-cell
@@ -830,31 +920,12 @@ impl Pdn {
         // Pads tie their grid nodes to the board rails. Failed pads are
         // simply not stamped: an open circuit contributes nothing to the
         // nodal system.
-        let mut vdd_pads = Vec::new();
-        let mut gnd_pads = Vec::new();
-        let (mut vdd_ord, mut gnd_ord) = (0usize, 0usize);
-        for pad in self.c4.pads() {
-            let (i, j) = self.grid.nearest(pad.x_mm, pad.y_mm);
-            let gn = self.grid.index(i, j);
-            match pad.net {
-                PadNet::Vdd => {
-                    if !faults.vdd_pad_failed(vdd_ord) {
-                        let node = self.node(w.vdd_pad_layer, w.supply_net, gn);
-                        nb.conductance_to_rail(node, w.g_vdd_pad, w.v_supply);
-                        vdd_pads.push((vdd_ord, node));
-                    }
-                    vdd_ord += 1;
-                }
-                PadNet::Gnd => {
-                    if !faults.gnd_pad_failed(gnd_ord) {
-                        let node = self.node(0, 1 - w.supply_net, gn);
-                        nb.conductance_to_rail(node, w.g_gnd_pad, 0.0);
-                        gnd_pads.push((gnd_ord, node));
-                    }
-                    gnd_ord += 1;
-                }
-                PadNet::Io => {}
-            }
+        let (vdd_pads, gnd_pads) = self.alive_pads(faults);
+        for &(_, node) in &vdd_pads {
+            nb.conductance_to_rail(node, w.g_vdd_pad, w.v_supply);
+        }
+        for &(_, node) in &gnd_pads {
+            nb.conductance_to_rail(node, w.g_gnd_pad, 0.0);
         }
 
         // TSVs between adjacent layers: per-core counts lumped onto the
@@ -877,19 +948,7 @@ impl Pdn {
             }
         }
 
-        // Loads: ideal current sources between each layer's local supply
-        // and return nodes, spread over the core's grid nodes.
-        for layer in 0..self.n_layers {
-            let (supply, ret) = self.layer_nets(layer);
-            for (core, nodes) in self.core_nodes.iter().enumerate() {
-                let i_core = loads.core_current(layer, core);
-                for (k, &gn) in nodes.iter().enumerate() {
-                    let i_node = i_core * self.core_weights[core][k];
-                    nb.current(supply + gn, -i_node);
-                    nb.current(ret + gn, i_node);
-                }
-            }
-        }
+        self.for_each_load(loads, |node, amps| nb.current(node, amps));
 
         // SC converter cells (paper §3.2), with their per-cell effective
         // conductances.
@@ -1167,18 +1226,61 @@ pub(crate) mod tests {
     }
 
     /// Paper-fidelity 4-layer PDNs (5,408 unknowns) lead the ladder with
-    /// the mixed-precision rung over the CSR; every answer must match a
-    /// direct solve of the same assembled matrix.
+    /// the mixed-precision rung over the CSR. A solve given no guess
+    /// starts at the nominal rail voltages: it never takes more iterations
+    /// than one started at zero, and takes fewer over the cases. Both
+    /// answers must match a direct solve of the same assembled matrix.
     pub(crate) fn check_paper_fidelity_matches_direct(cases: &[(String, Pdn, StackLoads)]) {
+        let (mut nominal_total, mut zero_total) = (0, 0);
         for (case, pdn, loads) in cases {
-            let sol = exact(pdn, loads, &FaultSet::new(), None).unwrap();
-            assert_eq!(sol.voltages.len(), 5408, "{case}");
-            assert_eq!(sol.report.method, SolveMethod::CgAmgMixed, "{case}");
-            assert_eq!(sol.report.operator, "csr", "{case}");
             let cells = pdn.nominal_cells();
             let want = direct_solve(&pdn.stamp(loads, &FaultSet::new(), &cells.g).nb);
-            let err = max_error_of_scale(&sol.voltages, &want);
-            assert!(err <= 1e-8, "{case}: error {err:e} of max |v|");
+            let zeros = vec![0.0; want.len()];
+            let nominal = exact(pdn, loads, &FaultSet::new(), None).unwrap();
+            let from_zero = exact(pdn, loads, &FaultSet::new(), Some(&zeros)).unwrap();
+            for (start, sol) in [("nominal", &nominal), ("zero", &from_zero)] {
+                assert_eq!(sol.voltages.len(), 5408, "{case}");
+                assert_eq!(sol.report.method, SolveMethod::CgAmgMixed, "{case}");
+                assert_eq!(sol.report.operator, "csr", "{case}");
+                let err = max_error_of_scale(&sol.voltages, &want);
+                assert!(
+                    err <= 3e-10,
+                    "{case}, {start} start: error {err:e} of max |v|"
+                );
+            }
+            assert!(
+                nominal.report.iterations <= from_zero.report.iterations,
+                "{case}: nominal start {} iterations, zero start {}",
+                nominal.report.iterations,
+                from_zero.report.iterations
+            );
+            nominal_total += nominal.report.iterations;
+            zero_total += from_zero.report.iterations;
+        }
+        assert!(
+            nominal_total < zero_total,
+            "nominal starts {nominal_total} iterations, zero starts {zero_total}"
+        );
+    }
+
+    /// The right-hand side `rhs` assembles alone, from the pads alive
+    /// under a fault set, is bit for bit the one a full `stamp` builds.
+    pub(crate) fn check_rhs_matches_full_stamp(cases: &[(Pdn, StackLoads)]) {
+        let bits = |b: &[f64]| b.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (pdn, loads) in cases {
+            let mut faults = FaultSet::new();
+            for round in 0..2 {
+                if round == 1 {
+                    faults.fail_vdd_pad(0);
+                    faults.fail_gnd_pad(1);
+                }
+                let stamped = pdn.stamp(loads, &faults, &pdn.nominal_cells().g);
+                let (vdd_pads, gnd_pads) = pdn.alive_pads(&faults);
+                assert_eq!(vdd_pads, stamped.vdd_pads);
+                assert_eq!(gnd_pads, stamped.gnd_pads);
+                let rhs = pdn.rhs(loads, &vdd_pads);
+                assert_eq!(bits(&rhs), bits(stamped.nb.rhs()), "round {round}");
+            }
         }
     }
 }

@@ -2,7 +2,6 @@
 //! resilient solve path shared by the regular and voltage-stacked
 //! topologies.
 
-use vstack_sparse::vecops::norm2;
 use vstack_sparse::{
     solve_robust, CancelToken, CsrMatrix, Lead, RobustOptions, SolveReport, SolveWorkspace,
     TripletMatrix,
@@ -170,6 +169,11 @@ impl SolveScratch {
     /// The installed cancellation token (cloned into sketch-run solves).
     pub(crate) fn cancel_token(&self) -> &CancelToken {
         &self.cancel
+    }
+
+    /// The matrix the last solve through this scratch assembled.
+    pub(crate) fn matrix(&self) -> Option<&CsrMatrix> {
+        self.pattern.as_ref()
     }
 }
 
@@ -391,27 +395,17 @@ impl NetworkBuilder {
     /// Node count at or above which [`NetworkBuilder::solve`]
     /// leads the escalation ladder with the AMG rung. Below it, single-
     /// level Jacobi wins: multigrid setup costs a few SpMV-equivalents
-    /// that small systems never amortize. At paper fidelity
-    /// (`grid_refinement = 3`, 26×26 nodes per rail per layer) the
-    /// threshold engages from 4 stacked layers up — exactly the systems
-    /// whose Jacobi iteration counts blow up with size.
-    pub const AMG_MIN_UNKNOWNS: usize = 4096;
+    /// that small systems never amortize, and it holds the hierarchy's
+    /// memory. At paper fidelity (`grid_refinement = 3`, 26×26 nodes per
+    /// rail per layer, 1,352 unknowns per layer) the threshold engages
+    /// from 2 stacked layers up; every quick-fidelity stack (9×9 nodes,
+    /// at most 1,296 unknowns at 8 layers) stays on Jacobi.
+    pub const AMG_MIN_UNKNOWNS: usize = 2048;
 
     /// Relative residual `‖b − A·v‖₂ / ‖b‖₂` every accepted PDN answer
     /// meets: the escalation ladder's tolerance, and the guard on
     /// superposed sweep points ([`crate::Pdn::solve_load_sweep`]).
     pub(crate) const TOLERANCE: f64 = 1e-9;
-
-    /// `‖b − A·v‖₂ / ‖b‖₂` of `v` against this stamping, summed straight
-    /// from the triplets, so it checks `v` against exactly the system
-    /// these stamps describe without building a CSR matrix.
-    pub(crate) fn relative_residual(&self, v: &[f64]) -> f64 {
-        let mut r = self.rhs.clone();
-        for &(i, j, a) in self.matrix.entries() {
-            r[i] -= a * v[j];
-        }
-        norm2(&r) / norm2(&self.rhs)
-    }
 
     /// The shared solve tail: connectivity check, then the escalation
     /// ladder over an already-assembled CSR matrix. Large systems lead

@@ -42,7 +42,8 @@ mod tests {
     use crate::fault::{FaultSet, FaultedSolution};
     use crate::model::tests::{
         check_empty_fault_set_matches_plain_solve, check_killed_pad_shifts_current,
-        check_paper_fidelity_matches_direct, check_scratch_sweep_matches_fresh_solves, exact,
+        check_paper_fidelity_matches_direct, check_rhs_matches_full_stamp,
+        check_scratch_sweep_matches_fresh_solves, exact,
     };
     use crate::{Pdn, PdnError, StackLoads};
 
@@ -294,6 +295,15 @@ mod tests {
             )
         });
         check_paper_fidelity_matches_direct(&cases);
+    }
+
+    #[test]
+    fn right_hand_side_alone_matches_the_full_stamp() {
+        let p = PdnParams::paper_defaults();
+        check_rhs_matches_full_stamp(&[(
+            Pdn::new(&p, 4, TsvTopology::Few, 0.5, None),
+            StackLoads::uniform_peak(&p, 4),
+        )]);
     }
 
     #[test]

@@ -64,7 +64,8 @@ mod tests {
     use crate::fault::{FaultSet, FaultedSolution};
     use crate::model::tests::{
         check_empty_fault_set_matches_plain_solve, check_killed_pad_shifts_current,
-        check_paper_fidelity_matches_direct, check_scratch_sweep_matches_fresh_solves,
+        check_paper_fidelity_matches_direct, check_rhs_matches_full_stamp,
+        check_scratch_sweep_matches_fresh_solves,
     };
     use crate::network::tests::{direct_solve, max_error_of_scale};
     use crate::network::SolveScratch;
@@ -360,6 +361,15 @@ mod tests {
     }
 
     #[test]
+    fn right_hand_side_alone_matches_the_full_stamp() {
+        let p = PdnParams::paper_defaults();
+        check_rhs_matches_full_stamp(&[(
+            vs_pdn(&p, 4, 8),
+            StackLoads::interleaved(&p, 4, &ImbalancePattern::new(0.5)),
+        )]);
+    }
+
+    #[test]
     fn interface_tsv_faults_raise_survivor_stress() {
         let p = quick_params();
         let pdn = vs_pdn(&p, 4, 4);
@@ -478,6 +488,39 @@ mod tests {
         assert_eq!(points[2].1.voltages, alone.voltages);
         assert_eq!(points[2].1.report, alone.report);
         assert_ne!(alone.report.method, SolveMethod::Superposition);
+    }
+
+    #[test]
+    fn load_sweep_resolves_a_nudged_interior_point_on_the_ladder() {
+        // One core's current 0.01% off the segment: the superposed
+        // voltages miss that point by more than the residual guard allows,
+        // so the sweep solves it on the ladder instead.
+        let p = quick_params();
+        let pdn = vs_pdn(&p, 4, 4);
+        let interleaved = |x| StackLoads::interleaved(&p, 4, &ImbalancePattern::new(x));
+        let mid = interleaved(0.5);
+        let mut currents: Vec<Vec<f64>> = (0..4)
+            .map(|l| {
+                (0..mid.cores_per_layer())
+                    .map(|c| mid.core_current(l, c))
+                    .collect()
+            })
+            .collect();
+        currents[1][0] *= 1.0 + 1e-4;
+        let loads = [
+            interleaved(0.0),
+            mid,
+            StackLoads::from_currents(currents),
+            interleaved(1.0),
+        ];
+        let mut scratch = SolveScratch::new();
+        let points = sweep(&pdn, &loads, &mut scratch);
+        assert_eq!(scratch.pattern_builds() + scratch.pattern_reuses(), 3);
+        assert_eq!(points[1].1.report.method, SolveMethod::Superposition);
+        let alone = fresh(&pdn, &loads[2], &FaultSet::new());
+        assert_ne!(alone.report.method, SolveMethod::Superposition);
+        assert_eq!(points[2].1.voltages, alone.voltages);
+        assert_eq!(points[2].1.report, alone.report);
     }
 
     #[test]

@@ -33,8 +33,10 @@
 //!   a build then costs about one AMG-CG solve (it cost 1.7–10 before).
 //!   Rows with no weak coupling (every fine row of a uniform grid
 //!   Laplacian) smooth exactly as with `A`.
-//! * **Coarse operators**: Galerkin triple products `Aᶜ = Pᵀ(A·P)` via
-//!   [`CsrMatrix::matmul`].
+//! * **Coarse operators**: Galerkin triple products `Aᶜ = Pᵀ(A·P)`, the
+//!   product [`CsrMatrix::matmul`] would give bit for bit. `P` is written
+//!   row by row as CSR and `Pᵀ` is a counting-sort transpose, so no level
+//!   round-trips through triplets.
 //! * **Cycle**: a V-cycle with one damped-Jacobi sweep (ω = 2/3) before
 //!   and after each coarse correction and a dense Cholesky direct solve
 //!   at the coarsest level (≤ 128 unknowns). One sweep each way keeps the
@@ -58,6 +60,7 @@
 
 use std::cell::RefCell;
 
+use crate::csr::compact_row;
 use crate::dense::{CholeskyFactors, DenseMatrix};
 use crate::solver::{SetupScratch, SolveWorkspace};
 use crate::vecops::norm_inf;
@@ -142,13 +145,13 @@ impl AmgHierarchy {
     /// Builds the hierarchy for a symmetric positive-definite matrix.
     ///
     /// Setup is serial and deterministic; cost is a small constant factor
-    /// over one fine-grid SpMV per level. Setup temporaries (strength-graph
-    /// diagonal, aggregation buffers, prolongator triplets) come from
-    /// `ws`, so once it has grown to the largest pattern it has seen,
-    /// re-setup is allocation-free apart from the hierarchy's own storage
-    /// (verify with [`SolveWorkspace::setup_regrowths`]). The hierarchy is
-    /// returned, not stored in `ws`, and is bit-identical whatever `ws`
-    /// held before.
+    /// over one fine-grid SpMV per level. The per-level diagonal and
+    /// aggregation buffers come from `ws`, so once it has grown to the
+    /// largest pattern it has seen, re-setup grows none of them (verify
+    /// with [`SolveWorkspace::setup_regrowths`]); what a build allocates
+    /// is the hierarchy's own storage and each level's Galerkin product.
+    /// The hierarchy is returned, not stored in `ws`, and is bit-identical
+    /// whatever `ws` held before.
     ///
     /// # Errors
     ///
@@ -205,16 +208,9 @@ impl AmgHierarchy {
                     aggregates: n_agg,
                 });
             }
-            let p = prolongator(
-                &current,
-                &scratch.diag,
-                &scratch.agg,
-                n_agg,
-                &mut scratch.trip,
-                &mut scratch.growths,
-            );
+            let p = prolongator(&current, &scratch.diag, &scratch.agg, n_agg);
             let pt = p.transpose();
-            let coarse_a = pt.matmul(&current.matmul(&p));
+            let coarse_a = CsrMatrix::galerkin(&pt, &current, &p);
             let fine = std::mem::replace(&mut current, coarse_a);
             levels.push(Level {
                 a: fine,
@@ -710,25 +706,21 @@ fn aggregate_into(
 /// to `a_ii` when the lumped value is not positive and finite. A row with
 /// no weak coupling has `dᶠ_i = a_ii` and produces the same entries, bit
 /// for bit, as smoothing with `A`.
-fn prolongator(
-    a: &CsrMatrix,
-    diag: &[f64],
-    agg: &[usize],
-    n_agg: usize,
-    triplets: &mut Vec<(usize, usize, f64)>,
-    growths: &mut u64,
-) -> CsrMatrix {
+///
+/// Each row is written straight into the CSR arrays: its terms are
+/// emitted (`T`'s 1 first, then `A`'s row in column order), stably sorted
+/// by aggregate and summed per aggregate in emission order, exactly as
+/// [`CsrMatrix::from_triplets`] would sum the same terms.
+fn prolongator(a: &CsrMatrix, diag: &[f64], agg: &[usize], n_agg: usize) -> CsrMatrix {
     let n = a.rows();
     let omega = PROLONGATION_OMEGA;
     let theta2 = STRENGTH_THETA * STRENGTH_THETA;
-    let needed = n + a.nnz();
-    if triplets.capacity() < needed {
-        *growths += 1;
-        triplets.reserve(needed - triplets.len());
-    }
-    triplets.clear();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(n + a.nnz());
+    let mut values = Vec::with_capacity(n + a.nnz());
+    let mut wide = Vec::new();
     for i in 0..n {
-        triplets.push((i, agg[i], 1.0));
         let (cols, vals) = a.row(i);
         let mut lumped = diag[i];
         for (&j, &v) in cols.iter().zip(vals) {
@@ -742,15 +734,25 @@ fn prolongator(
             diag[i]
         };
         let inv_d = 1.0 / d;
+        let lo = col_idx.len();
+        col_idx.push(agg[i]);
+        values.push(1.0);
         for (&j, &v) in cols.iter().zip(vals) {
             if j == i {
-                triplets.push((i, agg[i], -omega * inv_d * d));
+                col_idx.push(agg[i]);
+                values.push(-omega * inv_d * d);
             } else if is_strong(diag, theta2, i, j, v) {
-                triplets.push((i, agg[j], -omega * inv_d * v));
+                col_idx.push(agg[j]);
+                values.push(-omega * inv_d * v);
             }
         }
+        let hi = col_idx.len();
+        let end = compact_row(&mut col_idx, &mut values, (lo, hi), lo, &mut wide);
+        col_idx.truncate(end);
+        values.truncate(end);
+        row_ptr.push(end);
     }
-    CsrMatrix::from_triplets(n, n_agg, triplets)
+    CsrMatrix::from_raw_parts(n, n_agg, row_ptr, col_idx, values)
 }
 
 /// Densifies the (small) coarsest operator for direct factorization.
@@ -952,6 +954,88 @@ mod tests {
             let mut z = vec![0.0; n];
             h.apply(&b, &mut z);
             assert!(z.iter().all(|v| v.is_finite()));
+        }
+    }
+
+    /// The triplet assembly `prolongator` replaced: every term is emitted
+    /// as a `(row, aggregate, value)` triplet and summed by
+    /// [`CsrMatrix::from_triplets`].
+    fn prolongator_via_triplets(
+        a: &CsrMatrix,
+        diag: &[f64],
+        agg: &[usize],
+        n_agg: usize,
+    ) -> CsrMatrix {
+        let theta2 = STRENGTH_THETA * STRENGTH_THETA;
+        let mut t = Vec::new();
+        for i in 0..a.rows() {
+            t.push((i, agg[i], 1.0));
+            let (cols, vals) = a.row(i);
+            let mut lumped = diag[i];
+            for (&j, &v) in cols.iter().zip(vals) {
+                if j != i && !is_strong(diag, theta2, i, j, v) {
+                    lumped += v;
+                }
+            }
+            let d = if lumped.is_finite() && lumped > 0.0 {
+                lumped
+            } else {
+                diag[i]
+            };
+            let inv_d = 1.0 / d;
+            for (&j, &v) in cols.iter().zip(vals) {
+                if j == i {
+                    t.push((i, agg[i], -PROLONGATION_OMEGA * inv_d * d));
+                } else if is_strong(diag, theta2, i, j, v) {
+                    t.push((i, agg[j], -PROLONGATION_OMEGA * inv_d * v));
+                }
+            }
+        }
+        CsrMatrix::from_triplets(a.rows(), n_agg, &t)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn prolongator_matches_the_triplet_reference_bitwise(
+            edges in proptest::prelude::prop::collection::vec(
+                (0..60usize, 0..60usize, 0.01..5.0f64),
+                20..300,
+            ),
+            hub in 0..2usize,
+        ) {
+            // A random weighted graph Laplacian with a grounding leak, so
+            // rows mix strong and weak couplings; `hub` makes node 0 a
+            // neighbour of every node, a row wider than the insertion sort.
+            let n = 60;
+            let mut t = Vec::new();
+            let mut couple = |i: usize, j: usize, g: f64| {
+                if i != j {
+                    t.extend([(i, j, -g), (j, i, -g), (i, i, g), (j, j, g)]);
+                }
+            };
+            for &(i, j, g) in &edges {
+                couple(i, j, g);
+            }
+            if hub == 1 {
+                for j in 1..n {
+                    couple(0, j, 3.0);
+                }
+            }
+            t.extend((0..n).map(|i| (i, i, 1e-3)));
+            let a = CsrMatrix::from_triplets(n, n, &t);
+            let mut diag = vec![0.0; n];
+            diagonal_into(&a, &mut diag);
+            let (mut agg, mut pass, mut growths) = (Vec::new(), Vec::new(), 0);
+            let n_agg = aggregate_into(&a, &diag, &mut agg, &mut pass, &mut growths);
+            let got = prolongator(&a, &diag, &agg, n_agg);
+            let want = prolongator_via_triplets(&a, &diag, &agg, n_agg);
+            let bits = |m: &CsrMatrix| {
+                let (rp, ci, v) = m.raw_parts();
+                (rp.to_vec(), ci.to_vec(), v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            proptest::prop_assert_eq!((got.rows(), got.cols()), (n, n_agg));
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
         }
     }
 

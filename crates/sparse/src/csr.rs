@@ -35,8 +35,8 @@ impl CsrMatrix {
     /// triplets onto this pattern.
     ///
     /// Each row is sorted and compacted in place over the scattered
-    /// buffers; the only temporary is one shared scratch buffer, sized to
-    /// the widest row and reused across rows.
+    /// buffers; the only temporary is one shared scratch buffer for rows
+    /// wider than an insertion sort suits, reused across rows.
     ///
     /// # Panics
     ///
@@ -61,33 +61,42 @@ impl CsrMatrix {
             next[r] += 1;
         }
         // Sort each row by column (stably) and compact duplicates, writing
-        // back into the scattered buffers. The write cursor `w` never
-        // overtakes the read cursor (compaction only shrinks), so no data
-        // is clobbered before it is read.
+        // back into the scattered buffers.
         let mut row_ptr = vec![0usize; rows + 1];
         let mut scratch: Vec<(usize, f64)> = Vec::new();
         let mut w = 0usize;
         for r in 0..rows {
-            let (lo, hi) = (counts[r], counts[r + 1]);
-            sort_row_stable(&mut col_idx[lo..hi], &mut values[lo..hi], &mut scratch);
-            let mut i = lo;
-            while i < hi {
-                let c = col_idx[i];
-                let mut v = values[i];
-                let mut j = i + 1;
-                while j < hi && col_idx[j] == c {
-                    v += values[j];
-                    j += 1;
-                }
-                col_idx[w] = c;
-                values[w] = v;
-                w += 1;
-                i = j;
-            }
+            w = compact_row(
+                &mut col_idx,
+                &mut values,
+                (counts[r], counts[r + 1]),
+                w,
+                &mut scratch,
+            );
             row_ptr[r + 1] = w;
         }
         col_idx.truncate(w);
         values.truncate(w);
+        CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Wraps CSR arrays built in this crate (sorted, duplicate-free
+    /// columns within each row).
+    pub(crate) fn from_raw_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(row_ptr.len(), rows + 1);
+        debug_assert_eq!(col_idx.len(), values.len());
         CsrMatrix {
             rows,
             cols,
@@ -284,9 +293,35 @@ impl CsrMatrix {
     }
 
     /// Returns the transpose `Aᵀ`.
+    ///
+    /// A counting sort by column: walking the rows in order leaves each
+    /// transposed row's columns sorted, with every value copied as is.
     pub fn transpose(&self) -> CsrMatrix {
-        let triplets: Vec<(usize, usize, f64)> = self.iter().map(|(r, c, v)| (c, r, v)).collect();
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
+        let mut row_ptr = vec![0usize; self.cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c + 1] += 1;
+        }
+        for c in 0..self.cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let mut next = row_ptr[..self.cols].to_vec();
+        let mut col_idx = vec![0usize; self.nnz()];
+        let mut values = vec![0.0f64; self.nnz()];
+        for r in 0..self.rows {
+            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+                let slot = &mut next[self.col_idx[k]];
+                col_idx[*slot] = r;
+                values[*slot] = self.values[k];
+                *slot += 1;
+            }
+        }
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Sparse matrix-matrix product `A · B`.
@@ -301,6 +336,27 @@ impl CsrMatrix {
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &CsrMatrix) -> CsrMatrix {
+        self.spgemm(other, true)
+    }
+
+    /// The Galerkin coarse operator `Pᵀ·(A·P)`, equal bit for bit to
+    /// `pt.matmul(&a.matmul(p))`.
+    ///
+    /// The intermediate `A·P` keeps each row's columns in the order they
+    /// were first reached instead of sorting them: each entry of
+    /// `Pᵀ·(A·P)` sums its terms in the order of `Pᵀ`'s row, and a row of
+    /// `A·P` holds each column once, so its column order cannot move a
+    /// bit of the product.
+    pub(crate) fn galerkin(pt: &CsrMatrix, a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
+        pt.spgemm(&a.spgemm(p, false), true)
+    }
+
+    /// Row-wise SpGEMM core of [`CsrMatrix::matmul`]. With `sorted` false
+    /// each output row lists its columns in first-touch order, which
+    /// breaks this type's sorted-row invariant: only
+    /// [`CsrMatrix::galerkin`] uses it, for an intermediate it never
+    /// hands out.
+    fn spgemm(&self, other: &CsrMatrix, sorted: bool) -> CsrMatrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul dimension mismatch: {}x{} · {}x{}",
@@ -313,8 +369,8 @@ impl CsrMatrix {
         // Dense accumulator + last-seen-row markers, reused across rows.
         let mut acc = vec![0.0f64; other.cols];
         let mut marker = vec![usize::MAX; other.cols];
-        let mut touched: Vec<usize> = Vec::new();
         for r in 0..self.rows {
+            let lo = col_idx.len();
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
                 let a_val = self.values[k];
                 let mid = self.col_idx[k];
@@ -322,18 +378,17 @@ impl CsrMatrix {
                     let c = other.col_idx[kk];
                     if marker[c] != r {
                         marker[c] = r;
-                        touched.push(c);
+                        col_idx.push(c);
                         acc[c] = 0.0;
                     }
                     acc[c] += a_val * other.values[kk];
                 }
             }
-            touched.sort_unstable();
-            for &c in &touched {
-                col_idx.push(c);
-                values.push(acc[c]);
+            let row = &mut col_idx[lo..];
+            if sorted {
+                row.sort_unstable();
             }
-            touched.clear();
+            values.extend(row.iter().map(|&c| acc[c]));
             row_ptr.push(col_idx.len());
         }
         CsrMatrix {
@@ -428,13 +483,46 @@ impl Iterator for Iter<'_> {
     }
 }
 
+/// Sorts the row held at `lo..hi` of `cols`/`vals` stably by column and
+/// sums duplicate columns in their original order, writing the compacted
+/// row from `w ≤ lo` on; returns the index one past its last entry. The
+/// write cursor never overtakes the read cursor (compaction only
+/// shrinks), so no entry is clobbered before it is read.
+///
+/// This is how [`CsrMatrix::from_triplets`] sums duplicates, and the AMG
+/// prolongator assembles its rows with it too.
+pub(crate) fn compact_row(
+    cols: &mut [usize],
+    vals: &mut [f64],
+    (lo, hi): (usize, usize),
+    mut w: usize,
+    scratch: &mut Vec<(usize, f64)>,
+) -> usize {
+    sort_row_stable(&mut cols[lo..hi], &mut vals[lo..hi], scratch);
+    let mut i = lo;
+    while i < hi {
+        let c = cols[i];
+        let mut v = vals[i];
+        let mut j = i + 1;
+        while j < hi && cols[j] == c {
+            v += vals[j];
+            j += 1;
+        }
+        cols[w] = c;
+        vals[w] = v;
+        w += 1;
+        i = j;
+    }
+    w
+}
+
 /// Stably co-sorts one row's `(column, value)` pairs by column, in place.
 ///
 /// Narrow rows (the overwhelmingly common case for nodal matrices, whose
 /// rows hold a handful of neighbor couplings) use an in-place insertion
 /// sort — stable, allocation-free, and fast at these widths. Wide rows
-/// spill into `scratch`, the single buffer shared across all rows of a
-/// [`CsrMatrix::from_triplets`] call, and use the standard (stable) sort.
+/// spill into `scratch`, the single buffer shared across all rows of one
+/// matrix build, and use the standard (stable) sort.
 ///
 /// Stability is load-bearing: duplicate columns must stay in insertion
 /// order so duplicate summation matches
@@ -468,6 +556,7 @@ fn sort_row_stable(cols: &mut [usize], vals: &mut [f64], scratch: &mut Vec<(usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> CsrMatrix {
         CsrMatrix::from_triplets(
@@ -679,6 +768,71 @@ mod tests {
         assert_eq!(cols, &[0]);
         assert_eq!(vals, &[0.0]);
         assert_eq!(c.row(1).0.len(), 0);
+    }
+
+    /// `m`'s arrays with its values as bits, so `-0.0 != 0.0`.
+    fn bits(m: &CsrMatrix) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
+        let (rp, ci, v) = m.raw_parts();
+        (
+            rp.to_vec(),
+            ci.to_vec(),
+            v.iter().map(|x| x.to_bits()).collect(),
+        )
+    }
+
+    /// `a · b` through triplets: every product term in row-major emission
+    /// order, summed by [`CsrMatrix::from_triplets`].
+    fn product_via_triplets(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
+        let mut t = Vec::new();
+        for (r, k, av) in a.iter() {
+            let (cols, vals) = b.row(k);
+            t.extend(cols.iter().zip(vals).map(|(&c, &bv)| (r, c, av * bv)));
+        }
+        CsrMatrix::from_triplets(a.rows(), b.cols(), &t)
+    }
+
+    /// Triplets with no zero values, so every product term is nonzero and
+    /// the triplet reference's first term equals the accumulator's `0 + t`.
+    fn nonzero_triplets(
+        rows: usize,
+        cols: usize,
+    ) -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
+        prop::collection::vec((0..rows, 0..cols, 0.5..4.0f64, 0..2usize), 0..6 * rows).prop_map(
+            |t| {
+                t.into_iter()
+                    .map(|(r, c, v, neg)| (r, c, if neg == 1 { -v } else { v }))
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn transpose_matches_the_triplet_reference_bitwise(
+            t in nonzero_triplets(23, 17),
+        ) {
+            let m = CsrMatrix::from_triplets(23, 17, &t);
+            let swapped: Vec<_> = m.iter().map(|(r, c, v)| (c, r, v)).collect();
+            let want = CsrMatrix::from_triplets(17, 23, &swapped);
+            let got = m.transpose();
+            prop_assert_eq!((got.rows(), got.cols()), (17, 23));
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        #[test]
+        fn galerkin_matches_the_triplet_reference_bitwise(
+            a in nonzero_triplets(30, 30),
+            p in nonzero_triplets(30, 9),
+        ) {
+            let a = CsrMatrix::from_triplets(30, 30, &a);
+            let p = CsrMatrix::from_triplets(30, 9, &p);
+            let pt = p.transpose();
+            let want = product_via_triplets(&pt, &product_via_triplets(&a, &p));
+            let got = CsrMatrix::galerkin(&pt, &a, &p);
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(bits(&got), bits(&pt.matmul(&a.matmul(&p))));
+        }
     }
 
     #[test]

@@ -113,8 +113,8 @@ pub(crate) struct Krylov {
 }
 
 /// Scratch buffers for preconditioner *setup* (as opposed to the per-
-/// iteration vectors above): AMG diagonal, aggregation and prolongator-
-/// triplet temporaries. Every buffer is `clear()`-ed and re-filled on use,
+/// iteration vectors above): AMG diagonal and aggregation temporaries.
+/// Every buffer is `clear()`-ed and re-filled on use,
 /// so reuse across setups — including setups of different sizes — is
 /// bit-identical to the allocate-fresh path.
 #[derive(Debug, Clone, Default)]
@@ -125,8 +125,6 @@ pub(crate) struct SetupScratch {
     pub(crate) agg: Vec<usize>,
     /// Pass-1 aggregate snapshot.
     pub(crate) pass: Vec<usize>,
-    /// Prolongator assembly triplets.
-    pub(crate) trip: Vec<(usize, usize, f64)>,
     /// Number of buffer regrowths since creation (see
     /// [`SolveWorkspace::setup_regrowths`]).
     pub(crate) growths: u64,
