@@ -204,13 +204,12 @@ fn print_cache_summary(engine: &Engine) {
     println!();
     println!(
         "engine: {} request(s) — {} hit(s) ({} memory, {} disk), \
-         {} warm solve(s), {} cold solve(s); hit rate {:.0}%",
+         {} solve(s); hit rate {:.0}%",
         s.requests,
         s.hits(),
         s.memory_hits,
         s.disk_hits,
-        s.warm_solves,
-        s.cold_solves,
+        s.solves(),
         100.0 * s.hit_rate(),
     );
     println!(

@@ -128,7 +128,6 @@ fn main() -> ExitCode {
             queue_capacity: config.queue_depth,
             lru_capacity: 64,
             cache_dir: None,
-            warm_start: true,
             ..ShardConfig::default()
         },
         default_deadline_ms: config.deadline_ms,

@@ -5,6 +5,7 @@ use vstack::pdn::PdnParams;
 use vstack_bench::heading;
 
 fn main() {
+    vstack_bench::obs::refuse_args();
     heading("Table 1 — Major PDN modeling parameters");
     for row in tables::table1(&PdnParams::paper_defaults()) {
         println!("{:<45} {}", row.name, row.value);

@@ -5,6 +5,7 @@ use vstack::pdn::PdnParams;
 use vstack_bench::heading;
 
 fn main() {
+    vstack_bench::obs::refuse_args();
     heading("Table 2 — TSV configurations");
     println!(
         "{:<14} {:>18} {:>16} {:>18}",

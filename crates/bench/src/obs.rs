@@ -12,8 +12,9 @@
 //! [`ObsOutputs::from_cli_args`], and `ext_faultmap` and `ext_thermal_em`,
 //! which also take `--quick` and `--ndjson-out PATH`, with
 //! [`CliArgs::from_env`]. Either rejects any other argument with a usage
-//! line and exit status 2. `explore` parses its own flag set and
-//! constructs [`ObsOutputs::new`] directly.
+//! line and exit status 2, as [`refuse_args`] rejects every argument of
+//! `table1` and `table2`, which take none. `explore` parses its own flag
+//! set and constructs [`ObsOutputs::new`] directly.
 
 use std::path::PathBuf;
 
@@ -119,6 +120,17 @@ impl ObsOutputs {
             eprintln!("metrics: wrote {}", path.display());
         }
         Ok(())
+    }
+}
+
+/// For a binary that takes no arguments: on the first argument, prints
+/// it and a usage line to stderr and exits with status 2.
+pub fn refuse_args() {
+    let mut argv = std::env::args();
+    let program = argv.next().unwrap_or_default();
+    if let Some(arg) = argv.next() {
+        eprintln!("{program}: unknown argument {arg}\nusage: {program}");
+        std::process::exit(2)
     }
 }
 

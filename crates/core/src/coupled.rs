@@ -185,10 +185,11 @@ fn power_map(
 /// Runs the undamped thermal–EM–IR fixed point for the PDN and loads
 /// `load` selects.
 ///
-/// `guess` seeds the first (uncoupled) IR solve — the engine passes its
-/// nearest cached neighbour; each subsequent iteration warm-starts from
-/// the previous iteration's voltages through the same `scratch`, so only
-/// the first solve builds the CSR pattern.
+/// `guess` seeds the first (uncoupled) IR solve — without one (the
+/// engine passes none) it starts at the nominal rail voltages; each
+/// subsequent iteration warm-starts from the previous iteration's
+/// voltages through the same `scratch`, so only the first solve builds
+/// the CSR pattern.
 ///
 /// # Errors
 ///

@@ -199,9 +199,10 @@ impl DesignScenario {
     /// resilient path ([`Pdn::solve_faulted_scratch`]), with `faults`
     /// open-circuited: the full [`FaultedSolution`], whose
     /// [`vstack_sparse::SolveReport`] records any escalation-ladder
-    /// fallback. This is the warm-started solve `vstack-engine` composes
-    /// for intact and faulted requests alike and the thermal coupling
-    /// loop drives: a converged `guess` is returned unchanged
+    /// fallback. This is the solve `vstack-engine` composes for intact
+    /// and faulted requests alike (with no `guess`, so it starts at the
+    /// nominal rail voltages) and the thermal coupling loop drives from
+    /// its previous iterate: a converged `guess` is returned unchanged
     /// (bit-identical voltages, zero iterations), and `scratch` recycles
     /// the CSR pattern and Krylov vectors across repeated solves.
     ///

@@ -24,8 +24,8 @@
 //! ```
 //!
 //! Options: `--cache-dir DIR` (each shard owns `DIR/shard-NN/`), `--lru
-//! N` (per shard, default 256), `--no-warm-start`, `--listen ADDR`,
-//! `--unix PATH`, `--shards N`, `--queue-depth N`, `--deadline-ms N`
+//! N` (per shard, default 256), `--listen ADDR`, `--unix PATH`,
+//! `--shards N`, `--queue-depth N`, `--deadline-ms N`
 //! (default deadline, 30000), `--max-deadline-ms N`, `--no-drain` (shed
 //! instead of finishing queued work on shutdown), `--metrics-out FILE`
 //! (write the final metrics snapshot there on exit), `--telemetry-out
@@ -162,7 +162,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                 daemon.shard.cache_dir = Some(PathBuf::from(dir));
             }
             "--lru" => daemon.shard.lru_capacity = positive("--lru", args.next())?,
-            "--no-warm-start" => daemon.shard.warm_start = false,
             "--listen" => {
                 let addr = args.next().ok_or("--listen needs an address")?;
                 daemon.bind = Bind::Tcp(addr);
@@ -211,14 +210,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                 daemon.shard.slo_us = ms.saturating_mul(1_000);
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: vstack-serve [--cache-dir DIR] [--lru N] [--no-warm-start] \
+                return Err("usage: vstack-serve [--cache-dir DIR] [--lru N] \
                      [--listen ADDR | --unix PATH] [--shards N] [--queue-depth N] \
                      [--deadline-ms N] [--max-deadline-ms N] [--no-drain] [--metrics-out FILE] \
                      [--telemetry-out FILE] [--telemetry-interval-ms N] [--flight-dir DIR] \
                      [--slo-ms N]"
-                        .to_string(),
-                )
+                    .to_string())
             }
             other => return Err(format!("unknown flag \"{other}\"")),
         }

@@ -5,12 +5,10 @@
 //! ([`crate::request::ScenarioRequest::fingerprint`]). The tiers differ in
 //! what they hold:
 //!
-//! * The **memory tier** keeps the full [`CacheEntry`], including the node
-//!   voltage vector of solves performed this process, which seeds warm
-//!   starts for neighbouring scenarios.
-//! * The **disk tier** stores one JSON file per fingerprint with only the
-//!   request and summary — voltages are large and cheap to regenerate, so
-//!   they never touch disk. Every file is stamped with
+//! * The **memory tier** keeps each [`CacheEntry`] (request and summary)
+//!   of the most recently used fingerprints.
+//! * The **disk tier** stores one JSON file per fingerprint with the same
+//!   request and summary. Every file is stamped with
 //!   [`crate::SCHEMA_VERSION`]; an entry written by a different schema is
 //!   *rejected*, never misread, and the stored request's recomputed
 //!   fingerprint must match the key or the entry is treated as corrupt.
@@ -52,16 +50,12 @@ pub struct CacheEntry {
     pub request: ScenarioRequest,
     /// The solve result.
     pub summary: SolveSummary,
-    /// Node voltages, present only for solves performed in this process
-    /// (disk-loaded entries carry `None`). Used as warm-start donors.
-    pub voltages: Option<Vec<f64>>,
 }
 
 /// Bounded in-memory LRU keyed by fingerprint.
 ///
 /// Implemented as a most-recent-first vector: capacities are small
-/// (hundreds), so O(n) promotion beats hash-map bookkeeping and keeps
-/// iteration order — and therefore warm-start donor scans — deterministic.
+/// (hundreds), so O(n) promotion beats hash-map bookkeeping.
 #[derive(Debug)]
 pub struct LruCache {
     capacity: usize,
@@ -101,11 +95,6 @@ impl LruCache {
         self.entries.insert(0, (fingerprint, entry));
         self.entries.truncate(self.capacity);
     }
-
-    /// Iterates entries from most- to least-recently-used.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &CacheEntry)> {
-        self.entries.iter().map(|(fp, e)| (*fp, e))
-    }
 }
 
 /// Outcome of a disk lookup.
@@ -119,8 +108,7 @@ pub enum DiskLoad {
     /// A file exists but cannot be trusted (unparsable, or its stored
     /// request does not hash to its key). Treated as a miss.
     Corrupt(String),
-    /// A valid entry (voltages are never stored, so the entry carries
-    /// `None`).
+    /// A valid entry.
     Hit(Box<CacheEntry>),
 }
 
@@ -207,11 +195,7 @@ impl DiskCache {
             .get("summary")
             .ok_or_else(|| "no summary".to_string())
             .and_then(SolveSummary::from_json)?;
-        Ok(Decoded::Entry(Box::new(CacheEntry {
-            request,
-            summary,
-            voltages: None,
-        })))
+        Ok(Decoded::Entry(Box::new(CacheEntry { request, summary })))
     }
 
     /// Moves a corrupt entry aside so subsequent loads are clean misses
@@ -305,7 +289,6 @@ mod tests {
                 peak_temperature_c: 0.0,
             },
             request: req,
-            voltages: None,
         }
     }
 
@@ -318,7 +301,7 @@ mod tests {
         lru.insert(fps[1], entry(reqs[1].clone()));
         assert!(lru.get(fps[0]).is_some()); // promote 0; 1 is now LRU
         lru.insert(fps[2], entry(reqs[2].clone()));
-        assert_eq!(lru.iter().count(), 2);
+        assert_eq!(lru.entries.len(), 2);
         assert!(lru.peek(fps[0]).is_some());
         assert!(lru.peek(fps[1]).is_none(), "LRU entry must be evicted");
         assert!(lru.peek(fps[2]).is_some());
@@ -332,6 +315,6 @@ mod tests {
         for _ in 0..10 {
             lru.insert(fp, entry(req.clone()));
         }
-        assert_eq!(lru.iter().count(), 1);
+        assert_eq!(lru.entries.len(), 1);
     }
 }

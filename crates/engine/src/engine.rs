@@ -1,23 +1,20 @@
 //! The query engine: answers one request at a time on the calling
 //! thread — validate, canonicalize, answer from the memory tier, then the
-//! disk tier, else solve (seeded from the nearest cached neighbour) and
-//! cache the result.
+//! disk tier, else solve and cache the result.
 //!
 //! Every solve is composed from the request's axes in one place,
 //! [`solve_scenario_cancellable`].
 //!
 //! # Determinism
 //!
-//! A query's outcome depends only on the request and the cache state at
-//! entry: canonicalization is pure, the donor is the nearest compatible
-//! cached entry with the fingerprint as tie-break, and each solve owns a
-//! fresh [`SolveScratch`]. Concurrent callers (the daemon's shards) each
-//! own an engine, so nothing is shared between solves.
-//!
-//! Re-solving a scenario warm-started from its own cached voltages is
-//! bit-identical to the cold solve: the guess already satisfies the
-//! convergence tolerance, so the solver returns it unchanged after the
-//! zero-iteration residual check.
+//! A query's answer depends only on its request: canonicalization is
+//! pure, and every miss is `solve_scenario_cancellable(&request, None,
+//! …)` on a fresh [`SolveScratch`], which starts at the PDN's nominal
+//! rail voltages. So a served summary is bit-identical to
+//! [`solve_scenario`]`(request, None)`'s, whatever the cache held, apart
+//! from the measured `solver_setup_us`. The cache decides only whether
+//! the answer is solved or read back. Concurrent callers (the daemon's
+//! shards) each own an engine, so nothing is shared between solves.
 
 use std::io;
 use std::path::PathBuf;
@@ -38,7 +35,10 @@ pub struct EngineConfig {
     pub lru_capacity: usize,
     /// Directory for the on-disk tier; `None` disables it.
     pub cache_dir: Option<PathBuf>,
-    /// Whether cold solves may seed from the nearest cached neighbour.
+    /// Ignored: no solve starts from a cached neighbour's answer any
+    /// more. Kept only because the `e2e` benchmark
+    /// (`crates/bench/src/bin/e2e/serve.rs`) still sets it; the
+    /// `[benchmark]` change that drops it there (ROADMAP.md) removes it.
     pub warm_start: bool,
 }
 
@@ -59,9 +59,12 @@ pub enum Outcome {
     HitMemory,
     /// Served from the on-disk tier.
     HitDisk,
-    /// Solved, seeded from a cached neighbour's voltages.
+    /// Never produced: every solve is [`Outcome::Cold`]. Kept only
+    /// because the `e2e` benchmark (`crates/bench/src/bin/e2e/serve.rs`)
+    /// still matches it; the `[benchmark]` change that drops those
+    /// matches (ROADMAP.md) removes it.
     Warm,
-    /// Solved from scratch.
+    /// Solved, from the PDN's nominal rail voltages.
     Cold,
 }
 
@@ -96,9 +99,7 @@ pub struct EngineStats {
     pub memory_hits: u64,
     /// Served from the disk tier.
     pub disk_hits: u64,
-    /// Solves seeded from a cached neighbour.
-    pub warm_solves: u64,
-    /// Solves from scratch.
+    /// Solves performed.
     pub cold_solves: u64,
     /// Disk entries rejected for a schema-version mismatch.
     pub schema_rejects: u64,
@@ -117,7 +118,7 @@ pub struct EngineStats {
 impl EngineStats {
     /// Solves actually performed.
     pub fn solves(&self) -> u64 {
-        self.warm_solves + self.cold_solves
+        self.cold_solves
     }
 
     /// Requests answered without a new solve.
@@ -177,7 +178,6 @@ impl core::fmt::Display for EngineError {
 /// thread.
 #[derive(Debug)]
 pub struct Engine {
-    config: EngineConfig,
     lru: LruCache,
     disk: Option<DiskCache>,
     /// Fingerprints solved since the last flush, oldest first.
@@ -204,7 +204,6 @@ impl Engine {
             disk,
             dirty: Vec::new(),
             stats: EngineStats::default(),
-            config,
             cancel: CancelToken::never(),
         })
     }
@@ -223,8 +222,8 @@ impl Engine {
     }
 
     /// Serves one request: validate, canonicalize, answer from the memory
-    /// tier, then the disk tier, else solve — seeded from the nearest
-    /// cached neighbour when warm starts are on — and cache the result.
+    /// tier, then the disk tier, else solve it alone (see the module's
+    /// determinism note) and cache the result.
     /// Every counter is mirrored into the global obs registry as it
     /// moves, so the `metrics` verb sees what [`Engine::stats`] does.
     ///
@@ -274,33 +273,19 @@ impl Engine {
                 DiskLoad::Missing => {}
             }
         }
-        let guess = if self.config.warm_start {
-            self.nearest_donor(&request)
-        } else {
-            None
-        };
         let started = Instant::now();
-        let (summary, voltages) =
-            solve_scenario_cancellable(&request, guess.as_deref(), &self.cancel)?;
+        let (summary, _) = solve_scenario_cancellable(&request, None, &self.cancel)?;
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.stats.solver_iterations += summary.solver_iterations as u64;
         self.stats.solver_setup_us += summary.solver_setup_us;
         self.stats.solve_time_us += micros;
-        let outcome = if guess.is_some() {
-            self.stats.warm_solves += 1;
-            m.engine_warm_solves.inc();
-            Outcome::Warm
-        } else {
-            self.stats.cold_solves += 1;
-            m.engine_cold_solves.inc();
-            Outcome::Cold
-        };
+        self.stats.cold_solves += 1;
+        m.engine_cold_solves.inc();
         self.lru.insert(
             fingerprint,
             CacheEntry {
                 request,
                 summary: summary.clone(),
-                voltages: Some(voltages),
             },
         );
         if self.disk.is_some() && !self.dirty.contains(&fingerprint) {
@@ -308,7 +293,7 @@ impl Engine {
         }
         Ok(QueryResult {
             fingerprint,
-            outcome,
+            outcome: Outcome::Cold,
             summary,
             latency_us: micros,
         })
@@ -336,66 +321,15 @@ impl Engine {
         }
         Ok(written)
     }
-
-    /// Picks the warm-start donor for `request`: the cached entry with
-    /// voltages whose scenario shares every structure-determining knob
-    /// (stacking or not, layers, TSV topology, fidelity, converter
-    /// config, thermal coupling and hotspot layer) and is nearest in the
-    /// continuous knobs (imbalance, power-C4, ambient, sink, hotspot
-    /// power), fingerprint as the deterministic tie-break. Structure must
-    /// match exactly so the donor's voltage vector has the node count of
-    /// the new system. An absent axis reads as its default knobs.
-    fn nearest_donor(&self, request: &ScenarioRequest) -> Option<Vec<f64>> {
-        // Only intact solutions seed, and only intact solves: a faulted
-        // entry's voltages carry the open-circuit dip an intact one lacks.
-        if !request.faults.is_empty() {
-            return None;
-        }
-        // Thermal coupling warps the grid resistances a donor's voltages
-        // were solved under, so a coupled scenario only borrows from
-        // scenarios on the same thermal axis.
-        let structure = |r: &ScenarioRequest| {
-            let stack = r.stacking.map(|s| (s.converters, s.closed_loop));
-            let thermal = r.thermal.map(|t| t.hotspot.map(|(layer, _)| layer));
-            (stack, r.layers, r.tsv, r.fidelity, thermal)
-        };
-        let stack = |r: &ScenarioRequest| r.stacking.unwrap_or_default();
-        let thermal = |r: &ScenarioRequest| r.thermal.unwrap_or_default();
-        let hotspot_w = |r: &ScenarioRequest| thermal(r).hotspot.map_or(0.0, |(_, w)| w);
-        let (s, t) = (stack(request), thermal(request));
-        let mut best: Option<(f64, u64, &Vec<f64>)> = None;
-        for (fp, entry) in self.lru.iter() {
-            let Some(voltages) = &entry.voltages else {
-                continue;
-            };
-            let donor = &entry.request;
-            if structure(donor) != structure(request) || !donor.faults.is_empty() {
-                continue;
-            }
-            let (ds, dt) = (stack(donor), thermal(donor));
-            let distance = (ds.imbalance - s.imbalance).abs()
-                + (donor.power_c4 - request.power_c4).abs()
-                + (dt.ambient_c - t.ambient_c).abs() / 100.0
-                + (dt.sink_k_per_w - t.sink_k_per_w).abs()
-                + (hotspot_w(donor) - hotspot_w(request)).abs() / 100.0;
-            let better = match &best {
-                None => true,
-                Some((d, f, _)) => distance < *d || (distance == *d && fp < *f),
-            };
-            if better {
-                best = Some((distance, fp, voltages));
-            }
-        }
-        best.map(|(_, _, v)| v.clone())
-    }
 }
 
 /// Performs one solve outside the cache: build the scenario, run the
 /// thermal–EM–IR fixed point when the request has a thermal axis, else
-/// one warm-started fault-aware ladder solve of the PDN and loads its
-/// stacking axis selects, with its fault set (empty when intact), and
-/// summarize. Exposed so tests (and the bit-identity guarantee) can
-/// compare cold and warm paths directly.
+/// one fault-aware ladder solve of the PDN and loads its stacking axis
+/// selects, with its fault set (empty when intact), and summarize. The
+/// solve starts from `guess` when given, else from the PDN's nominal rail
+/// voltages; [`Engine::query`] always passes `None`, so this is also the
+/// oracle its answers are checked against.
 ///
 /// # Errors
 ///

@@ -10,12 +10,12 @@
 //!   its range checks, fingerprint tags and JSON fields, with a
 //!   deterministic 64-bit content fingerprint, stable under JSON field
 //!   ordering and float formatting.
-//! * [`cache`] — a bounded in-memory LRU (which also retains node
-//!   voltages for warm starts) over an optional on-disk store stamped
-//!   with [`SCHEMA_VERSION`].
+//! * [`cache`] — a bounded in-memory LRU of summaries over an optional
+//!   on-disk store stamped with [`SCHEMA_VERSION`].
 //! * [`engine`] — answers one request at a time on the calling thread:
 //!   from the cache tiers, else by one solve composed from the request's
-//!   axes, seeded from the nearest cached neighbour.
+//!   axes. A query's answer depends only on its request, never on what
+//!   the cache held.
 //! * [`server`] — the serving daemon: fingerprint-sharded engines behind
 //!   bounded admission queues, with cross-request dedup, deadlines, panic
 //!   containment and graceful drain, reached over stdin/stdout, TCP or a
@@ -83,7 +83,10 @@
 /// (serving counters; the engine's request, hit and solve counters are in
 /// `metrics`), a `batch` duplicate carries its leader's outcome instead
 /// of `"source":"dedup"`, and the stdin disk cache moved to the
-/// daemon's `shard-NN/` segments. Fingerprints do not move.
+/// daemon's `shard-NN/` segments. Fingerprints do not move. Since the
+/// engine stopped seeding solves from cached neighbours, a reply that
+/// said `"outcome":"warm"` says `"cold"`; nothing else on the wire or on
+/// disk moved, so the version did not.
 pub const SCHEMA_VERSION: u32 = 7;
 
 pub mod cache;

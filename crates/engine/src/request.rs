@@ -827,8 +827,8 @@ mod tests {
     #[test]
     fn legacy_fingerprints_are_pinned() {
         // Captured on the pre-thermal schema (FINGERPRINT_DOMAIN 4).
-        // These must never change: the disk cache and every warm-start
-        // donor are keyed by them. If this test fails, the fingerprint
+        // These must never change: both cache tiers are keyed by them.
+        // If this test fails, the fingerprint
         // domain moved — that is a cache-invalidation event, not a
         // test-update event.
         let cases = [

@@ -11,7 +11,6 @@
 //! than `capacity` items (property-tested in `tests/server_queue.rs`).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -45,9 +44,6 @@ pub struct BoundedQueue<T> {
     capacity: usize,
     state: Mutex<State<T>>,
     not_empty: Condvar,
-    /// Deepest the queue has ever been — a telemetry watermark, updated
-    /// under the state lock, readable without it.
-    high_watermark: AtomicUsize,
 }
 
 impl<T> BoundedQueue<T> {
@@ -60,18 +56,12 @@ impl<T> BoundedQueue<T> {
                 closed: false,
             }),
             not_empty: Condvar::new(),
-            high_watermark: AtomicUsize::new(0),
         }
     }
 
     /// The hard bound.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The deepest the queue has ever been over its lifetime.
-    pub fn high_watermark(&self) -> usize {
-        self.high_watermark.load(Ordering::Relaxed)
     }
 
     /// Items currently queued.
@@ -101,7 +91,6 @@ impl<T> BoundedQueue<T> {
         state.items.push_back(item);
         let depth = state.items.len();
         drop(state);
-        self.high_watermark.fetch_max(depth, Ordering::Relaxed);
         self.not_empty.notify_one();
         Ok(depth)
     }
@@ -167,18 +156,6 @@ mod tests {
         q.try_push(2).unwrap();
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn high_watermark_tracks_peak_depth() {
-        let q = BoundedQueue::new(4);
-        assert_eq!(q.high_watermark(), 0);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert!(matches!(q.pop(Duration::from_millis(1)), Popped::Item(1)));
-        q.try_push(3).unwrap();
-        // Depth peaked at 2 even though it later dipped to 1.
-        assert_eq!(q.high_watermark(), 2);
     }
 
     #[test]

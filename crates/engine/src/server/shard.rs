@@ -63,8 +63,6 @@ pub struct ShardConfig {
     pub lru_capacity: usize,
     /// Disk-cache root; each shard owns the `shard-NN/` segment under it.
     pub cache_dir: Option<PathBuf>,
-    /// Whether solves may warm-start from cached neighbours.
-    pub warm_start: bool,
     /// Where flight-recorder dumps land; `None` disables dumping (the
     /// in-memory ring still records).
     pub flight_dir: Option<PathBuf>,
@@ -80,7 +78,6 @@ impl Default for ShardConfig {
             queue_capacity: 32,
             lru_capacity: 256,
             cache_dir: None,
-            warm_start: true,
             flight_dir: None,
             slo_us: 250_000,
         }
@@ -167,7 +164,7 @@ impl ShardPool {
                     .cache_dir
                     .as_ref()
                     .map(|d| d.join(format!("shard-{i:02}"))),
-                warm_start: config.warm_start,
+                ..EngineConfig::default()
             };
             let engine = Engine::new(engine_config)?;
             let queue = Arc::new(BoundedQueue::new(config.queue_capacity));

@@ -4,8 +4,7 @@
 //! and efficiency metrics of the solution, the EM lifetimes of its
 //! conductor arrays, and the solver provenance (iterations, escalation
 //! trail). It is deliberately small and JSON-serializable — the full
-//! node-voltage vector is *not* part of it; voltages live only in the
-//! in-memory cache tier, where they seed warm starts.
+//! node-voltage vector is *not* part of it, and no cache tier keeps it.
 
 use crate::json::Json;
 use vstack::coupled::CoupledSolution;
@@ -29,8 +28,8 @@ pub struct SolveSummary {
     pub em_tsv_hours: f64,
     /// Converters pushed past their rated current, if any.
     pub overloaded_converters: usize,
-    /// Iterations the accepted solver method performed (0 when a warm
-    /// start was already converged).
+    /// Iterations the accepted solver method performed (0 when the start
+    /// already met the tolerance).
     pub solver_iterations: usize,
     /// Microseconds spent building the accepted method's preconditioner
     /// (0 on cache reuse or for setup-free methods).

@@ -62,7 +62,6 @@ fn start_daemon_with_flight(deadline_ms: u64, flight_dir: Option<PathBuf>) -> Da
             queue_capacity: 8,
             lru_capacity: 32,
             cache_dir: None,
-            warm_start: true,
             flight_dir,
             ..ShardConfig::default()
         },
@@ -340,7 +339,6 @@ fn daemon_survives_cache_store_faults() {
             queue_capacity: 8,
             lru_capacity: 32,
             cache_dir: Some(dir.clone()),
-            warm_start: true,
             ..ShardConfig::default()
         },
         default_deadline_ms: 30_000,

@@ -3,7 +3,8 @@
 //! oversized lines) through the real process and checks the protocol
 //! guarantees the CI smoke job relies on. Stdin is one connection of the
 //! serving daemon, so a `batch` duplicate joins its leader's solve and
-//! carries the leader's outcome, and warm-start donors are per shard.
+//! carries the leader's outcome. Every solve is its request's alone, so
+//! a reply never depends on what the session answered before it.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -100,16 +101,12 @@ fn serve_session_dedups_reports_errors_and_exits_cleanly() {
     // 3: malformed line became a structured parse error.
     assert_eq!(field(&lines[2], "ok"), Json::Bool(false));
     assert_eq!(error_code(&lines[2]), Some("parse_error"));
-    // 4+5: the batch's first item is a real solve (warm only if its shard
-    // holds a donor); the duplicate joined it and carries its outcome —
-    // or, had the solve finished first, hit the fresh memory entry.
+    // 4+5: the batch's first item is a real solve; the duplicate joined
+    // it and carries its outcome — or, had the solve finished first, hit
+    // the fresh memory entry.
     assert_eq!(field(&lines[3], "id"), Json::Num(3.0));
     let leader = field(&lines[3], "outcome");
-    assert!(
-        leader == Json::Str("cold".to_string()) || leader == Json::Str("warm".to_string()),
-        "batch leader: {:?}",
-        lines[3]
-    );
+    assert_eq!(leader, Json::Str("cold".to_string()), "batch leader");
     assert_eq!(field(&lines[4], "id"), Json::Num(4.0));
     let joiner = field(&lines[4], "outcome");
     assert!(
@@ -143,10 +140,8 @@ fn serve_session_dedups_reports_errors_and_exits_cleanly() {
     let joins = counter(&lines[6], "serve_dedup_joins");
     assert_eq!(counter(&lines[6], "engine_requests") + joins, 4);
     assert_eq!(counter(&lines[6], "engine_memory_hits") + joins, 2);
-    assert_eq!(
-        counter(&lines[6], "engine_cold_solves") + counter(&lines[6], "engine_warm_solves"),
-        2
-    );
+    assert_eq!(counter(&lines[6], "engine_cold_solves"), 2);
+    assert_eq!(counter(&lines[6], "engine_warm_solves"), 0);
     assert_eq!(counter(&lines[6], "engine_deduped"), 0);
     assert!(
         counter(&lines[6], "cg_solves") >= 2,
@@ -187,10 +182,45 @@ fn serve_batch_of_duplicates_solves_exactly_once() {
         assert_eq!(field(reply, "summary"), field(&items[0], "summary"));
     }
     assert_eq!(
-        counter(&metrics[0], "engine_cold_solves") + counter(&metrics[0], "engine_warm_solves"),
+        counter(&metrics[0], "engine_cold_solves"),
         1,
         "N duplicates must perform one solve"
     );
+    assert_eq!(counter(&metrics[0], "engine_warm_solves"), 0);
+}
+
+/// `reply`'s summary without its measured set-up time: everything in it
+/// that is a function of the request.
+fn summary_without_setup(reply: &Json) -> Json {
+    let Some(Json::Obj(pairs)) = reply.get("summary") else {
+        panic!("no summary: {reply:?}")
+    };
+    let pairs = pairs.iter().filter(|(k, _)| k != "solver_setup_us");
+    Json::Obj(pairs.cloned().collect())
+}
+
+/// On one shard, a neighbour answered right after the request next to
+/// it is answered exactly as a fresh daemon answers it alone.
+#[test]
+fn serve_answers_a_neighbour_as_a_fresh_daemon_does() {
+    let solve = |id: usize, imbalance: f64| {
+        format!(
+            r#"{{"op":"solve","id":{id},"scenario":{{"solve":"vs","layers":2,"imbalance":{imbalance},"fidelity":"quick"}}}}"#
+        )
+    };
+    let after = session(
+        &["--shards", "1"],
+        &ndjson(&[solve(1, 0.4), solve(2, 0.45)]),
+    );
+    let alone = session(&["--shards", "1"], &ndjson(&[solve(2, 0.45)]));
+    assert_eq!(after.len(), 2, "replies: {after:?}");
+    assert_eq!(alone.len(), 1, "replies: {alone:?}");
+    let (after, alone) = (&after[1], &alone[0]);
+    for reply in [after, alone] {
+        assert_eq!(field(reply, "outcome"), Json::Str("cold".to_string()));
+    }
+    assert_eq!(field(after, "fingerprint"), field(alone, "fingerprint"));
+    assert_eq!(summary_without_setup(after), summary_without_setup(alone));
 }
 
 /// A one-layer V-S request is rejected as invalid before it reaches a

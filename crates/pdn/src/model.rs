@@ -302,9 +302,9 @@ impl Pdn {
     /// per-TSV-bundle identity so a wearout loop can pick its next victims
     /// deterministically.
     ///
-    /// With an empty fault set this is the warm-started healthy solve the
-    /// serving layers drive: a converged `guess` returns unchanged,
-    /// bit-identical, in zero iterations. Wearout loops and sweeps re-solve
+    /// With an empty fault set this is the healthy solve; a converged
+    /// `guess` returns unchanged, bit-identical, in zero iterations.
+    /// Wearout loops and sweeps re-solve
     /// the same topology hundreds of times; one [`SolveScratch`] lets every
     /// solve after the first re-stamp values onto the cached sparsity
     /// pattern and recycle the solver's working vectors (the Picard
@@ -675,6 +675,14 @@ impl Pdn {
     /// impedance is the correct small-time model even for closed-loop
     /// designs.
     ///
+    /// The initial state is solved as any open-loop solve is, from the
+    /// nominal rail voltages. Each step starts from the one before it and
+    /// takes the ladder settings of every other PDN solve
+    /// (`NetworkBuilder::ladder_options`); the steps share one
+    /// workspace, so a system at or above
+    /// [`NetworkBuilder::AMG_MIN_UNKNOWNS`] builds one AMG hierarchy for
+    /// the constant `G + C/Δt`.
+    ///
     /// # Errors
     ///
     /// Propagates [`SolveError`] from the DC or per-step ladder solves.
@@ -689,7 +697,7 @@ impl Pdn {
         after: &StackLoads,
         config: &crate::transient::PdnTransientConfig,
     ) -> Result<crate::transient::StepResponse, SolveError> {
-        use vstack_sparse::{solve_robust, RobustOptions, SolveWorkspace};
+        use vstack_sparse::{solve_robust, CancelToken, SolveWorkspace};
 
         let steps = config.steps();
         assert!(
@@ -700,11 +708,10 @@ impl Pdn {
 
         // Initial state: DC under the pre-step loads.
         let no_faults = FaultSet::new();
-        let (v0, _) = self
-            .stamp(before, &no_faults, &cells.g)
-            .nb
-            .solve(None, &mut SolveScratch::new())
-            .map_err(PdnError::into_solve_error)?;
+        let v0 = self
+            .solve_cells(before, &no_faults, &cells, None, &mut SolveScratch::new())
+            .map_err(PdnError::into_solve_error)?
+            .voltages;
 
         // Post-step system plus the backward-Euler decap companion
         // conductances C/Δt between each layer's local supply/return pair.
@@ -724,25 +731,35 @@ impl Pdn {
         let a_t = stamped.nb.to_matrix();
         let rhs_base = stamped.nb.rhs().to_vec();
 
-        let opts = RobustOptions {
-            tolerance: 1e-9,
-            ..RobustOptions::default()
-        };
+        let opts = NetworkBuilder::ladder_options(a_t.rows(), &CancelToken::never());
         let mut v = v0.clone();
         let mut times_s = Vec::with_capacity(steps);
         let mut max_drop_series = Vec::with_capacity(steps);
-        let mut rhs = vec![0.0; rhs_base.len()];
+        let (mut rhs, mut a_v) = (vec![0.0; v.len()], vec![0.0; v.len()]);
         // One workspace outside the time loop: every backward-Euler step
-        // reuses the same Krylov vectors instead of reallocating them.
+        // reuses the same Krylov vectors and preconditioner.
         let mut ws = SolveWorkspace::new();
         for step in 1..=steps {
+            // Each step solves for its own change `Δv` from `Δv = 0`:
+            // `(G + C/Δt)·Δv = b + (C/Δt)·v − (G + C/Δt)·v`. The ladder's
+            // relative tolerance then bounds the step's error by that
+            // change. Against the whole right-hand side, which the pad
+            // injections dominate, a late step whose change falls under
+            // the tolerance would return the previous state unchanged.
             rhs.copy_from_slice(&rhs_base);
             for &(a, b, c) in &decap_pairs {
                 let i_companion = (c / config.dt_s) * (v[a] - v[b]);
                 rhs[a] += i_companion;
                 rhs[b] -= i_companion;
             }
-            v = solve_robust(&a_t, &rhs, Some(&v), &opts, &mut ws)?.x;
+            a_t.mul_vec_into(&v, &mut a_v);
+            for (r, av) in rhs.iter_mut().zip(&a_v) {
+                *r -= av;
+            }
+            let dv = solve_robust(&a_t, &rhs, None, &opts, &mut ws)?.x;
+            for (vi, d) in v.iter_mut().zip(&dv) {
+                *vi += d;
+            }
             times_s.push(step as f64 * config.dt_s);
             max_drop_series.push(self.max_drop_of(&v));
         }
@@ -1141,7 +1158,7 @@ pub(crate) mod tests {
     //! `vstacked::tests` on Fig 4b stacks, so one body covers both.
 
     use super::*;
-    use crate::network::tests::{direct_solve, max_error_of_scale};
+    use crate::network::tests::{direct_solve, direct_solver, max_error_of_scale};
 
     /// `faults` solved exactly on a fresh scratch.
     pub(crate) fn exact(
@@ -1261,6 +1278,48 @@ pub(crate) mod tests {
             nominal_total < zero_total,
             "nominal starts {nominal_total} iterations, zero starts {zero_total}"
         );
+    }
+
+    /// Every sample of a step response, its initial drop included, is
+    /// within `1e-9` of Vdd of a backward-Euler loop written here, which
+    /// solves each step directly on one envelope-Cholesky factor of
+    /// `G + C/Δt`, from a direct DC solve of the pre-step loads.
+    pub(crate) fn check_transient_matches_direct(cases: &[(Pdn, StackLoads, StackLoads)]) {
+        let cfg = crate::transient::PdnTransientConfig::default();
+        let no_faults = FaultSet::new();
+        for (pdn, before, after) in cases {
+            let got = pdn.solve_transient_step(before, after, &cfg).unwrap();
+            let cells = pdn.nominal_cells();
+            let mut v = direct_solve(&pdn.stamp(before, &no_faults, &cells.g).nb);
+            assert!((got.initial_drop - pdn.max_drop_of(&v)).abs() <= 1e-9);
+            let mut stepped = pdn.stamp(after, &no_faults, &cells.g).nb;
+            let mut decaps = Vec::new();
+            for layer in 0..pdn.n_layers() {
+                let (supply, ret) = pdn.layer_nets(layer);
+                for nodes in &pdn.core_nodes {
+                    let g = cfg.decap_per_core_f / nodes.len() as f64 / cfg.dt_s;
+                    for &gn in nodes {
+                        stepped.conductance(supply + gn, ret + gn, g);
+                        decaps.push((supply + gn, ret + gn, g));
+                    }
+                }
+            }
+            let solve = direct_solver(&stepped);
+            assert_eq!(got.max_drop_series.len(), cfg.steps());
+            for (step, &drop) in got.max_drop_series.iter().enumerate() {
+                let mut b = stepped.rhs().to_vec();
+                for &(s, r, g) in &decaps {
+                    b[s] += g * (v[s] - v[r]);
+                    b[r] -= g * (v[s] - v[r]);
+                }
+                v = solve(&b);
+                let want = pdn.max_drop_of(&v);
+                assert!(
+                    (drop - want).abs() <= 1e-9,
+                    "step {step}: drop {drop} vs direct {want}"
+                );
+            }
+        }
     }
 
     /// The right-hand side `rhs` assembles alone, from the pads alive

@@ -392,11 +392,11 @@ impl NetworkBuilder {
         result
     }
 
-    /// Node count at or above which [`NetworkBuilder::solve`]
-    /// leads the escalation ladder with the AMG rung. Below it, single-
-    /// level Jacobi wins: multigrid setup costs a few SpMV-equivalents
-    /// that small systems never amortize, and it holds the hierarchy's
-    /// memory. At paper fidelity (`grid_refinement = 3`, 26×26 nodes per
+    /// Node count at or above which every PDN ladder solve
+    /// (`NetworkBuilder::ladder_options`) leads with the AMG rung. Below
+    /// it, single-level Jacobi wins: multigrid setup costs a few
+    /// SpMV-equivalents that small systems never amortize, and it holds
+    /// the hierarchy's memory. At paper fidelity (`grid_refinement = 3`, 26×26 nodes per
     /// rail per layer, 1,352 unknowns per layer) the threshold engages
     /// from 2 stacked layers up; every quick-fidelity stack (9×9 nodes,
     /// at most 1,296 unknowns at 8 layers) stays on Jacobi.
@@ -406,6 +406,24 @@ impl NetworkBuilder {
     /// meets: the escalation ladder's tolerance, and the guard on
     /// superposed sweep points ([`crate::Pdn::solve_load_sweep`]).
     pub(crate) const TOLERANCE: f64 = 1e-9;
+
+    /// The ladder settings of every PDN solve but the fault sketch's
+    /// baseline: [`NetworkBuilder::TOLERANCE`], and a lead picked by size
+    /// alone — [`Lead::MixedAmg`] at or above
+    /// [`NetworkBuilder::AMG_MIN_UNKNOWNS`] unknowns, [`Lead::Jacobi`]
+    /// below. [`NetworkBuilder::solve`] and the backward-Euler steps of
+    /// [`crate::Pdn::solve_transient_step`] both take them from here.
+    pub(crate) fn ladder_options(unknowns: usize, cancel: &CancelToken) -> RobustOptions {
+        RobustOptions {
+            tolerance: Self::TOLERANCE,
+            lead: if unknowns >= Self::AMG_MIN_UNKNOWNS {
+                Lead::MixedAmg
+            } else {
+                Lead::Jacobi
+            },
+            cancel: cancel.clone(),
+        }
+    }
 
     /// The shared solve tail: connectivity check, then the escalation
     /// ladder over an already-assembled CSR matrix. Large systems lead
@@ -425,19 +443,10 @@ impl NetworkBuilder {
                 example_node,
             });
         }
-        let use_amg = a.rows() >= Self::AMG_MIN_UNKNOWNS;
-        let opts = RobustOptions {
-            tolerance: Self::TOLERANCE,
-            lead: if use_amg {
-                Lead::MixedAmg
-            } else {
-                Lead::Jacobi
-            },
-            cancel: cancel.clone(),
-        };
+        let opts = Self::ladder_options(a.rows(), cancel);
         let m = vstack_obs::metrics::global();
         m.pdn_solves.inc();
-        if use_amg {
+        if opts.lead == Lead::MixedAmg {
             if workspace.has_hierarchy() {
                 m.amg_cache_hits.inc();
             } else {
@@ -487,7 +496,8 @@ impl NetworkBuilder {
     }
 
     /// Finalizes the conductance matrix (CSR). Used by the transient
-    /// stepper, which factors the stamping cost out of the time loop.
+    /// stepper, which factors the stamping cost out of the time loop, and
+    /// by the fault sketch's baseline.
     pub fn to_matrix(&self) -> vstack_sparse::CsrMatrix {
         self.matrix.to_csr()
     }
@@ -591,11 +601,19 @@ pub(crate) mod tests {
     /// Direct envelope-Cholesky solve of `nb`'s stamped system: an oracle
     /// that shares no code with the Krylov ladder.
     pub(crate) fn direct_solve(nb: &NetworkBuilder) -> Vec<f64> {
+        direct_solver(nb)(nb.rhs())
+    }
+
+    /// [`direct_solve`] for any right-hand side: `nb`'s matrix is
+    /// factored once, and the returned closure solves against it.
+    pub(crate) fn direct_solver(nb: &NetworkBuilder) -> impl Fn(&[f64]) -> Vec<f64> {
         let a = nb.to_matrix();
         let chol = vstack_sparse::EnvelopeCholesky::factor(&a).unwrap();
-        let (mut x, mut work) = (vec![0.0; a.rows()], vec![0.0; a.rows()]);
-        chol.solve_into(nb.rhs(), &mut x, &mut work);
-        x
+        move |b| {
+            let (mut x, mut work) = (vec![0.0; b.len()], vec![0.0; b.len()]);
+            chol.solve_into(b, &mut x, &mut work);
+            x
+        }
     }
 
     /// `max |got − want|` as a fraction of `max |want|`.

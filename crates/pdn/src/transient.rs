@@ -12,8 +12,9 @@
 //! the DC solution of the *before* loads, the loads switch to *after* at
 //! `t = 0`, and per-layer decap (between each layer's local supply and
 //! return nets) carries the charge while the rails re-settle. The system
-//! matrix `G + C/Δt` is SPD, assembled once, and every timestep is a
-//! warm-started CG solve.
+//! matrix `G + C/Δt` is SPD and assembled once; every timestep is one
+//! escalation-ladder solve started from the previous step, led as every
+//! other PDN solve of its size is.
 
 /// Configuration for a PDN load-step transient.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -65,7 +65,7 @@ mod tests {
     use crate::model::tests::{
         check_empty_fault_set_matches_plain_solve, check_killed_pad_shifts_current,
         check_paper_fidelity_matches_direct, check_rhs_matches_full_stamp,
-        check_scratch_sweep_matches_fresh_solves,
+        check_scratch_sweep_matches_fresh_solves, check_transient_matches_direct,
     };
     use crate::network::tests::{direct_solve, max_error_of_scale};
     use crate::network::SolveScratch;
@@ -284,6 +284,18 @@ mod tests {
             d_large < d_small,
             "decap should slow the excursion: {d_large} vs {d_small}"
         );
+    }
+
+    #[test]
+    fn paper_fidelity_transient_matches_direct_backward_euler() {
+        // 2,704 unknowns: above the AMG gate, so the DC solve and every
+        // step lead with the mixed-precision rung.
+        let p = PdnParams::paper_defaults();
+        check_transient_matches_direct(&[(
+            vs_pdn(&p, 2, 4),
+            StackLoads::interleaved(&p, 2, &ImbalancePattern::new(0.0)),
+            StackLoads::interleaved(&p, 2, &ImbalancePattern::new(0.6)),
+        )]);
     }
 
     #[test]
