@@ -333,8 +333,9 @@ impl Engine {
 ///
 /// # Errors
 ///
-/// [`EngineError::Solve`] when the escalation ladder is exhausted or the
-/// grid is inconsistent — never a panic for a validated request.
+/// [`EngineError::Solve`] when the escalation ladder is exhausted, the
+/// grid is inconsistent or `guess` is not one value per node of this
+/// request's network — never a panic for a validated request.
 pub fn solve_scenario(
     request: &ScenarioRequest,
     guess: Option<&[f64]>,

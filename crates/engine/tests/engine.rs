@@ -1,7 +1,8 @@
 //! Integration tests for the query engine: codec round-trips, fingerprint
-//! stability, cache-tier behaviour, and every answer bit-identical to
-//! its request solved alone. Duplicate requests are deduplicated by the serving daemon,
-//! not the engine (`serve_smoke.rs`).
+//! stability, cache-tier behaviour, `solve_scenario` started from a
+//! caller's guess, and every answer bit-identical to its request solved
+//! alone. Duplicate requests are deduplicated by the serving daemon, not
+//! the engine (`serve_smoke.rs`).
 
 use std::fs;
 use std::path::PathBuf;
@@ -227,6 +228,31 @@ fn warm_started_resolve_is_bit_identical_to_cold() {
         warm_summary.efficiency.to_bits(),
         cold_summary.efficiency.to_bits()
     );
+}
+
+#[test]
+fn neighbour_queries_warm_start_and_agree_with_cold() {
+    // The engine never seeds a miss (`every_answer_equals_...` below),
+    // but `solve_scenario` still takes a caller's guess: a neighbour's
+    // answer is only a start, and the solve it seeds lands on the cold
+    // answer to solver tolerance.
+    let (_, neighbour) = solve_scenario(&quick_vs(0.40), None).unwrap();
+    let (warm, _) = solve_scenario(&quick_vs(0.45), Some(&neighbour)).unwrap();
+    let (cold, _) = solve_scenario(&quick_vs(0.45), None).unwrap();
+    let rel = (warm.max_ir_drop_frac - cold.max_ir_drop_frac).abs() / cold.max_ir_drop_frac.abs();
+    assert!(rel < 1e-6, "warm vs cold relative difference {rel}");
+}
+
+#[test]
+fn warm_start_requires_matching_structure() {
+    // A guess from another layer count has the wrong node count: the
+    // solve refuses it as an error instead of panicking or answering.
+    let (_, two_layers) = solve_scenario(&quick_vs(0.4), None).unwrap();
+    let four_layers = ScenarioRequest::voltage_stacked(4, 0.4).quick();
+    match solve_scenario(&four_layers, Some(&two_layers)) {
+        Err(EngineError::Solve(m)) => assert!(m.contains("dimension mismatch"), "{m}"),
+        other => panic!("expected a solve error, got {:?}", other.map(|(s, _)| s)),
+    }
 }
 
 /// `summary`'s JSON with the measured set-up time zeroed: everything a
